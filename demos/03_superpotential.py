@@ -1,8 +1,7 @@
 """The superpotential by three mutually validating pipelines.
 
 The recursion over degree splits, the closed sum over rooted trees, and the
-morphism-inversion oracle all produce the same exact rationals; the infinite
-ratio additionally has a specialized tree sum with plain factorials.
+morphism-inversion oracle all produce the same exact rationals.
 """
 
 import time
@@ -15,18 +14,15 @@ from ellsuper import (
     recursion_wtT,
     superpotential,
     tree_wtT,
-    tree_wtT_infinity,
 )
 
 INF = AspectRatio.infinite()
 
 print("wtT and T at the infinite ratio:")
-print("  d :      wtT        T   (recursion == tree == specialization == inversion)")
+print("  d :      wtT        T   (recursion == tree == inversion)")
 for d in range(1, 7):
     wt = tree_wtT(d, INF)
-    assert wt == recursion_wtT(d, INF) == tree_wtT_infinity(d)
-    if d <= 6:
-        assert wt == linf_superpotential(d, INF)
+    assert wt == recursion_wtT(d, INF) == linf_superpotential(d, INF)
     res = superpotential(d, INF)
     print(f"  {d} : {str(wt):>8} {str(res.T):>8}")
 

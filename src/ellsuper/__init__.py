@@ -34,7 +34,7 @@ from .linf import (
     linf_superpotential,
 )
 from .numerics import ExactRational, binomial, compositions, factorial, partitions
-from .superpotential import (
+from .pipelines import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
     SuperpotentialResult,
@@ -46,13 +46,11 @@ from .superpotential import (
     scan_monotonicity,
     superpotential,
     tree_wtT,
-    tree_wtT_infinity,
 )
 from .trees import (
     LEAF,
     Tree,
     VertexInfo,
-    aut_order,
     enumerate_ordered_trees,
     enumerate_trees,
     ordered_count,
@@ -78,7 +76,6 @@ __all__ = [
     "SuperpotentialResult",
     "Tree",
     "VertexInfo",
-    "aut_order",
     "binomial",
     "compose",
     "compositions",
@@ -111,6 +108,5 @@ __all__ = [
     "set_partitions",
     "superpotential",
     "tree_wtT",
-    "tree_wtT_infinity",
     "vertex_data",
 ]

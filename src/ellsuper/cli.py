@@ -12,9 +12,6 @@ infinitesimal perturbation); ``inf`` is the infinite ratio.  Rationals are
 rendered as ``p/q`` strings (``p`` when the denominator is 1) so that every
 value re-parses exactly.  Timings (the ``ms`` fields) are the only
 run-dependent output; pass ``--no-timing`` for byte-identical reruns.
-
-``--jobs N`` (or the ``ELLSUPER_WORKERS`` environment variable) caps the
-worker threads used for tree-term evaluation; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -23,16 +20,14 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
 from .lattice import AspectRatio, gamma_path
-from .superpotential import (
+from .pipelines import (
     DEFAULT_LINF_BOUND,
     METHODS,
     MethodDisagreement,
-    WORKERS_ENV,
     cross_validate,
     integrality_scan,
     scan_monotonicity,
@@ -79,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="json",
                         help="output format (default json)")
-    common.add_argument("--jobs", type=_positive_int, default=None,
-                        help=f"worker thread cap (also {WORKERS_ENV})")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gamma", parents=[common], help="lattice path of an aspect ratio")
@@ -258,9 +251,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-
-    if args.jobs is not None:
-        os.environ[WORKERS_ENV] = str(args.jobs)
 
     try:
         if args.command == "gamma":

@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import groupby, product
 
 from .lattice import AspectRatio, gamma_point, pair_factorial, point_add
-from .numerics import compositions, factorial
+from .numerics import factorial, partitions
 from .trees import enumerate_ordered_trees, ordered_internal_count, set_partitions
 
 
@@ -341,39 +341,30 @@ def ellipsoid_morphism(a: AspectRatio, *, max_index: int, max_arity: int) -> Lin
                         rule=rule, name=f"eps[{a}]")
 
 
-def linf_superpotential(d: int, a: AspectRatio, inner: str = "ordered") -> Fraction:
+def linf_superpotential(d: int, a: AspectRatio) -> Fraction:
     """Normalized count wtT via morphism inversion; exact, intended as an oracle.
 
     Inverts the ellipsoid morphism truncated at index 3d-1 and arity d, then
     pairs the inverse against the degree-split constants: summing over
-    compositions d_1+..+d_k = d, each term contributes
+    multisets {d_1,..,d_k} with d_1+..+d_k = d, each term contributes
 
-        1/(k! * (d_1!)^3 * .. * (d_k!)^3) * [coefficient of o_{3d-1} in
-        eta^k(q_{3d_1-1}, .., q_{3d_k-1})].
+        1/(m_1! m_2! .. * (d_1!)^3 * .. * (d_k!)^3) * [coefficient of o_{3d-1}
+        in eta^k(q_{3d_1-1}, .., q_{3d_k-1})]
 
-    ``inner="multiset"`` replaces the ordered sum with one over multisets
-    weighted by inverse multiplicity factorials; both must agree and the test
-    suite checks that they do.
+    where ``m_j`` is the multiplicity of each distinct part.
     """
     if d < 1:
         raise ValueError(f"linf_superpotential requires d >= 1, got {d}")
-    if inner not in ("ordered", "multiset"):
-        raise ValueError(f"inner must be 'ordered' or 'multiset', got {inner!r}")
     top = 3 * d - 1
     eps = ellipsoid_morphism(a, max_index=top, max_arity=d)
     eta = invert(eps)
     total = Fraction(0)
-    for comp in compositions(d):
-        if inner == "multiset" and any(comp[s] < comp[s + 1] for s in range(len(comp) - 1)):
-            continue  # keep one representative (nonincreasing) per multiset
-        if inner == "ordered":
-            weight = Fraction(1, factorial(len(comp)))
-        else:
-            weight = Fraction(1)
-            for _, grp in groupby(comp):
-                weight /= factorial(len(tuple(grp)))
-        for ds in comp:
+    for part in partitions(d):
+        weight = Fraction(1)
+        for _, grp in groupby(part):
+            weight /= factorial(len(tuple(grp)))
+        for ds in part:
             weight /= factorial(ds) ** 3
-        vec = eta.entry(tuple(3 * ds - 1 for ds in comp))
+        vec = eta.entry(tuple(3 * ds - 1 for ds in part))
         total += weight * vec.get(top, Fraction(0))
     return total

@@ -1,4 +1,4 @@
-"""Superpotential values by three mutually validating routes.
+"""Superpotential values by three mutually validating pipelines.
 
 ``wtT(d, a)`` is the normalized count: the plain count ``T(d, a)`` times the
 multiplicity of the path point at index 3d-1.  Three independent pipelines
@@ -7,13 +7,13 @@ compute it exactly:
 * ``recursion_wtT``: the recursion
 
       wtT_d = (G_{3d-1})! * ( (d!)^-3
-              - sum over splits d_1+..+d_k = d, k >= 2, of
-                wtT_{d_1} .. wtT_{d_k} / (k! * (G_{3d_1-1}+..+G_{3d_k-1})!) )
+              - sum over multisets {d_1,..,d_k} with d_1+..+d_k = d, k >= 2, of
+                wtT_{d_1} .. wtT_{d_k} / (m_1! m_2! .. * (G_{3d_1-1}+..+G_{3d_k-1})!) )
 
-  where ``G_k`` is the lattice path point of ``a`` and ``(.)!`` the pair
-  factorial.  The inner sum runs over ordered splits with the 1/k! factor or,
-  equivalently, over multisets with inverse multiplicity factorials; both are
-  implemented and must agree.
+  where ``G_k`` is the lattice path point of ``a``, ``(.)!`` the pair
+  factorial and ``m_j`` the multiplicity of each distinct part.  Summing over
+  ordered splits with a 1/k! factor instead gives the same value; that form
+  is kept in ``tests/oracles.py`` as a cross-check.
 
 * ``tree_wtT``: a single pass over rooted trees with d unordered leaves,
 
@@ -29,9 +29,8 @@ compute it exactly:
 * ``linf_superpotential`` (in :mod:`.linf`): inversion of the ellipsoid
   morphism, summed against the split constants.
 
-``tree_wtT_infinity`` is the infinite-ratio specialization of the tree sum
-(``G_k = (k, 0)``) written out with plain integer factorials and central
-binomials; it is kept as a separate implementation purely as a cross-check.
+The other test oracles, among them the infinite-ratio specialization of the
+tree sum with plain integer factorials, live in ``tests/oracles.py``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 the recursion memo is keyed by (d, prefix) and ratios sharing a prefix share
@@ -42,24 +41,20 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
 from .lattice import AspectRatio, gamma_path, mult, pair_factorial, point_add, point_scale
 from .linf import linf_superpotential
-from .numerics import binomial, compositions, factorial, partitions
+from .numerics import factorial, partitions
 from .trees import enumerate_trees, vertex_data
 
 METHODS = ("recursion", "tree", "linf")
 DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; beyond this it gets slow
-
-WORKERS_ENV = "ELLSUPER_WORKERS"
 
 
 class MethodDisagreement(RuntimeError):
@@ -76,24 +71,6 @@ class SuperpotentialResult:
     method: str
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    # Order-preserving map; items are pure terms, so any schedule gives the
-    # same exact sum.  Threads only when explicitly requested via env var.
-    n = _worker_count()
-    items = list(items)
-    if n <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
     """The path prefix G_0..G_{3d-1} that wtT(d, .) depends on."""
     return tuple(gamma_path(a, 3 * d - 1))
@@ -103,36 +80,27 @@ _RECURSION_CACHE: dict = {}
 _RECURSION_LOCK = threading.Lock()
 
 
-def recursion_wtT(d: int, a: AspectRatio, inner: str = "ordered") -> Fraction:
-    """wtT by the split recursion; memoized per (d, path prefix, inner mode)."""
+def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
+    """wtT by the split recursion; memoized per (d, path prefix)."""
     if d < 1:
         raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
-    if inner not in ("ordered", "multiset"):
-        raise ValueError(f"inner must be 'ordered' or 'multiset', got {inner!r}")
     path = path_signature(a, d)
-    return _recursion_from_path(d, path, inner)
+    return _recursion_from_path(d, path)
 
 
-def _recursion_from_path(d: int, path, inner: str) -> Fraction:
-    key = (d, path[: 3 * d], inner)
+def _recursion_from_path(d: int, path) -> Fraction:
+    key = (d, path[: 3 * d])
     hit = _RECURSION_CACHE.get(key)
     if hit is not None:
         return hit
     inner_sum = Fraction(0)
-    if inner == "ordered":
-        for comp in compositions(d, min_parts=2):
-            term = Fraction(1, factorial(len(comp)))
-            for ds in comp:
-                term *= _recursion_from_path(ds, path, inner)
-            inner_sum += term / pair_factorial(point_add(*(path[3 * ds - 1] for ds in comp)))
-    else:
-        for part in partitions(d, min_parts=2):
-            term = Fraction(1)
-            for _, grp in groupby(part):
-                term /= factorial(len(tuple(grp)))
-            for ds in part:
-                term *= _recursion_from_path(ds, path, inner)
-            inner_sum += term / pair_factorial(point_add(*(path[3 * ds - 1] for ds in part)))
+    for part in partitions(d, min_parts=2):
+        term = Fraction(1)
+        for _, grp in groupby(part):
+            term /= factorial(len(tuple(grp)))
+        for ds in part:
+            term *= _recursion_from_path(ds, path)
+        inner_sum += term / pair_factorial(point_add(*(path[3 * ds - 1] for ds in part)))
     value = pair_factorial(path[3 * d - 1]) * (Fraction(1, factorial(d) ** 3) - inner_sum)
     with _RECURSION_LOCK:
         _RECURSION_CACHE[key] = value
@@ -162,32 +130,8 @@ def tree_wtT(d: int, a: AspectRatio) -> Fraction:
                 value *= movable
         return value
 
-    total = sum(_map(term, enumerate_trees(d)), Fraction(0))
+    total = sum(map(term, enumerate_trees(d)), Fraction(0))
     return g2f ** d * total
-
-
-def tree_wtT_infinity(d: int) -> Fraction:
-    """Infinite-ratio specialization of the tree sum, as an independent formula.
-
-    With every path point equal to (k, 0) the internal factor collapses to
-    (3l(v)-1)! / (3l(v)-|v|+1)! and the movable factor to the central-binomial
-    expression 2^-l * binom(2l, l) - 1, with overall prefactor 2^d.
-    """
-    if d < 1:
-        raise ValueError(f"tree_wtT_infinity requires d >= 1, got {d}")
-    total = Fraction(0)
-    for tree in enumerate_trees(d):
-        value = Fraction(1, tree.aut_order)
-        for v in vertex_data(tree):
-            if not v.movable:
-                value = -value
-            value *= Fraction(factorial(3 * v.leaf_number - 1),
-                              factorial(3 * v.leaf_number - v.valency + 1))
-            if v.movable:
-                ell = v.leaf_number
-                value *= Fraction(binomial(2 * ell, ell), 2 ** ell) - 1
-        total += value
-    return 2 ** d * total
 
 
 def _warn_outside_range(a: AspectRatio) -> None:
@@ -240,10 +184,7 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
         timings[name] = round((time.perf_counter() - start) * 1e3, 3)
 
     run("recursion", lambda: recursion_wtT(d, a))
-    run("recursion-multiset", lambda: recursion_wtT(d, a, inner="multiset"))
     run("tree", lambda: tree_wtT(d, a))
-    if a.is_infinite:
-        run("tree-infinity", lambda: tree_wtT_infinity(d))
     if d <= linf_bound:
         run("linf", lambda: linf_superpotential(d, a))
 

@@ -135,11 +135,6 @@ def enumerate_trees(d: int) -> tuple[Tree, ...]:
     return tuple(out)
 
 
-def aut_order(tree: Tree) -> int:
-    """Order of the automorphism group (leaf-reordering stabilizer)."""
-    return tree.aut_order
-
-
 def set_partitions(items: Iterable) -> Iterator[list[tuple]]:
     """All partitions of a sequence into unordered nonempty blocks (as tuples)."""
     seq = list(items)

@@ -5,11 +5,31 @@ the perturbation) over ``Fraction`` arithmetic, whereas the library compares
 scaled integers.  The tree oracle generates canonical forms by brute
 composition enumeration with set-based deduplication, whereas the library
 assembles children multisets per partition without deduplication.
+
+The superpotential oracles are second formulas for values the library
+computes one way only.  ``ordered_recursion_wtT`` and
+``ordered_linf_superpotential`` sum over ordered compositions with a 1/k!
+factor where the library sums over multisets; ``tree_wtT_infinity`` is the
+infinite-ratio tree sum written with plain integer factorials and central
+binomials instead of lattice points.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+from ellsuper import (
+    binomial,
+    compositions,
+    ellipsoid_morphism,
+    enumerate_trees,
+    factorial,
+    invert,
+    pair_factorial,
+    path_signature,
+    point_add,
+    vertex_data,
+)
 
 
 def brute_gamma_point(p: int, q: int, k: int) -> tuple[int, int]:
@@ -67,3 +87,70 @@ ASSORTED_FRACTIONS = [
     (7, 6), (9, 7), (22, 7), (31, 17), (4, 3), (11, 10), (12, 5), (17, 4),
     (29, 2), (3, 1), (10, 3), (16, 9), (21, 13), (34, 21), (2, 3), (5, 8),
 ]
+
+
+def ordered_recursion_wtT(d, a):
+    """wtT by the split recursion, with the inner sum over ordered compositions."""
+    if d < 1:
+        raise ValueError(f"ordered_recursion_wtT requires d >= 1, got {d}")
+    return _ordered_recursion_from_path(d, path_signature(a, d))
+
+
+_ORDERED_RECURSION_CACHE = {}
+
+
+def _ordered_recursion_from_path(d, path):
+    key = (d, path[: 3 * d])
+    hit = _ORDERED_RECURSION_CACHE.get(key)
+    if hit is not None:
+        return hit
+    inner_sum = Fraction(0)
+    for comp in compositions(d, min_parts=2):
+        term = Fraction(1, factorial(len(comp)))
+        for ds in comp:
+            term *= _ordered_recursion_from_path(ds, path)
+        inner_sum += term / pair_factorial(point_add(*(path[3 * ds - 1] for ds in comp)))
+    value = pair_factorial(path[3 * d - 1]) * (Fraction(1, factorial(d) ** 3) - inner_sum)
+    _ORDERED_RECURSION_CACHE[key] = value
+    return value
+
+
+def ordered_linf_superpotential(d, a):
+    """wtT via morphism inversion, paired over ordered compositions with 1/k!."""
+    if d < 1:
+        raise ValueError(f"ordered_linf_superpotential requires d >= 1, got {d}")
+    top = 3 * d - 1
+    eps = ellipsoid_morphism(a, max_index=top, max_arity=d)
+    eta = invert(eps)
+    total = Fraction(0)
+    for comp in compositions(d):
+        weight = Fraction(1, factorial(len(comp)))
+        for ds in comp:
+            weight /= factorial(ds) ** 3
+        vec = eta.entry(tuple(3 * ds - 1 for ds in comp))
+        total += weight * vec.get(top, Fraction(0))
+    return total
+
+
+def tree_wtT_infinity(d):
+    """Infinite-ratio specialization of the tree sum, as an independent formula.
+
+    With every path point equal to (k, 0) the internal factor collapses to
+    (3l(v)-1)! / (3l(v)-|v|+1)! and the movable factor to the central-binomial
+    expression 2^-l * binom(2l, l) - 1, with overall prefactor 2^d.
+    """
+    if d < 1:
+        raise ValueError(f"tree_wtT_infinity requires d >= 1, got {d}")
+    total = Fraction(0)
+    for tree in enumerate_trees(d):
+        value = Fraction(1, tree.aut_order)
+        for v in vertex_data(tree):
+            if not v.movable:
+                value = -value
+            value *= Fraction(factorial(3 * v.leaf_number - 1),
+                              factorial(3 * v.leaf_number - v.valency + 1))
+            if v.movable:
+                ell = v.leaf_number
+                value *= Fraction(binomial(2 * ell, ell), 2 ** ell) - 1
+        total += value
+    return 2 ** d * total

@@ -32,10 +32,9 @@ from ellsuper import (
     recursion_wtT,
     superpotential,
     tree_wtT,
-    tree_wtT_infinity,
 )
 from ellsuper.cli import main
-from oracles import ASSORTED_FRACTIONS, brute_gamma_point, brute_tree_forms
+from oracles import ASSORTED_FRACTIONS, brute_gamma_point, brute_tree_forms, tree_wtT_infinity
 
 INF = AspectRatio.infinite()
 

@@ -1,4 +1,3 @@
-import importlib
 import json
 import subprocess
 import sys
@@ -6,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import ellsuper.pipelines as sp
 from ellsuper import AspectRatio
 from ellsuper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-
-sp = importlib.import_module("ellsuper.superpotential")
 
 
 def run_cli(capsys, *argv):
@@ -167,8 +165,8 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["T"] == "1"
 
 
-def test_jobs_flag_sets_env_and_values_unchanged(capsys, monkeypatch):
-    monkeypatch.delenv(sp.WORKERS_ENV, raising=False)
-    code, out, _ = run_cli(capsys, "compute", "--d", "5", "--a", "inf", "--jobs", "3", "--no-timing")
-    assert code == EXIT_OK
-    assert json.loads(out)["T"] == "217"
+def test_jobs_flag_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "compute", "--d", "2", "--a", "inf", "--jobs", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--jobs" in err

@@ -20,6 +20,7 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
+from oracles import ordered_linf_superpotential
 
 INF = AspectRatio.infinite()
 A32 = AspectRatio.plus_delta(3, 2)
@@ -247,7 +248,7 @@ def test_linf_superpotential_values():
 def test_linf_superpotential_inner_modes_agree():
     for a in (INF, A32, AspectRatio.plus_delta(5, 2)):
         for d in range(1, 5):
-            assert linf_superpotential(d, a) == linf_superpotential(d, a, inner="multiset")
+            assert ordered_linf_superpotential(d, a) == linf_superpotential(d, a)
 
 
 def test_linf_matches_recursion():

@@ -1,14 +1,10 @@
-import importlib
 import json
 import warnings
 from fractions import Fraction
 
 import pytest
 
-# the package re-exports the superpotential *function* under the module's
-# name, so fetch the module itself for monkeypatching
-sp = importlib.import_module("ellsuper.superpotential")
-
+import ellsuper.pipelines as sp
 from ellsuper import (
     AspectRatio,
     MethodDisagreement,
@@ -23,8 +19,8 @@ from ellsuper import (
     scan_monotonicity,
     superpotential,
     tree_wtT,
-    tree_wtT_infinity,
 )
+from oracles import ordered_recursion_wtT, tree_wtT_infinity
 
 INF = AspectRatio.infinite()
 
@@ -103,7 +99,7 @@ def test_methods_agree_across_ratios():
 def test_inner_sum_modes_agree():
     for a in (INF, AspectRatio.plus_delta(3, 2), AspectRatio.plus_delta(5, 2)):
         for d in range(1, 9):
-            assert recursion_wtT(d, a) == recursion_wtT(d, a, inner="multiset")
+            assert ordered_recursion_wtT(d, a) == recursion_wtT(d, a)
 
 
 def test_movable_factor_positive_for_wide_ratios():
@@ -210,13 +206,13 @@ def test_cross_validate_report():
     report = cross_validate(3, INF)
     assert report["agree"] is True
     assert report["wtT"] == "32" and report["T"] == "4" and report["mult"] == 8
-    assert set(report["methods"]) == {"recursion", "recursion-multiset", "tree", "tree-infinity", "linf"}
+    assert set(report["methods"]) == {"recursion", "tree", "linf"}
     assert set(report["ms"]) == set(report["methods"])
     json.dumps(report)  # JSON-ready
 
     narrow = cross_validate(2, AspectRatio.plus_delta(3, 2))
     assert narrow["wtT"] == "0" and narrow["agree"] is True
-    assert "tree-infinity" not in narrow["methods"]
+    assert set(narrow["methods"]) == {"recursion", "tree", "linf"}
 
     skipped = cross_validate(2, INF, linf_bound=0)
     assert "linf" not in skipped["methods"]
@@ -293,9 +289,3 @@ def test_invalid_degree_rejected():
         with pytest.raises(ValueError):
             fn()
 
-
-def test_workers_env_does_not_change_values(monkeypatch):
-    monkeypatch.setenv(sp.WORKERS_ENV, "4")
-    assert tree_wtT(5, INF) == WTT_INFINITY[5]
-    monkeypatch.setenv(sp.WORKERS_ENV, "not-a-number")
-    assert tree_wtT(4, INF) == WTT_INFINITY[4]
