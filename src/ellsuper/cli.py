@@ -5,6 +5,11 @@ Subcommands: ``gamma`` (lattice paths), ``trees`` (tree tables), ``compute``
 degrees), ``scan`` (monotonicity profile), ``integrality`` (integer check at
 the boundary fractions).  Output formats: json (default), csv, text.
 
+``compute``, ``scan`` and ``integrality`` use the recursion, the production
+engine; ``compute --method tree|linf`` selects an oracle instead.  ``validate``
+and the per-interval check in ``scan`` run the oracles beside it and demand
+exact agreement.
+
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
@@ -86,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", parents=[common], help="one superpotential value")
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--a", type=_aspect, required=True)
-    p.add_argument("--method", choices=METHODS, default="tree")
+    p.add_argument("--method", choices=METHODS, default="recursion")
     p.add_argument("--linf-bound", type=_nonnegative_int, default=DEFAULT_LINF_BOUND,
                    help="largest d accepted by the linf oracle")
     p.add_argument("--no-timing", action="store_true", help="omit the ms field")

@@ -4,16 +4,22 @@
 multiplicity of the path point at index 3d-1.  Three independent pipelines
 compute it exactly:
 
-* ``recursion_wtT``: the recursion
+* ``recursion_wtT``, the production engine: the recursion
 
       wtT_d = (G_{3d-1})! * ( (d!)^-3
               - sum over multisets {d_1,..,d_k} with d_1+..+d_k = d, k >= 2, of
                 wtT_{d_1} .. wtT_{d_k} / (m_1! m_2! .. * (G_{3d_1-1}+..+G_{3d_k-1})!) )
 
   where ``G_k`` is the lattice path point of ``a``, ``(.)!`` the pair
-  factorial and ``m_j`` the multiplicity of each distinct part.  Summing over
-  ordered splits with a 1/k! factor instead gives the same value; that form
-  is kept in ``tests/oracles.py`` as a cross-check.
+  factorial and ``m_j`` the multiplicity of each distinct part.  The inner
+  sum is the degree-d coefficient of ``exp(sum_s wtT_s x^s y^{G_{3s-1}})``
+  with every monomial ``y^P`` replaced by ``1/P!`` once collected by lattice
+  point P.  It is evaluated online, degree by degree, from the power-series
+  recurrence ``n f_n = sum_k k g_k f_{n-k}``: wtT_n enters ``f_n`` only
+  through the one-part term ``g_n``, so one pass yields wtT_1 .. wtT_d in
+  polynomial time.  The multiset sum over partitions of d and the sum over
+  ordered splits with a 1/k! factor give the same values; both are kept in
+  ``tests/oracles.py`` as cross-checks.
 
 * ``tree_wtT``: a single pass over rooted trees with d unordered leaves,
 
@@ -29,28 +35,27 @@ compute it exactly:
 * ``linf_superpotential`` (in :mod:`.linf`): inversion of the ellipsoid
   morphism, summed against the split constants.
 
-The other test oracles, among them the infinite-ratio specialization of the
-tree sum with plain integer factorials, live in ``tests/oracles.py``.
+The tree sum (about 3^d trees) and linf are bounded oracles that cross-check
+the recursion.  The other test oracles, among them the infinite-ratio
+specialization of the tree sum with plain integer factorials, live in
+``tests/oracles.py``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
-the recursion memo is keyed by (d, prefix) and ratios sharing a prefix share
-work and trivially share values.
+ratios sharing a prefix share values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from .lattice import AspectRatio, gamma_path, mult, pair_factorial, point_add, point_scale
 from .linf import linf_superpotential
-from .numerics import factorial, partitions
+from .numerics import factorial
 from .trees import enumerate_trees, vertex_data
 
 METHODS = ("recursion", "tree", "linf")
@@ -76,35 +81,31 @@ def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(gamma_path(a, 3 * d - 1))
 
 
-_RECURSION_CACHE: dict = {}
-_RECURSION_LOCK = threading.Lock()
-
-
 def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
-    """wtT by the split recursion; memoized per (d, path prefix)."""
+    """wtT by the split recursion, as one online pass of the series exponential."""
     if d < 1:
         raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
     path = path_signature(a, d)
-    return _recursion_from_path(d, path)
-
-
-def _recursion_from_path(d: int, path) -> Fraction:
-    key = (d, path[: 3 * d])
-    hit = _RECURSION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    inner_sum = Fraction(0)
-    for part in partitions(d, min_parts=2):
-        term = Fraction(1)
-        for _, grp in groupby(part):
-            term /= factorial(len(tuple(grp)))
-        for ds in part:
-            term *= _recursion_from_path(ds, path)
-        inner_sum += term / pair_factorial(point_add(*(path[3 * ds - 1] for ds in part)))
-    value = pair_factorial(path[3 * d - 1]) * (Fraction(1, factorial(d) ** 3) - inner_sum)
-    with _RECURSION_LOCK:
-        _RECURSION_CACHE[key] = value
-    return value
+    # coordinates of G_k are at most k, so every lattice point of f_1..f_d has
+    # coordinates below 3d; one table serves every pair factorial of the pass
+    fact = [factorial(m) for m in range(3 * d)]
+    wts = [Fraction(0)]  # wts[s] = wtT_s; index 0 unused
+    series: list = [None]  # series[n] = f_n, lattice point -> coefficient; index 0 unused
+    for n in range(1, d + 1):
+        # f_n - g_n = (1/n) sum_{k<n} k g_k f_{n-k}: the splits of n into >= 2 parts
+        f_n: dict = {}
+        for k in range(1, n):
+            (gi, gj), weight = path[3 * k - 1], Fraction(k, n) * wts[k]
+            for (i, j), coeff in series[n - k].items():
+                key = (i + gi, j + gj)
+                f_n[key] = f_n.get(key, 0) + weight * coeff
+        inner_sum = sum((c / (fact[i] * fact[j]) for (i, j), c in f_n.items()), Fraction(0))
+        point = path[3 * n - 1]
+        wt = fact[point[0]] * fact[point[1]] * (Fraction(1, factorial(n) ** 3) - inner_sum)
+        f_n[point] = f_n.get(point, 0) + wt  # the one-part term g_n
+        wts.append(wt)
+        series.append(f_n)
+    return wts[d]
 
 
 def tree_wtT(d: int, a: AspectRatio) -> Fraction:
@@ -142,7 +143,7 @@ def _warn_outside_range(a: AspectRatio) -> None:
                       stacklevel=3)
 
 
-def superpotential(d: int, a: AspectRatio, method: str = "tree",
+def superpotential(d: int, a: AspectRatio, method: str = "recursion",
                    linf_bound: int = DEFAULT_LINF_BOUND) -> SuperpotentialResult:
     """Full record: wtT by the chosen method, the multiplier, and T = wtT / mult."""
     if d < 1:
@@ -156,7 +157,7 @@ def superpotential(d: int, a: AspectRatio, method: str = "tree",
         if d > linf_bound:
             raise ValueError(
                 f"method 'linf' is an oracle intended for d <= {linf_bound}; "
-                f"use 'tree' or 'recursion' for d={d}, or pass a larger linf_bound"
+                f"use 'recursion' for d={d}, or pass a larger linf_bound"
             )
         wt = linf_superpotential(d, a)
     else:
@@ -238,9 +239,10 @@ def scan_monotonicity(d: int) -> dict:
     Each interval is represented by its left endpoint plus delta (for the
     first interval, 1 + delta).  Every representative value is cross-validated
     between the recursion and the tree sum, and a second point inside the same
-    interval (the mediant with the next breakpoint) guards the breakpoint
-    analysis: the report is marked inconsistent if the two ever differ.  A
-    non-monotone profile is reported, never raised; it is exploratory output.
+    interval (the mediant with the next breakpoint), computed by the recursion,
+    guards the breakpoint analysis: the report is marked inconsistent if the
+    two ever differ.  A non-monotone profile is reported, never raised; it is
+    exploratory output.
     """
     bps = scan_breakpoints(d)
     reps = [Fraction(1)] + bps
@@ -258,7 +260,7 @@ def scan_monotonicity(d: int) -> dict:
         else:
             mid = rep + 1
         mid_a = AspectRatio.plus_delta(mid.numerator, mid.denominator)
-        mid_value = superpotential(d, mid_a, "tree").T
+        mid_value = superpotential(d, mid_a).T
         if mid_value != value:
             consistent = False
         if previous is not None and value < previous:
@@ -271,7 +273,7 @@ def scan_monotonicity(d: int) -> dict:
             "midpoint": str(mid),
             "midpoint_T": str(mid_value),
         })
-    infinity_T = superpotential(d, AspectRatio.infinite(), "tree").T
+    infinity_T = superpotential(d, AspectRatio.infinite()).T
     if previous is not None and infinity_T < previous:
         nondecreasing = False
     if rows and Fraction(rows[-1]["T"]) != infinity_T:
@@ -301,7 +303,7 @@ def integrality_scan(d: int) -> dict:
         if p <= q or math.gcd(p, q) != 1:
             continue
         a = AspectRatio.plus_delta(p, q)
-        res = superpotential(d, a, "tree")
+        res = superpotential(d, a)
         rows.append({
             "p": p,
             "q": q,

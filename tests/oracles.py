@@ -7,16 +7,17 @@ composition enumeration with set-based deduplication, whereas the library
 assembles children multisets per partition without deduplication.
 
 The superpotential oracles are second formulas for values the library
-computes one way only.  ``ordered_recursion_wtT`` and
+computes one way only.  ``multiset_recursion_wtT`` sums the recursion's inner
+sum over the partitions of d with a 1/(m_1! m_2! ..) factor, where the library
+reads it off a power-series exponential; ``ordered_recursion_wtT`` and
 ``ordered_linf_superpotential`` sum over ordered compositions with a 1/k!
-factor where the library sums over multisets; ``tree_wtT_infinity`` is the
-infinite-ratio tree sum written with plain integer factorials and central
-binomials instead of lattice points.
+factor; ``tree_wtT_infinity`` is the infinite-ratio tree sum written with
+plain integer factorials and central binomials instead of lattice points.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 from ellsuper import (
     binomial,
@@ -26,6 +27,7 @@ from ellsuper import (
     factorial,
     invert,
     pair_factorial,
+    partitions,
     path_signature,
     point_add,
     vertex_data,
@@ -87,6 +89,34 @@ ASSORTED_FRACTIONS = [
     (7, 6), (9, 7), (22, 7), (31, 17), (4, 3), (11, 10), (12, 5), (17, 4),
     (29, 2), (3, 1), (10, 3), (16, 9), (21, 13), (34, 21), (2, 3), (5, 8),
 ]
+
+
+def multiset_recursion_wtT(d, a):
+    """wtT by the split recursion, with the inner sum over multisets of degrees."""
+    if d < 1:
+        raise ValueError(f"multiset_recursion_wtT requires d >= 1, got {d}")
+    return _multiset_recursion_from_path(d, path_signature(a, d))
+
+
+_MULTISET_RECURSION_CACHE = {}
+
+
+def _multiset_recursion_from_path(d, path):
+    key = (d, path[: 3 * d])
+    hit = _MULTISET_RECURSION_CACHE.get(key)
+    if hit is not None:
+        return hit
+    inner_sum = Fraction(0)
+    for part in partitions(d, min_parts=2):
+        term = Fraction(1)
+        for _, grp in groupby(part):
+            term /= factorial(len(tuple(grp)))
+        for ds in part:
+            term *= _multiset_recursion_from_path(ds, path)
+        inner_sum += term / pair_factorial(point_add(*(path[3 * ds - 1] for ds in part)))
+    value = pair_factorial(path[3 * d - 1]) * (Fraction(1, factorial(d) ** 3) - inner_sum)
+    _MULTISET_RECURSION_CACHE[key] = value
+    return value
 
 
 def ordered_recursion_wtT(d, a):

@@ -24,17 +24,32 @@ def test_compute_json(capsys):
     assert payload["wtT"] == "5"
     assert payload["mult"] == 5
     assert payload["a"] == "inf"
-    assert payload["method"] == "tree"
+    assert payload["method"] == "recursion"
     assert isinstance(payload["ms"], float)
 
 
+def test_compute_default_reaches_degree_40():
+    # a subprocess with a timeout, so an exponential default fails fast instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellsuper", "compute", "--d", "40", "--a", "3/2", "--no-timing"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["method"] == "recursion"
+    assert Fraction(payload["T"]) * payload["mult"] == Fraction(payload["wtT"])
+
+
 def test_compute_json_round_trips_exactly(capsys):
-    code, out, _ = run_cli(capsys, "compute", "--d", "3", "--a", "7/2", "--method", "recursion")
+    code, out, _ = run_cli(capsys, "compute", "--d", "3", "--a", "7/2", "--method", "tree")
     assert code == EXIT_OK
     payload = json.loads(out)
+    assert payload["method"] == "tree"
     assert AspectRatio.parse(payload["a"]) == AspectRatio.plus_delta(7, 2)
     wt = Fraction(payload["wtT"])
     assert Fraction(payload["T"]) * payload["mult"] == wt
+    default = json.loads(run_cli(capsys, "compute", "--d", "3", "--a", "7/2")[1])
+    assert Fraction(default["wtT"]) == wt
 
 
 def test_compute_byte_identical_without_timing(capsys):
@@ -98,7 +113,7 @@ def test_compute_csv_uses_fraction_strings(capsys):
     assert code == EXIT_OK
     header, row = out.splitlines()
     assert header.split(",") == ["d", "a", "wtT", "mult", "T", "method"]
-    assert row.split(",") == ["2", "3/2+delta", "0", "2", "0", "tree"]
+    assert row.split(",") == ["2", "3/2+delta", "0", "2", "0", "recursion"]
 
 
 def test_validate_agreement(capsys):

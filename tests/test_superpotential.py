@@ -1,8 +1,12 @@
 import json
+import math
+import time
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellsuper.pipelines as sp
 from ellsuper import (
@@ -20,7 +24,7 @@ from ellsuper import (
     superpotential,
     tree_wtT,
 )
-from oracles import ordered_recursion_wtT, tree_wtT_infinity
+from oracles import multiset_recursion_wtT, ordered_recursion_wtT, tree_wtT_infinity
 
 INF = AspectRatio.infinite()
 
@@ -100,6 +104,29 @@ def test_inner_sum_modes_agree():
     for a in (INF, AspectRatio.plus_delta(3, 2), AspectRatio.plus_delta(5, 2)):
         for d in range(1, 9):
             assert ordered_recursion_wtT(d, a) == recursion_wtT(d, a)
+
+
+# INF, or a reduced p/q > 1 with p + q <= 60 (plus delta)
+aspect_ratios = st.one_of(
+    st.just(INF),
+    st.integers(1, 29).flatmap(
+        lambda q: st.integers(q + 1, 60 - q)
+        .filter(lambda p: math.gcd(p, q) == 1)
+        .map(lambda p: AspectRatio.plus_delta(p, q))
+    ),
+)
+
+
+@given(a=aspect_ratios)
+@settings(max_examples=40, deadline=None)
+def test_series_recursion_matches_oracles(a):
+    for d in range(1, 13):
+        wt = recursion_wtT(d, a)
+        assert wt == multiset_recursion_wtT(d, a), (d, str(a))
+        if d <= 9:
+            assert wt == ordered_recursion_wtT(d, a), (d, str(a))
+        if d <= 7:
+            assert wt == tree_wtT(d, a), (d, str(a))
 
 
 def test_movable_factor_positive_for_wide_ratios():
@@ -273,6 +300,16 @@ def test_integrality_scan_values():
 
     rep4 = integrality_scan(4)
     assert [(r["p"], r["q"], r["T"]) for r in rep4["rows"]] == [(11, 1, "26"), (7, 5, "0")]
+
+
+def test_integrality_scan_through_degree_20():
+    # the integrality property at p + q = 3d, far beyond acceptance criterion 7;
+    # about 1 s, so the loose limit only catches an exponential engine
+    start = time.perf_counter()
+    for d in range(1, 21):
+        report = integrality_scan(d)
+        assert report["all_integral"] and report["all_nonnegative"], d
+    assert time.perf_counter() - start < 60.0
 
 
 def test_integrality_scan_adjunction_column():
