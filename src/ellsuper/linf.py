@@ -103,6 +103,10 @@ class LinfMorphism:
     a ``rule`` callable evaluated lazily and memoized; entries are validated
     for degree-zero homogeneity when first materialized.  ``max_index`` and
     ``max_arity`` declare the truncation inside which the morphism is used.
+
+    A morphism is single-threaded: the lazy memo ``_entries`` is a plain dict
+    filled on first access without a lock, so an instance must not be shared
+    between threads.
     """
 
     def __init__(self, source: BasedSpace, target: BasedSpace, *, max_index: int,

@@ -30,15 +30,22 @@ compute it exactly:
               * prod over movable v of ( (l(v)!)^-2 (l(v)*G_2)! / (G_2!)^l(v) - 1 )
 
   with ``l(v)`` the leaf number; leaf children contribute ``G_2`` to the sums
-  and ``l(v)*G_2`` is a scalar multiple of the lattice point.
+  and ``l(v)*G_2`` is a scalar multiple of the lattice point.  A vertex's
+  factor, sign included, depends only on its type, the sorted leaf numbers
+  of its children.  So the sum is split in two: a per-degree table, built
+  once and kept in a small LRU cache, lists every tree as its 1/|Aut(T)| and
+  its vertex types (trees with the same multiset of types merged); each call
+  evaluates every distinct type's factor once on the path prefix, as an
+  integer numerator and denominator, and sums one product per table row.
 
 * ``linf_superpotential`` (in :mod:`.linf`): inversion of the ellipsoid
   morphism, summed against the split constants.
 
 The tree sum (about 3^d trees) and linf are bounded oracles that cross-check
-the recursion.  The other test oracles, among them the infinite-ratio
-specialization of the tree sum with plain integer factorials, live in
-``tests/oracles.py``.
+the recursion; ``superpotential`` refuses them beyond ``TREE_MAX_DEGREE`` and
+``linf_bound``.  The other test oracles, among them the per-tree form of the
+tree sum and its infinite-ratio specialization with plain integer
+factorials, live in ``tests/oracles.py``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.
@@ -52,14 +59,17 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .lattice import AspectRatio, gamma_path, mult, pair_factorial, point_add, point_scale
+from .lattice import AspectRatio, gamma_path, mult
 from .linf import linf_superpotential
 from .numerics import factorial
 from .trees import enumerate_trees, vertex_data
 
 METHODS = ("recursion", "tree", "linf")
 DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; beyond this it gets slow
+TREE_MAX_DEGREE = 12  # 21965 trees; the enumeration grows about 3x per degree
+TREE_TABLE_CACHE_SIZE = 8  # per-degree tree tables kept; older degrees are rebuilt
 
 
 class MethodDisagreement(RuntimeError):
@@ -108,30 +118,58 @@ def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
     return wts[d]
 
 
+@lru_cache(maxsize=TREE_TABLE_CACHE_SIZE)
+def _tree_table(d: int) -> tuple[tuple, tuple]:
+    """The ratio-independent part of the tree sum with d leaves.
+
+    Returns ``(kinds, rows)``.  ``kinds`` lists the distinct vertex types, a
+    type being the sorted leaf numbers of a vertex's children; it fixes
+    ``l(v)``, movability and the sign.  Each row is ``(coefficient, type
+    indices)``: the trees sharing one multiset of vertex types, merged, with
+    the sum of their ``1/|Aut(T)|`` as coefficient.
+    """
+    merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+    for tree in enumerate_trees(d):
+        types = tuple(sorted(v.child_leaf_numbers for v in vertex_data(tree)))
+        merged[types] = merged.get(types, 0) + Fraction(1, tree.aut_order)
+    kinds = sorted({kind for types in merged for kind in types})
+    index = {kind: i for i, kind in enumerate(kinds)}
+    rows = tuple((coeff, tuple(index[kind] for kind in types)) for types, coeff in merged.items())
+    return tuple(kinds), rows
+
+
 def tree_wtT(d: int, a: AspectRatio) -> Fraction:
     """wtT by the closed sum over rooted trees with d unordered leaves."""
     if d < 1:
         raise ValueError(f"tree_wtT requires d >= 1, got {d}")
     path = path_signature(a, d)
-    g2 = path[2]
-    g2f = pair_factorial(g2)
-
-    def term(tree) -> Fraction:
-        value = Fraction(1, tree.aut_order)
-        for v in vertex_data(tree):
-            if not v.movable:
-                value = -value
-            num = pair_factorial(path[3 * v.leaf_number - 1])
-            den = pair_factorial(point_add(*(path[3 * c - 1] for c in v.child_leaf_numbers)))
-            value *= Fraction(num, den)
-            if v.movable:
-                ell = v.leaf_number
-                movable = Fraction(pair_factorial(point_scale(g2, ell)),
-                                   factorial(ell) ** 2 * g2f ** ell) - 1
-                value *= movable
-        return value
-
-    total = sum(map(term, enumerate_trees(d)), Fraction(0))
+    # every lattice point below has coordinates under 3d: G_k's are at most k,
+    # a children sum reaches 3l(v) - 2 and l(v) * G_2 at most 2l(v)
+    fact = [factorial(m) for m in range(3 * d)]
+    gi, gj = path[2]
+    g2f = fact[gi] * fact[gj]
+    kinds, rows = _tree_table(d)
+    nums, dens = [], []
+    for kids in kinds:
+        ell = sum(kids)
+        ti, tj = path[3 * ell - 1]
+        num = fact[ti] * fact[tj]
+        den = fact[sum(path[3 * c - 1][0] for c in kids)] * fact[sum(path[3 * c - 1][1] for c in kids)]
+        if kids[-1] == 1:  # movable: every child is a leaf
+            base = fact[ell] ** 2 * g2f ** ell
+            num *= fact[ell * gi] * fact[ell * gj] - base
+            den *= base
+        else:
+            num = -num
+        nums.append(num)
+        dens.append(den)
+    total = Fraction(0)
+    for coeff, types in rows:
+        num, den = coeff.numerator, coeff.denominator
+        for t in types:
+            num *= nums[t]
+            den *= dens[t]
+        total += Fraction(num, den)
     return g2f ** d * total
 
 
@@ -152,6 +190,11 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
     if method == "recursion":
         wt = recursion_wtT(d, a)
     elif method == "tree":
+        if d > TREE_MAX_DEGREE:
+            raise ValueError(
+                f"method 'tree' is an oracle intended for d <= {TREE_MAX_DEGREE} "
+                f"(about 3^d trees); use 'recursion' for d={d}"
+            )
         wt = tree_wtT(d, a)
     elif method == "linf":
         if d > linf_bound:

@@ -7,9 +7,12 @@ composition enumeration with set-based deduplication, whereas the library
 assembles children multisets per partition without deduplication.
 
 The superpotential oracles are second formulas for values the library
-computes one way only.  ``multiset_recursion_wtT`` sums the recursion's inner
-sum over the partitions of d with a 1/(m_1! m_2! ..) factor, where the library
-reads it off a power-series exponential; ``ordered_recursion_wtT`` and
+computes one way only.  ``per_tree_wtT`` evaluates the tree sum one tree at a
+time with ``pair_factorial`` on lattice points, where the library builds a
+ratio-independent table per degree and evaluates each vertex type once per
+ratio; ``multiset_recursion_wtT`` sums the recursion's inner sum over the
+partitions of d with a 1/(m_1! m_2! ..) factor, where the library reads it
+off a power-series exponential; ``ordered_recursion_wtT`` and
 ``ordered_linf_superpotential`` sum over ordered compositions with a 1/k!
 factor; ``tree_wtT_infinity`` is the infinite-ratio tree sum written with
 plain integer factorials and central binomials instead of lattice points.
@@ -30,6 +33,7 @@ from ellsuper import (
     partitions,
     path_signature,
     point_add,
+    point_scale,
     vertex_data,
 )
 
@@ -89,6 +93,33 @@ ASSORTED_FRACTIONS = [
     (7, 6), (9, 7), (22, 7), (31, 17), (4, 3), (11, 10), (12, 5), (17, 4),
     (29, 2), (3, 1), (10, 3), (16, 9), (21, 13), (34, 21), (2, 3), (5, 8),
 ]
+
+
+def per_tree_wtT(d, a):
+    """wtT by the closed tree sum, one ``Fraction`` term per tree."""
+    if d < 1:
+        raise ValueError(f"per_tree_wtT requires d >= 1, got {d}")
+    path = path_signature(a, d)
+    g2 = path[2]
+    g2f = pair_factorial(g2)
+
+    def term(tree) -> Fraction:
+        value = Fraction(1, tree.aut_order)
+        for v in vertex_data(tree):
+            if not v.movable:
+                value = -value
+            num = pair_factorial(path[3 * v.leaf_number - 1])
+            den = pair_factorial(point_add(*(path[3 * c - 1] for c in v.child_leaf_numbers)))
+            value *= Fraction(num, den)
+            if v.movable:
+                ell = v.leaf_number
+                movable = Fraction(pair_factorial(point_scale(g2, ell)),
+                                   factorial(ell) ** 2 * g2f ** ell) - 1
+                value *= movable
+        return value
+
+    total = sum(map(term, enumerate_trees(d)), Fraction(0))
+    return g2f ** d * total
 
 
 def multiset_recursion_wtT(d, a):

@@ -171,6 +171,17 @@ def test_linf_bound_respected(capsys):
     assert "linf" in err
 
 
+def test_tree_method_refused_beyond_degree_12():
+    # a subprocess with a timeout: unguarded, this enumerates trees until memory runs out
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellsuper", "compute", "--d", "40", "--a", "3/2", "--method", "tree"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "recursion" in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ellsuper", "compute", "--d", "1", "--a", "inf", "--no-timing"],

@@ -24,7 +24,7 @@ from ellsuper import (
     superpotential,
     tree_wtT,
 )
-from oracles import multiset_recursion_wtT, ordered_recursion_wtT, tree_wtT_infinity
+from oracles import multiset_recursion_wtT, ordered_recursion_wtT, per_tree_wtT, tree_wtT_infinity
 
 INF = AspectRatio.infinite()
 
@@ -127,6 +127,32 @@ def test_series_recursion_matches_oracles(a):
             assert wt == ordered_recursion_wtT(d, a), (d, str(a))
         if d <= 7:
             assert wt == tree_wtT(d, a), (d, str(a))
+
+
+@given(a=aspect_ratios)
+@settings(max_examples=40, deadline=None)
+def test_tree_sum_matches_per_tree_oracle(a):
+    for d in range(1, 9):
+        assert tree_wtT(d, a) == per_tree_wtT(d, a), (d, str(a))
+
+
+def test_tree_sum_matches_per_tree_oracle_at_breakpoints():
+    # every interval representative of the d = 8 scan, so every path prefix
+    # a ratio above 1 can have up to index 23
+    for rep in [Fraction(1)] + scan_breakpoints(8):
+        a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
+        for d in range(1, 8):
+            assert tree_wtT(d, a) == per_tree_wtT(d, a), (d, str(a))
+
+
+def test_tree_table_cache_is_bounded():
+    bound = sp._tree_table.cache_info().maxsize
+    assert bound is not None
+    for d in range(1, bound + 2):
+        tree_wtT(d, INF)
+        assert sp._tree_table.cache_info().currsize <= bound
+    # degree 1, the least recently used, was evicted; its rebuilt table gives the same value
+    assert tree_wtT(1, INF) == WTT_INFINITY[1]
 
 
 def test_movable_factor_positive_for_wide_ratios():
@@ -259,6 +285,24 @@ def test_scan_breakpoints_small():
     for left, right in zip([Fraction(1)] + bps, bps):
         mid = (left + right) / 2
         assert mid.denominator > 0  # representatives exist strictly inside
+
+
+# a reduced p/q >= 1 with p + q <= 120, as a Fraction (plus delta is added in the test)
+ratios_from_one = st.integers(1, 60).flatmap(
+    lambda q: st.integers(q, 120 - q)
+    .filter(lambda p: math.gcd(p, q) == 1)
+    .map(lambda p: Fraction(p, q))
+)
+
+
+@given(r=ratios_from_one)
+@settings(max_examples=100, deadline=None)
+def test_scan_breakpoints_cover_every_prefix_change(r):
+    # r + delta shares its path prefix with the start of its scan interval
+    for d in range(1, 11):
+        start = max(b for b in [Fraction(1)] + scan_breakpoints(d) if b <= r)
+        assert path_signature(AspectRatio.plus_delta(r.numerator, r.denominator), d) == \
+            path_signature(AspectRatio.plus_delta(start.numerator, start.denominator), d), (d, r)
 
 
 def test_scan_monotonicity_d1_constant():
