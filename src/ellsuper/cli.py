@@ -7,7 +7,8 @@ the boundary fractions).  Output formats: json (default), csv, text.
 
 ``compute``, ``scan`` and ``integrality`` use the recursion, the production
 engine; ``compute --method tree|linf`` selects an oracle instead.  ``validate``
-and the per-interval check in ``scan`` run the oracles beside it and demand
+and the per-interval check in ``scan`` run the oracles beside it within their
+bounds (the tree sum for d <= 12, linf up to ``--linf-bound``) and demand
 exact agreement.
 
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure.

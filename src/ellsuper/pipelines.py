@@ -17,9 +17,14 @@ compute it exactly:
   point P.  It is evaluated online, degree by degree, from the power-series
   recurrence ``n f_n = sum_k k g_k f_{n-k}``: wtT_n enters ``f_n`` only
   through the one-part term ``g_n``, so one pass yields wtT_1 .. wtT_d in
-  polynomial time.  The multiset sum over partitions of d and the sum over
-  ordered splits with a 1/k! factor give the same values; both are kept in
-  ``tests/oracles.py`` as cross-checks.
+  polynomial time.  The pass runs on integers: each ``f_n`` is a dict of
+  integer numerators over one denominator per degree, each wtT_s a reduced
+  integer pair, and every sum of a degree is brought to a single common
+  denominator first, so nothing is normalized per term and the only
+  ``Fraction`` built is the returned value.  The same pass with a
+  ``Fraction`` per coefficient, the multiset sum over partitions of d and
+  the sum over ordered splits with a 1/k! factor give the same values; all
+  three are kept in ``tests/oracles.py`` as cross-checks.
 
 * ``tree_wtT``: a single pass over rooted trees with d unordered leaves,
 
@@ -99,23 +104,42 @@ def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
     # coordinates of G_k are at most k, so every lattice point of f_1..f_d has
     # coordinates below 3d; one table serves every pair factorial of the pass
     fact = [factorial(m) for m in range(3 * d)]
-    wts = [Fraction(0)]  # wts[s] = wtT_s; index 0 unused
-    series: list = [None]  # series[n] = f_n, lattice point -> coefficient; index 0 unused
+    nums, dens = [0], [1]  # wtT_s = nums[s] / dens[s], reduced; index 0 unused
+    # f_n = series[n] / denoms[n], series[n] mapping lattice point -> integer; index 0 unused
+    series: list = [None]
+    denoms = [1]
     for n in range(1, d + 1):
-        # f_n - g_n = (1/n) sum_{k<n} k g_k f_{n-k}: the splits of n into >= 2 parts
-        f_n: dict = {}
+        # f_n - g_n = (1/n) sum_{k<n} k g_k f_{n-k}: the splits of n into >= 2 parts,
+        # collected as acc / (n * common) with every product scaled to one denominator
+        common = math.lcm(*(dens[k] * denoms[n - k] for k in range(1, n)))
+        acc: dict = {}
         for k in range(1, n):
-            (gi, gj), weight = path[3 * k - 1], Fraction(k, n) * wts[k]
+            (gi, gj), weight = path[3 * k - 1], k * nums[k] * (common // (dens[k] * denoms[n - k]))
             for (i, j), coeff in series[n - k].items():
                 key = (i + gi, j + gj)
-                f_n[key] = f_n.get(key, 0) + weight * coeff
-        inner_sum = sum((c / (fact[i] * fact[j]) for (i, j), c in f_n.items()), Fraction(0))
+                acc[key] = acc.get(key, 0) + weight * coeff
+        scale = n * common
+        # the inner sum, sum_P acc[P] / (scale * P!), over scale * i_max! * j_max!
+        top_i = fact[max((i for i, _ in acc), default=0)]
+        top_j = fact[max((j for _, j in acc), default=0)]
+        inner_num = sum(c * (top_i // fact[i]) * (top_j // fact[j]) for (i, j), c in acc.items())
+        inner_den = scale * top_i * top_j
         point = path[3 * n - 1]
-        wt = fact[point[0]] * fact[point[1]] * (Fraction(1, factorial(n) ** 3) - inner_sum)
-        f_n[point] = f_n.get(point, 0) + wt  # the one-part term g_n
-        wts.append(wt)
-        series.append(f_n)
-    return wts[d]
+        cube = fact[n] ** 3
+        num = fact[point[0]] * fact[point[1]] * (inner_den - cube * inner_num)
+        den = cube * inner_den
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        nums.append(num)
+        dens.append(den)
+        # fold in the one-part term g_n over lcm(scale, den), then reduce once
+        denom = math.lcm(scale, den)
+        f_n = {key: c * (denom // scale) for key, c in acc.items()}
+        f_n[point] = f_n.get(point, 0) + num * (denom // den)
+        g = math.gcd(denom, *f_n.values())
+        series.append({key: c // g for key, c in f_n.items()})
+        denoms.append(denom // g)
+    return Fraction(nums[d], dens[d])
 
 
 @lru_cache(maxsize=TREE_TABLE_CACHE_SIZE)
@@ -213,8 +237,11 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
 def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND) -> dict:
     """Run every applicable pipeline, demand exact agreement, report values and timings.
 
-    Raises :class:`MethodDisagreement` with a full operand dump if any two
-    pipelines differ.  ``linf_bound=0`` skips the inversion oracle.
+    The recursion always runs; the tree sum runs for d <= ``TREE_MAX_DEGREE``
+    and linf for d <= ``linf_bound`` (``linf_bound=0`` skips it), and
+    ``methods`` lists the pipelines that ran.  Raises
+    :class:`MethodDisagreement` with a full operand dump if any two pipelines
+    differ.
     """
     if d < 1:
         raise ValueError(f"cross_validate requires d >= 1, got {d}")
@@ -228,7 +255,8 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
         timings[name] = round((time.perf_counter() - start) * 1e3, 3)
 
     run("recursion", lambda: recursion_wtT(d, a))
-    run("tree", lambda: tree_wtT(d, a))
+    if d <= TREE_MAX_DEGREE:
+        run("tree", lambda: tree_wtT(d, a))
     if d <= linf_bound:
         run("linf", lambda: linf_superpotential(d, a))
 
@@ -280,12 +308,13 @@ def scan_monotonicity(d: int) -> dict:
     """Profile of T(d, a) over the intervals between breakpoints, a in (1, inf).
 
     Each interval is represented by its left endpoint plus delta (for the
-    first interval, 1 + delta).  Every representative value is cross-validated
-    between the recursion and the tree sum, and a second point inside the same
-    interval (the mediant with the next breakpoint), computed by the recursion,
-    guards the breakpoint analysis: the report is marked inconsistent if the
-    two ever differ.  A non-monotone profile is reported, never raised; it is
-    exploratory output.
+    first interval, 1 + delta).  For d <= ``TREE_MAX_DEGREE`` every
+    representative value is cross-validated between the recursion and the tree
+    sum; beyond it the recursion alone gives it.  At every d a second point
+    inside the same interval (the mediant with the next breakpoint), computed
+    by the recursion, guards the breakpoint analysis: the report is marked
+    inconsistent if the two ever differ.  A non-monotone profile is reported,
+    never raised; it is exploratory output.
     """
     bps = scan_breakpoints(d)
     reps = [Fraction(1)] + bps

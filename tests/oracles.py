@@ -10,12 +10,15 @@ The superpotential oracles are second formulas for values the library
 computes one way only.  ``per_tree_wtT`` evaluates the tree sum one tree at a
 time with ``pair_factorial`` on lattice points, where the library builds a
 ratio-independent table per degree and evaluates each vertex type once per
-ratio; ``multiset_recursion_wtT`` sums the recursion's inner sum over the
-partitions of d with a 1/(m_1! m_2! ..) factor, where the library reads it
-off a power-series exponential; ``ordered_recursion_wtT`` and
-``ordered_linf_superpotential`` sum over ordered compositions with a 1/k!
-factor; ``tree_wtT_infinity`` is the infinite-ratio tree sum written with
-plain integer factorials and central binomials instead of lattice points.
+ratio; ``fraction_series_recursion_wtT`` runs the library's series
+exponential with one ``Fraction`` per coefficient, where the library keeps
+integers over one denominator per degree; ``multiset_recursion_wtT`` sums
+the recursion's inner sum over the partitions of d with a 1/(m_1! m_2! ..)
+factor, where the library reads it off a power-series exponential;
+``ordered_recursion_wtT`` and ``ordered_linf_superpotential`` sum over
+ordered compositions with a 1/k! factor; ``tree_wtT_infinity`` is the
+infinite-ratio tree sum written with plain integer factorials and central
+binomials instead of lattice points.
 """
 
 from fractions import Fraction
@@ -148,6 +151,33 @@ def _multiset_recursion_from_path(d, path):
     value = pair_factorial(path[3 * d - 1]) * (Fraction(1, factorial(d) ** 3) - inner_sum)
     _MULTISET_RECURSION_CACHE[key] = value
     return value
+
+
+def fraction_series_recursion_wtT(d, a):
+    """wtT by the split recursion, as one online pass of the series exponential."""
+    if d < 1:
+        raise ValueError(f"fraction_series_recursion_wtT requires d >= 1, got {d}")
+    path = path_signature(a, d)
+    # coordinates of G_k are at most k, so every lattice point of f_1..f_d has
+    # coordinates below 3d; one table serves every pair factorial of the pass
+    fact = [factorial(m) for m in range(3 * d)]
+    wts = [Fraction(0)]  # wts[s] = wtT_s; index 0 unused
+    series: list = [None]  # series[n] = f_n, lattice point -> coefficient; index 0 unused
+    for n in range(1, d + 1):
+        # f_n - g_n = (1/n) sum_{k<n} k g_k f_{n-k}: the splits of n into >= 2 parts
+        f_n: dict = {}
+        for k in range(1, n):
+            (gi, gj), weight = path[3 * k - 1], Fraction(k, n) * wts[k]
+            for (i, j), coeff in series[n - k].items():
+                key = (i + gi, j + gj)
+                f_n[key] = f_n.get(key, 0) + weight * coeff
+        inner_sum = sum((c / (fact[i] * fact[j]) for (i, j), c in f_n.items()), Fraction(0))
+        point = path[3 * n - 1]
+        wt = fact[point[0]] * fact[point[1]] * (Fraction(1, factorial(n) ** 3) - inner_sum)
+        f_n[point] = f_n.get(point, 0) + wt  # the one-part term g_n
+        wts.append(wt)
+        series.append(f_n)
+    return wts[d]
 
 
 def ordered_recursion_wtT(d, a):

@@ -182,6 +182,24 @@ def test_tree_method_refused_beyond_degree_12():
     assert "recursion" in proc.stderr
 
 
+def test_scan_and_validate_skip_tree_oracle_beyond_degree_12():
+    # subprocesses with a timeout: unguarded, the tree-sum cross-checks run for hours
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellsuper", "scan", "--d", "13"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["consistent"] is True
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellsuper", "validate", "--d-max", "13", "--a", "3/2", "--no-timing"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    methods = {row["d"]: row["methods"] for row in json.loads(proc.stdout)["results"]}
+    assert methods[13] == ["recursion"]
+    assert all("tree" in methods[d] for d in range(1, 13))
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ellsuper", "compute", "--d", "1", "--a", "inf", "--no-timing"],

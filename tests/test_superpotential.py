@@ -24,7 +24,13 @@ from ellsuper import (
     superpotential,
     tree_wtT,
 )
-from oracles import multiset_recursion_wtT, ordered_recursion_wtT, per_tree_wtT, tree_wtT_infinity
+from oracles import (
+    fraction_series_recursion_wtT,
+    multiset_recursion_wtT,
+    ordered_recursion_wtT,
+    per_tree_wtT,
+    tree_wtT_infinity,
+)
 
 INF = AspectRatio.infinite()
 
@@ -127,6 +133,14 @@ def test_series_recursion_matches_oracles(a):
             assert wt == ordered_recursion_wtT(d, a), (d, str(a))
         if d <= 7:
             assert wt == tree_wtT(d, a), (d, str(a))
+
+
+@given(a=aspect_ratios)
+@settings(max_examples=25, deadline=None)
+def test_integer_recursion_matches_fraction_series_oracle(a):
+    # the degrees beyond the reach of the partition-sum oracle
+    for d in range(1, 31):
+        assert recursion_wtT(d, a) == fraction_series_recursion_wtT(d, a), (d, str(a))
 
 
 @given(a=aspect_ratios)
@@ -353,6 +367,15 @@ def test_integrality_scan_through_degree_20():
     for d in range(1, 21):
         report = integrality_scan(d)
         assert report["all_integral"] and report["all_nonnegative"], d
+    assert time.perf_counter() - start < 60.0
+
+
+def test_integrality_scan_at_degree_40():
+    # a fraction of a second; the loose limit only catches an exponential engine
+    start = time.perf_counter()
+    report = integrality_scan(40)
+    assert report["rows"]
+    assert report["all_integral"] and report["all_nonnegative"]
     assert time.perf_counter() - start < 60.0
 
 
