@@ -1,8 +1,10 @@
 """Inverting an evenly graded L-infinity morphism by the signed tree sum.
 
 The ellipsoid morphism has arity-k entries 1/(G_{i_1}+...+G_{i_k})! landing
-on the index i_1+...+i_k+k-1; its inverse is assembled from rooted trees with
-ordered leaves, and composing the two in either order gives the identity.
+on the index i_1+...+i_k+k-1; its inverse is the sum over rooted trees with
+ordered leaves, evaluated grouped at the root as a recursion over set
+partitions of the inputs, and composing the two in either order gives the
+identity.
 """
 
 import json

@@ -9,7 +9,8 @@ the boundary fractions).  Output formats: json (default), csv, text.
 engine; ``compute --method tree|linf`` selects an oracle instead.  ``validate``
 and the per-interval check in ``scan`` run the oracles beside it within their
 bounds (the tree sum for d <= 12, linf up to ``--linf-bound``) and demand
-exact agreement.
+exact agreement; a ``validate`` row where the recursion ran alone reports
+``agree`` as null (``unchecked`` in text and csv).
 
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure.
 
@@ -166,7 +167,14 @@ def _cmd_validate(args) -> dict:
         if args.no_timing:
             report.pop("ms", None)
         results.append(report)
-    return {"a": str(args.a), "d_max": args.d_max, "agree": True, "results": results}
+    # only the rows where two or more pipelines ran were compared
+    checked = any(report["agree"] for report in results)
+    return {"a": str(args.a), "d_max": args.d_max, "agree": True if checked else None,
+            "results": results}
+
+
+def _agree_cell(agree) -> str:
+    return "unchecked" if agree is None else str(agree)
 
 
 def _render_json(payload: dict) -> str:
@@ -195,7 +203,7 @@ def _render_csv(command: str, payload: dict) -> str:
     elif command == "validate":
         writer.writerow(["d", "a", "wtT", "mult", "T", "agree"])
         for row in payload["results"]:
-            writer.writerow([row["d"], row["a"], row["wtT"], row["mult"], row["T"], row["agree"]])
+            writer.writerow([row["d"], row["a"], row["wtT"], row["mult"], row["T"], _agree_cell(row["agree"])])
     elif command == "scan":
         writer.writerow(["interval_start", "a", "T", "midpoint", "midpoint_T"])
         for row in payload["profile"]:
@@ -233,7 +241,7 @@ def _render_text(command: str, payload: dict) -> str:
             lines.append(f"warning: {payload['warning']}")
     elif command == "validate":
         for row in payload["results"]:
-            lines.append(f"d={row['d']} a={row['a']}: wtT = {row['wtT']}, T = {row['T']}, agree = {row['agree']}")
+            lines.append(f"d={row['d']} a={row['a']}: wtT = {row['wtT']}, T = {row['T']}, agree = {_agree_cell(row['agree'])}")
     elif command == "scan":
         lines.append(f"T profile for d = {payload['d']} (interval start -> value):")
         for row in payload["profile"]:

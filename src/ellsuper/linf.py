@@ -15,7 +15,10 @@ and a morphism whose arity-one part is invertible has a two-sided inverse
 leaves: label the i-th leaf edge by ``Psi^1(w_i)``, let every internal vertex
 with j incoming edges apply ``Psi^1 o Phi^j`` to its incoming labels, and sum
 the root-edge labels over all trees with sign ``(-1)^(number of internal
-vertices)``.
+vertices)``.  :func:`invert` evaluates this sum grouped at the root: the
+subtrees hanging from the root sum to lower-arity entries of ``Psi`` itself,
+so each entry is one pass over the set partitions of its inputs rather than
+over the trees (see :func:`invert`).
 
 Tables are stored sparsely per multiset of input basis indices; coefficients
 are exact rationals (any exact scalar with ring operations works, e.g. sympy
@@ -32,13 +35,13 @@ superpotential, independently of the recursion and the closed tree sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby, product
 
 from .lattice import AspectRatio, gamma_point, pair_factorial, point_add
 from .numerics import factorial, partitions
-from .trees import enumerate_ordered_trees, ordered_internal_count, set_partitions
+from .trees import set_partitions
 
 
 class LinfError(ValueError):
@@ -230,39 +233,22 @@ def compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorp
                         rule=rule, name=name or f"{psi.name} o {phi.name}")
 
 
-# Evaluation plans for the inversion tree sum.  A plan mirrors an ordered
-# tree with leaf labels replaced by input positions; during evaluation each
-# subtree is identified by its decorated canonical form (the unordered shape
-# with the assigned input indices at the leaves), and since the vertex maps
-# are symmetric, subtrees with equal decorated forms evaluate equal and are
-# computed once.
-def _make_plan(t):
-    if isinstance(t, int):
-        return ("L", t - 1)
-    return ("N", tuple(_make_plan(c) for c in t))
-
-
-def _decorated_form(plan, key):
-    if plan[0] == "L":
-        return ("L", key[plan[1]])
-    return ("N", tuple(sorted(_decorated_form(c, key) for c in plan[1])))
-
-
-@lru_cache(maxsize=None)
-def _tree_plans(k: int):
-    return tuple(
-        ((-1) ** ordered_internal_count(t), _make_plan(t))
-        for t in enumerate_ordered_trees(k)
-    )
-
-
 def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
     """Two-sided inverse of a morphism with invertible arity-one part.
 
     The arity-one part must restrict to a scaled basis bijection on indices
     1..max_index; otherwise a :class:`LinfError` is raised.  Higher arities
     are the signed tree sums described in the module docstring, evaluated
-    lazily per input multiset.
+    lazily per input multiset by grouping the trees at their root: the root's
+    children are trees on the blocks of a set partition P of the inputs into
+    at least two blocks, and the signed sum over those subtrees is the
+    inverse's own lower-arity entry, so
+
+        Psi^k(w_1..w_k) = -Psi^1( sum over set partitions P of {1..k}, |P| >= 2,
+                                  of Phi^{|P|}( Psi^{|B|}(w_B) : B in P ) )
+
+    with the lower-arity entries read through the inverse's memo.  Partitions
+    whose blocks carry the same multisets of inputs are evaluated once.
     """
     arity = phi.max_arity if max_arity is None else max_arity
     inv1: dict[int, tuple[int, object]] = {}
@@ -277,44 +263,32 @@ def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
     if set(inv1) != set(range(1, phi.max_index + 1)):
         raise LinfError(f"{phi.name}: arity-1 part is not onto the truncated basis")
 
-    shape_memo: dict = {}
-
-    def psi1_vec(vec: dict) -> dict:
-        out: dict = {}
-        for j, c in vec.items():
-            i, r = inv1.get(j, (None, None))
-            if i is None:
-                raise LinfError(
-                    f"{phi.name}: intermediate index {j} exceeds the truncation bound "
-                    f"{phi.max_index}; enlarge max_index"
-                )
-            _vec_acc(out, {i: c * r})
-        return out
-
-    def eval_plan(plan, key):
-        if plan[0] == "L":
-            i, r = inv1[key[plan[1]]]
-            return {i: r}
-        memo_key = _decorated_form(plan, key)
-        hit = shape_memo.get(memo_key)
-        if hit is not None:
-            return hit
-        vecs = [eval_plan(c, key) for c in plan[1]]
-        out = psi1_vec(phi.apply(vecs))
-        shape_memo[memo_key] = out
-        return out
-
     def rule(key: tuple[int, ...]) -> dict:
         if len(key) == 1:
             i, r = inv1[key[0]]
             return {i: r}
+        splits = Counter(
+            tuple(sorted(tuple(key[p] for p in block) for block in blocks))
+            for blocks in set_partitions(range(len(key)))
+            if len(blocks) >= 2
+        )
         total: dict = {}
-        for sign, plan in _tree_plans(len(key)):
-            _vec_acc(total, eval_plan(plan, key), sign)
-        return total
+        for blocks, count in splits.items():
+            _vec_acc(total, phi.apply([psi.entry(block) for block in blocks]), count)
+        out: dict = {}
+        for j, c in total.items():
+            if j not in inv1:
+                raise LinfError(
+                    f"{phi.name}: intermediate index {j} exceeds the truncation bound "
+                    f"{phi.max_index}; enlarge max_index"
+                )
+            i, r = inv1[j]
+            out[i] = -c * r
+        return out
 
-    return LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=arity,
-                        rule=rule, name=f"inv({phi.name})")
+    psi = LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=arity,
+                       rule=rule, name=f"inv({phi.name})")
+    return psi
 
 
 def ellipsoid_space(a: AspectRatio) -> BasedSpace:

@@ -13,26 +13,21 @@ scalar under the alias :data:`ExactRational`.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterator
 
 ExactRational = Fraction
 
-# Factorial cache: grows on demand, never evicted.  Concurrent reads are safe
-# (list entries are never mutated once written); growth is serialized.
+# Factorial cache: grows on demand, never evicted.
 _FACTORIALS = [1, 1]
-_FACTORIALS_LOCK = threading.Lock()
 
 
 def factorial(n: int) -> int:
     """n! with all values up to n memoized."""
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got {n}")
-    if n >= len(_FACTORIALS):
-        with _FACTORIALS_LOCK:
-            while len(_FACTORIALS) <= n:
-                _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
+    while len(_FACTORIALS) <= n:
+        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
     return _FACTORIALS[n]
 
 

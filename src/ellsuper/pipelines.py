@@ -72,7 +72,7 @@ from .numerics import factorial
 from .trees import enumerate_trees, vertex_data
 
 METHODS = ("recursion", "tree", "linf")
-DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; beyond this it gets slow
+DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; its cost grows with the Bell numbers
 TREE_MAX_DEGREE = 12  # 21965 trees; the enumeration grows about 3x per degree
 TREE_TABLE_CACHE_SIZE = 8  # per-degree tree tables kept; older degrees are rebuilt
 
@@ -239,9 +239,10 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
 
     The recursion always runs; the tree sum runs for d <= ``TREE_MAX_DEGREE``
     and linf for d <= ``linf_bound`` (``linf_bound=0`` skips it), and
-    ``methods`` lists the pipelines that ran.  Raises
-    :class:`MethodDisagreement` with a full operand dump if any two pipelines
-    differ.
+    ``methods`` lists the pipelines that ran.  ``agree`` is ``True`` when two
+    or more pipelines ran and ``None`` when the recursion ran alone, so
+    nothing was compared.  Raises :class:`MethodDisagreement` with a full
+    operand dump if any two pipelines differ.
     """
     if d < 1:
         raise ValueError(f"cross_validate requires d >= 1, got {d}")
@@ -278,7 +279,7 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
         "mult": multiplier,
         "T": str(wt / multiplier),
         "methods": sorted(values),
-        "agree": True,
+        "agree": True if len(values) > 1 else None,
         "ms": timings,
     }
 

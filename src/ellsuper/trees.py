@@ -158,29 +158,32 @@ def _min_leaf(t: OrderedTree) -> int:
     return t
 
 
-@lru_cache(maxsize=None)
-def _ordered_trees_over(labels: tuple[int, ...]) -> tuple[OrderedTree, ...]:
-    if len(labels) == 1:
-        return (labels[0],)
-    out: list[OrderedTree] = []
-    for blocks in set_partitions(labels):
-        if len(blocks) < 2:
-            continue
-        for pieces in product(*(_ordered_trees_over(tuple(sorted(b))) for b in blocks)):
-            out.append(tuple(sorted(pieces, key=_min_leaf)))
-    return tuple(out)
-
-
 def enumerate_ordered_trees(k: int) -> tuple[OrderedTree, ...]:
     """All trees with leaves labeled 1..k and no bivalent vertices.
 
     Built recursively over set partitions of the label set: the root's
     children are trees on the blocks of a partition into >= 2 parts.  Each
     isomorphism class arises from exactly one (partition, subtree) choice.
+    The trees over each label subset are memoized for the call only.
     """
     if k < 1:
         raise ValueError(f"enumerate_ordered_trees requires k >= 1, got {k}")
-    return _ordered_trees_over(tuple(range(1, k + 1)))
+    memo: dict[tuple[int, ...], tuple[OrderedTree, ...]] = {}
+
+    def over(labels: tuple[int, ...]) -> tuple[OrderedTree, ...]:
+        if len(labels) == 1:
+            return (labels[0],)
+        if labels not in memo:
+            out: list[OrderedTree] = []
+            for blocks in set_partitions(labels):
+                if len(blocks) < 2:
+                    continue
+                for pieces in product(*(over(tuple(sorted(b))) for b in blocks)):
+                    out.append(tuple(sorted(pieces, key=_min_leaf)))
+            memo[labels] = tuple(out)
+        return memo[labels]
+
+    return over(tuple(range(1, k + 1)))
 
 
 def ordered_leaves(t: OrderedTree) -> tuple[int, ...]:

@@ -19,6 +19,11 @@ factor, where the library reads it off a power-series exponential;
 ordered compositions with a 1/k! factor; ``tree_wtT_infinity`` is the
 infinite-ratio tree sum written with plain integer factorials and central
 binomials instead of lattice points.
+
+``tree_sum_invert`` inverts an L-infinity morphism by the signed sum over
+every ordered tree, memoizing subtrees by their decorated canonical form,
+where the library groups the same sum at the root and recurses on set
+partitions of the inputs.
 """
 
 from fractions import Fraction
@@ -26,12 +31,16 @@ from functools import lru_cache
 from itertools import groupby, product
 
 from ellsuper import (
+    LinfError,
+    LinfMorphism,
     binomial,
     compositions,
     ellipsoid_morphism,
+    enumerate_ordered_trees,
     enumerate_trees,
     factorial,
     invert,
+    ordered_internal_count,
     pair_factorial,
     partitions,
     path_signature,
@@ -39,6 +48,7 @@ from ellsuper import (
     point_scale,
     vertex_data,
 )
+from ellsuper.linf import _recip, _vec_acc
 
 
 def brute_gamma_point(p: int, q: int, k: int) -> tuple[int, int]:
@@ -245,3 +255,90 @@ def tree_wtT_infinity(d):
                 value *= Fraction(binomial(2 * ell, ell), 2 ** ell) - 1
         total += value
     return 2 ** d * total
+
+
+# Evaluation plans for the inversion tree sum.  A plan mirrors an ordered
+# tree with leaf labels replaced by input positions; during evaluation each
+# subtree is identified by its decorated canonical form (the unordered shape
+# with the assigned input indices at the leaves), and since the vertex maps
+# are symmetric, subtrees with equal decorated forms evaluate equal and are
+# computed once.
+def _make_plan(t):
+    if isinstance(t, int):
+        return ("L", t - 1)
+    return ("N", tuple(_make_plan(c) for c in t))
+
+
+def _decorated_form(plan, key):
+    if plan[0] == "L":
+        return ("L", key[plan[1]])
+    return ("N", tuple(sorted(_decorated_form(c, key) for c in plan[1])))
+
+
+@lru_cache(maxsize=None)
+def _tree_plans(k: int):
+    return tuple(
+        ((-1) ** ordered_internal_count(t), _make_plan(t))
+        for t in enumerate_ordered_trees(k)
+    )
+
+
+def tree_sum_invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
+    """Two-sided inverse of a morphism with invertible arity-one part.
+
+    The arity-one part must restrict to a scaled basis bijection on indices
+    1..max_index; otherwise a :class:`LinfError` is raised.  Higher arities
+    are the signed tree sums described in the module docstring, evaluated
+    lazily per input multiset.
+    """
+    arity = phi.max_arity if max_arity is None else max_arity
+    inv1: dict[int, tuple[int, object]] = {}
+    for i in range(1, phi.max_index + 1):
+        vec = phi.entry((i,))
+        if len(vec) != 1:
+            raise LinfError(f"{phi.name}: arity-1 part is not a scaled basis bijection at index {i}")
+        ((j, c),) = vec.items()
+        if j in inv1:
+            raise LinfError(f"{phi.name}: arity-1 part is not injective (index {j} hit twice)")
+        inv1[j] = (i, _recip(c))
+    if set(inv1) != set(range(1, phi.max_index + 1)):
+        raise LinfError(f"{phi.name}: arity-1 part is not onto the truncated basis")
+
+    shape_memo: dict = {}
+
+    def psi1_vec(vec: dict) -> dict:
+        out: dict = {}
+        for j, c in vec.items():
+            i, r = inv1.get(j, (None, None))
+            if i is None:
+                raise LinfError(
+                    f"{phi.name}: intermediate index {j} exceeds the truncation bound "
+                    f"{phi.max_index}; enlarge max_index"
+                )
+            _vec_acc(out, {i: c * r})
+        return out
+
+    def eval_plan(plan, key):
+        if plan[0] == "L":
+            i, r = inv1[key[plan[1]]]
+            return {i: r}
+        memo_key = _decorated_form(plan, key)
+        hit = shape_memo.get(memo_key)
+        if hit is not None:
+            return hit
+        vecs = [eval_plan(c, key) for c in plan[1]]
+        out = psi1_vec(phi.apply(vecs))
+        shape_memo[memo_key] = out
+        return out
+
+    def rule(key: tuple[int, ...]) -> dict:
+        if len(key) == 1:
+            i, r = inv1[key[0]]
+            return {i: r}
+        total: dict = {}
+        for sign, plan in _tree_plans(len(key)):
+            _vec_acc(total, eval_plan(plan, key), sign)
+        return total
+
+    return LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=arity,
+                        rule=rule, name=f"inv({phi.name})")

@@ -125,6 +125,25 @@ def test_validate_agreement(capsys):
     assert all("ms" not in row for row in payload["results"])
 
 
+def test_validate_marks_rows_without_a_comparison(capsys, monkeypatch):
+    # rows past the oracles' bounds ran the recursion alone: null, "unchecked"
+    monkeypatch.setattr(sp, "TREE_MAX_DEGREE", 2)
+    code, out, _ = run_cli(capsys, "validate", "--d-max", "3", "--linf-bound", "0", "--no-timing")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert [row["agree"] for row in payload["results"]] == [True, True, None]
+    assert payload["agree"] is True  # over the compared rows only
+    _, text, _ = run_cli(capsys, "validate", "--d-max", "3", "--linf-bound", "0", "--format", "text")
+    assert text.splitlines()[-1].endswith("agree = unchecked")
+    assert text.splitlines()[0].endswith("agree = True")
+    _, table, _ = run_cli(capsys, "validate", "--d-max", "3", "--linf-bound", "0", "--format", "csv")
+    assert [line.split(",")[-1] for line in table.splitlines()] == ["agree", "True", "True", "unchecked"]
+
+    monkeypatch.setattr(sp, "TREE_MAX_DEGREE", 0)
+    _, out, _ = run_cli(capsys, "validate", "--d-max", "2", "--linf-bound", "0", "--no-timing")
+    assert json.loads(out)["agree"] is None  # nothing compared at all
+
+
 def test_validate_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(sp, "tree_wtT", lambda d, a: Fraction(999))
     code, _, err = run_cli(capsys, "validate", "--d-max", "2", "--a", "inf")
@@ -195,9 +214,13 @@ def test_scan_and_validate_skip_tree_oracle_beyond_degree_12():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
-    methods = {row["d"]: row["methods"] for row in json.loads(proc.stdout)["results"]}
+    payload = json.loads(proc.stdout)
+    methods = {row["d"]: row["methods"] for row in payload["results"]}
     assert methods[13] == ["recursion"]
     assert all("tree" in methods[d] for d in range(1, 13))
+    # the d = 13 row compared nothing; the verdict covers d <= 12
+    assert [row["agree"] for row in payload["results"]] == [True] * 12 + [None]
+    assert payload["agree"] is True
 
 
 def test_module_entry_point():

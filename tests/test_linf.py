@@ -20,7 +20,7 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from oracles import ordered_linf_superpotential
+from oracles import ordered_linf_superpotential, tree_sum_invert
 
 INF = AspectRatio.infinite()
 A32 = AspectRatio.plus_delta(3, 2)
@@ -255,6 +255,38 @@ def test_linf_matches_recursion():
     for a in (INF, A32, AspectRatio.plus_delta(2, 1)):
         for d in range(1, 5):
             assert linf_superpotential(d, a) == recursion_wtT(d, a)
+
+
+def _assert_inverses_agree(phi, max_arity):
+    # every key whose intermediate indices stay inside the truncation
+    fast = invert(phi, max_arity)
+    slow = tree_sum_invert(phi, max_arity)
+    checked = 0
+    for k in range(1, max_arity + 1):
+        for key in combinations_with_replacement(range(1, phi.max_index + 1), k):
+            if sum(key) + k - 1 > phi.max_index:
+                continue
+            assert fast.entry(key) == slow.entry(key), (phi.name, key)
+            checked += 1
+    return checked
+
+
+def test_root_split_inverse_matches_tree_sum_oracle_generic():
+    phi, _, _, _ = generic_morphism(max_index=14, max_arity=5)
+    assert _assert_inverses_agree(phi, 5) > 100
+
+
+def test_root_split_inverse_matches_tree_sum_oracle_ellipsoid():
+    for a in (INF, A32, AspectRatio.plus_delta(52, 7)):
+        eps = ellipsoid_morphism(a, max_index=14, max_arity=5)
+        assert _assert_inverses_agree(eps, 5) > 100
+
+
+def test_linf_matches_recursion_beyond_default_bound():
+    # d = 7 and 8 take well under a second together with the root-split inverse
+    for a in (INF, A32, AspectRatio.plus_delta(52, 7)):
+        for d in (7, 8):
+            assert linf_superpotential(d, a) == recursion_wtT(d, a), (d, str(a))
 
 
 def test_dump_is_json_ready():

@@ -285,6 +285,16 @@ def test_cross_validate_report():
     assert "linf" not in skipped["methods"]
 
 
+def test_cross_validate_reports_unchecked_beyond_the_oracles():
+    # past both oracles' bounds only the recursion runs, so nothing is compared
+    report = cross_validate(13, INF)
+    assert report["methods"] == ["recursion"]
+    assert report["agree"] is None
+    assert report["T"] == "105919629403"
+    # one oracle beside the recursion is still a comparison
+    assert cross_validate(2, INF, linf_bound=0)["agree"] is True
+
+
 def test_cross_validate_detects_disagreement(monkeypatch):
     monkeypatch.setattr(sp, "tree_wtT", lambda d, a: Fraction(1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix"):
@@ -317,6 +327,20 @@ def test_scan_breakpoints_cover_every_prefix_change(r):
         start = max(b for b in [Fraction(1)] + scan_breakpoints(d) if b <= r)
         assert path_signature(AspectRatio.plus_delta(r.numerator, r.denominator), d) == \
             path_signature(AspectRatio.plus_delta(start.numerator, start.denominator), d), (d, r)
+
+
+@given(r=ratios_from_one, t=st.integers(0, 50), d=st.integers(1, 20))
+@settings(max_examples=60, deadline=None)
+def test_equal_path_signatures_give_equal_recursion_values(r, t, d):
+    # a second ratio in r's scan interval [start, end): it shares r's path prefix
+    bps = scan_breakpoints(d)
+    start = max(b for b in [Fraction(1)] + bps if b <= r)
+    end = min((b for b in bps if b > r), default=start + 2)
+    other = start + (end - start) * Fraction(t, t + 1)
+    a = AspectRatio.plus_delta(r.numerator, r.denominator)
+    b = AspectRatio.plus_delta(other.numerator, other.denominator)
+    assert path_signature(a, d) == path_signature(b, d), (d, r, other)
+    assert recursion_wtT(d, a) == recursion_wtT(d, b), (d, r, other)
 
 
 def test_scan_monotonicity_d1_constant():
@@ -377,6 +401,24 @@ def test_integrality_scan_at_degree_40():
     assert report["rows"]
     assert report["all_integral"] and report["all_nonnegative"]
     assert time.perf_counter() - start < 60.0
+
+
+def test_degree_14_monotonicity_drop():
+    # observed data: the first drop of the scan profile, T = 392/5 on (36/5, 29/4)
+    # and T = 68 above 29/4; both sides have mult 5, so wtT drops as well
+    left = superpotential(14, AspectRatio.plus_delta(36, 5))
+    right = superpotential(14, AspectRatio.plus_delta(29, 4))
+    assert (left.wtT, left.multiplier, left.T) == (392, 5, Fraction(392, 5))
+    assert (right.wtT, right.multiplier, right.T) == (340, 5, 68)
+
+
+def test_vanishing_matches_failed_adjunction_bound_through_degree_40():
+    # observed data, not a theorem: at every boundary fraction p + q = 3d with
+    # d <= 40 (555 rows), T vanishes exactly where the adjunction bound fails
+    rows = [row for d in range(1, 41) for row in integrality_scan(d)["rows"]]
+    assert len(rows) == 555
+    mismatched = [(r["p"], r["q"]) for r in rows if r["vanishes"] != (not r["adjunction_bound"])]
+    assert mismatched == []
 
 
 def test_integrality_scan_adjunction_column():
