@@ -6,7 +6,7 @@ infinitesimal delta > 0, and the infinite ratio pushes all mass onto the
 first coordinate.
 """
 
-from ellsuper import AspectRatio, AspectVector, gamma_path, gamma_point_vec, mult
+from ellsuper import AspectRatio, gamma_path, mult
 
 for text in ("3/2", "2", "5/2", "5", "inf"):
     a = AspectRatio.parse(text)
@@ -20,14 +20,3 @@ for k in (2, 5, 7):
     pt = gamma_path(a, k)[k]
     print(f"  mult_{a}{pt} = {mult(a, pt)}")
 
-print()
-print("The n-dimensional generalization minimizes max(a_1*i_1, ..., a_n*i_n):")
-vec = AspectVector((
-    AspectRatio.exact_ratio(1),
-    AspectRatio.plus_delta(10, 1),
-    AspectRatio.plus_delta(10, 1),
-))
-for k in range(5):
-    print(f"  k={k}: {gamma_point_vec(vec, k)}")
-print("With the vector (1, a) it reduces to the planar path, e.g. k=7:",
-      gamma_point_vec(AspectVector((AspectRatio.exact_ratio(1), a)), 7))

@@ -10,16 +10,12 @@ inversion) produce the same values and cross-validate each other.
 """
 
 from .lattice import (
-    AmbiguityError,
     AspectRatio,
-    AspectVector,
     gamma_path,
     gamma_point,
-    gamma_point_vec,
     mult,
     pair_factorial,
     point_add,
-    point_scale,
 )
 from .linf import (
     BasedSpace,
@@ -33,7 +29,7 @@ from .linf import (
     invert,
     linf_superpotential,
 )
-from .numerics import ExactRational, binomial, compositions, factorial, partitions
+from .numerics import compositions, factorial, partitions
 from .pipelines import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
@@ -63,12 +59,9 @@ from .trees import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguityError",
     "AspectRatio",
-    "AspectVector",
     "BasedSpace",
     "DEFAULT_LINF_BOUND",
-    "ExactRational",
     "LEAF",
     "LinfError",
     "LinfMorphism",
@@ -76,7 +69,6 @@ __all__ = [
     "SuperpotentialResult",
     "Tree",
     "VertexInfo",
-    "binomial",
     "compose",
     "compositions",
     "cross_validate",
@@ -88,7 +80,6 @@ __all__ = [
     "factorial",
     "gamma_path",
     "gamma_point",
-    "gamma_point_vec",
     "identity_morphism",
     "integrality_scan",
     "invert",
@@ -101,7 +92,6 @@ __all__ = [
     "partitions",
     "path_signature",
     "point_add",
-    "point_scale",
     "recursion_wtT",
     "scan_breakpoints",
     "scan_monotonicity",

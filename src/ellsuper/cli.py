@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: ``gamma`` (lattice paths), ``trees`` (tree tables), ``compute``
-(one superpotential value), ``validate`` (pipeline agreement over a range of
-degrees), ``scan`` (monotonicity profile), ``integrality`` (integer check at
-the boundary fractions).  Output formats: json (default), csv, text.
+Subcommands: ``gamma`` (lattice paths), ``trees`` (tree tables, d <= 12),
+``compute`` (one superpotential value), ``validate`` (pipeline agreement over a
+range of degrees), ``scan`` (monotonicity profile), ``integrality`` (integer
+check at the boundary fractions).  Output formats: json (default), csv, text.
 
 ``compute``, ``scan`` and ``integrality`` use the recursion, the production
 engine; ``compute --method tree|linf`` selects an oracle instead.  ``validate``
@@ -34,6 +34,7 @@ from .lattice import AspectRatio, gamma_path
 from .pipelines import (
     DEFAULT_LINF_BOUND,
     METHODS,
+    TREE_MAX_DEGREE,
     MethodDisagreement,
     cross_validate,
     integrality_scan,
@@ -123,6 +124,11 @@ def _cmd_gamma(args) -> dict:
 
 
 def _cmd_trees(args) -> dict:
+    if args.d > TREE_MAX_DEGREE:
+        raise ValueError(
+            f"trees lists every tree and is intended for d <= {TREE_MAX_DEGREE} "
+            f"(about 3^d trees); use 'compute' for the value at d={args.d}"
+        )
     rows = []
     for tree in enumerate_trees(args.d):
         rows.append({

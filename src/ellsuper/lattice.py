@@ -14,16 +14,11 @@ compared lexicographically: the first entry is the limit value of
 This is exactly the ``delta -> 0+`` limit of the real comparison.
 
 The infinite ratio sends all mass to the first coordinate: ``Gamma_k = (k, 0)``.
-
-The n-dimensional generalization minimizes ``max(a_1*i_1, ..., a_n*i_n)`` over
-tuples summing to ``k``; it is exposed through :class:`AspectVector`, whose
-components may mix exact rationals (no perturbation) with perturbed ones.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,28 +27,17 @@ from .numerics import factorial
 LatticePoint = tuple[int, ...]
 
 
-class AmbiguityError(ValueError):
-    """A lattice-path argmin is not decided by the declared tie rules."""
-
-
 @dataclass(frozen=True)
 class AspectRatio:
-    """Ellipsoid aspect ratio: either infinite or ``p/q (+ delta)``.
-
-    ``exact=False`` (the default, and the only variant the two-dimensional
-    pipeline accepts) means the perturbed value ``p/q + delta``.  ``exact=True``
-    is the unperturbed rational; it only arises as a coordinate of an
-    :class:`AspectVector`, e.g. the leading exact 1 in ``(1, a)``.
-    """
+    """Ellipsoid aspect ratio: either infinite or the perturbed ``p/q + delta``."""
 
     p: int | None  # None encodes the infinite ratio
     q: int = 1
-    exact: bool = False
 
     def __post_init__(self) -> None:
         if self.p is None:
-            if self.q != 1 or self.exact:
-                raise ValueError("infinite aspect ratio carries no q or exactness")
+            if self.q != 1:
+                raise ValueError("infinite aspect ratio carries no q")
             return
         if self.p < 1 or self.q < 1:
             raise ValueError(f"aspect ratio requires positive p, q; got {self.p}/{self.q}")
@@ -69,10 +53,6 @@ class AspectRatio:
     @staticmethod
     def plus_delta(p: int, q: int = 1) -> "AspectRatio":
         return AspectRatio(p, q)
-
-    @staticmethod
-    def exact_ratio(p: int, q: int = 1) -> "AspectRatio":
-        return AspectRatio(p, q, exact=True)
 
     @staticmethod
     def parse(text: str) -> "AspectRatio":
@@ -104,26 +84,7 @@ class AspectRatio:
     def __str__(self) -> str:
         if self.p is None:
             return "inf"
-        body = str(Fraction(self.p, self.q))
-        return body if self.exact else body + "+delta"
-
-
-@dataclass(frozen=True)
-class AspectVector:
-    """Tuple of n >= 2 positive aspect-ratio components."""
-
-    components: tuple[AspectRatio, ...]
-
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if len(comps) < 2:
-            raise ValueError("aspect vector needs at least 2 components")
-        if not all(isinstance(c, AspectRatio) for c in comps):
-            raise TypeError("aspect vector components must be AspectRatio values")
-        object.__setattr__(self, "components", comps)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+        return f"{Fraction(self.p, self.q)}+delta"
 
 
 def point_add(*points: LatticePoint) -> LatticePoint:
@@ -136,15 +97,8 @@ def point_add(*points: LatticePoint) -> LatticePoint:
     return tuple(sum(coords) for coords in zip(*points))
 
 
-def point_scale(point: LatticePoint, c: int) -> LatticePoint:
-    """Nonnegative integer scalar multiple of a lattice point."""
-    if c < 0:
-        raise ValueError(f"scale factor must be nonnegative, got {c}")
-    return tuple(c * x for x in point)
-
-
 def pair_factorial(point: LatticePoint) -> int:
-    """(i, j)! = i!·j!, extended to any dimension as the product of coordinate factorials."""
+    """(i, j)! = i!·j!, the product of the coordinate factorials."""
     out = 1
     for x in point:
         out *= factorial(x)
@@ -157,39 +111,22 @@ def _key(a: AspectRatio, i: int, j: int) -> tuple[int, int]:
     return (iq, 0) if iq > pj else (pj, j)
 
 
-def _require_perturbed(a: AspectRatio, what: str) -> None:
-    if not a.is_infinite and a.exact:
-        raise ValueError(
-            f"{what} needs the +delta convention (or the infinite ratio); "
-            f"exact rational components belong in aspect vectors"
-        )
-
-
 def gamma_point(a: AspectRatio, k: int) -> tuple[int, int]:
     """The path point Gamma_k: the (i, j) with i+j = k minimizing max(i, a*j)."""
-    _require_perturbed(a, "gamma_point")
     if k < 0:
         raise ValueError(f"gamma_point requires k >= 0, got {k}")
-    if a.is_infinite:
-        return (k, 0)
-    best = (k, 0)
-    best_key = _key(a, k, 0)
-    for j in range(1, k + 1):
-        key = _key(a, k - j, j)
-        if key < best_key:
-            best, best_key = (k - j, j), key
-    return best
+    return gamma_path(a, k)[k]
 
 
 def gamma_path(a: AspectRatio, k_max: int) -> list[tuple[int, int]]:
     """The points Gamma_0 .. Gamma_k_max, built by unit steps.
 
     Each step moves to whichever of ``(i+1, j)`` and ``(i, j+1)`` ranks lower,
-    ties incrementing ``i``.  The result agrees with pointwise
-    :func:`gamma_point`; the test suite checks this against a brute-force
-    argmin rather than trusting the greedy construction.
+    ties incrementing ``i``.  This is the one path rule of the package
+    (:func:`gamma_point` reads a point off it); the test suite checks every
+    point against a brute-force argmin rather than trusting the greedy
+    construction.
     """
-    _require_perturbed(a, "gamma_path")
     if k_max < 0:
         raise ValueError(f"gamma_path requires k_max >= 0, got {k_max}")
     i = j = 0
@@ -205,7 +142,6 @@ def gamma_path(a: AspectRatio, k_max: int) -> list[tuple[int, int]]:
 
 def mult(a: AspectRatio, point: LatticePoint) -> int:
     """Multiplicity of a path point: i if i > a*j, else j."""
-    _require_perturbed(a, "mult")
     if len(point) != 2:
         raise ValueError(f"mult is defined for pairs, got {point}")
     i, j = point
@@ -215,67 +151,3 @@ def mult(a: AspectRatio, point: LatticePoint) -> int:
         return i if j == 0 else j
     # i > (p/q + delta)*j holds for small delta exactly when i*q > p*j.
     return i if i * a.q > a.p * j else j
-
-
-# Component rank of a_s * i_s inside the vector max: a comparable triple
-# (finite/infinite class, rational value, delta coefficient).
-def _component_rank(a: AspectRatio, x: int) -> tuple[int, Fraction | int, int]:
-    if a.is_infinite:
-        return (0, 0, 0) if x == 0 else (1, x, 0)
-    return (0, Fraction(a.p * x, a.q), 0 if a.exact else x)
-
-
-def gamma_point_vec(vec: AspectVector, k: int, on_tie: str = "warn") -> LatticePoint:
-    """n-dimensional path point: argmin over i_1+...+i_n = k of max_s(a_s * i_s).
-
-    The minimizer is unique whenever the components are rationally independent.
-    Rationally dependent components can produce genuine ties; these are
-    resolved toward the lexicographically largest tuple (mass pushed onto the
-    earlier coordinates, matching the two-dimensional delta rule) and reported
-    per ``on_tie``: "warn" (default), "error" (raise :class:`AmbiguityError`),
-    or "ignore".
-
-    Candidate enumeration is combinatorial in n; intended for small n and k.
-    """
-    if on_tie not in ("warn", "error", "ignore"):
-        raise ValueError(f"on_tie must be warn|error|ignore, got {on_tie!r}")
-    if k < 0:
-        raise ValueError(f"gamma_point_vec requires k >= 0, got {k}")
-    comps = vec.components
-    n = len(comps)
-
-    best: tuple[int, ...] | None = None
-    best_rank = None
-    tied = False
-    for cand in _compositions_nonneg(k, n):
-        rank = max(_component_rank(a, x) for a, x in zip(comps, cand))
-        if best is None or rank < best_rank:
-            best, best_rank, tied = cand, rank, False
-        elif rank == best_rank:
-            tied = True
-            if cand > best:
-                best = cand
-    if tied:
-        if on_tie == "error":
-            raise AmbiguityError(
-                f"argmin tie for aspect vector {vec} at k={k}; "
-                f"components are rationally dependent"
-            )
-        if on_tie == "warn":
-            warnings.warn(
-                f"aspect vector {vec} has a rank tie at k={k}; "
-                f"resolved lexicographically to {best}",
-                stacklevel=2,
-            )
-    assert best is not None
-    return best
-
-
-def _compositions_nonneg(total: int, parts: int):
-    # All tuples of `parts` nonnegative integers summing to `total`.
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_nonneg(total - first, parts - 1):
-            yield (first,) + rest

@@ -39,7 +39,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product
 
-from .lattice import AspectRatio, gamma_point, pair_factorial, point_add
+from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
 from .numerics import factorial, partitions
 from .trees import set_partitions
 
@@ -212,6 +212,17 @@ def identity_morphism(space: BasedSpace, *, max_index: int, max_arity: int) -> L
                         rule=rule, name=f"id[{space.name}]")
 
 
+def _splits(key: tuple[int, ...]) -> Counter:
+    # Set partitions of the inputs, grouped by the sorted multisets of input
+    # indices their blocks carry: partitions with equal groups give equal terms
+    # in every sum over set partitions of symmetric maps, so each is evaluated
+    # once and weighted by its count.
+    return Counter(
+        tuple(sorted(tuple(key[p] for p in block) for block in blocks))
+        for blocks in set_partitions(range(len(key)))
+    )
+
+
 def compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorphism:
     """Composite morphism; inputs split into unordered blocks, phi inside psi."""
     if phi.target != psi.source:
@@ -224,9 +235,8 @@ def compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorp
 
     def rule(key: tuple[int, ...]) -> dict:
         out: dict = {}
-        for blocks in set_partitions(range(len(key))):
-            inner = [phi.entry(tuple(key[p] for p in block)) for block in blocks]
-            _vec_acc(out, psi.apply(inner))
+        for blocks, count in _splits(key).items():
+            _vec_acc(out, psi.apply([phi.entry(block) for block in blocks]), count)
         return out
 
     return LinfMorphism(phi.source, psi.target, max_index=max_index, max_arity=max_arity,
@@ -267,13 +277,10 @@ def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
         if len(key) == 1:
             i, r = inv1[key[0]]
             return {i: r}
-        splits = Counter(
-            tuple(sorted(tuple(key[p] for p in block) for block in blocks))
-            for blocks in set_partitions(range(len(key)))
-            if len(blocks) >= 2
-        )
         total: dict = {}
-        for blocks, count in splits.items():
+        for blocks, count in _splits(key).items():
+            if len(blocks) < 2:
+                continue
             _vec_acc(total, phi.apply([psi.entry(block) for block in blocks]), count)
         out: dict = {}
         for j, c in total.items():
@@ -310,8 +317,10 @@ def ellipsoid_morphism(a: AspectRatio, *, max_index: int, max_arity: int) -> Lin
     bijection, so the morphism is invertible.
     """
 
+    path = gamma_path(a, max_index)
+
     def rule(key: tuple[int, ...]) -> dict:
-        total = point_add(*(gamma_point(a, i) for i in key))
+        total = point_add(*(path[i] for i in key))
         return {sum(key) + len(key) - 1: Fraction(1, pair_factorial(total))}
 
     return LinfMorphism(ellipsoid_space(a), descendant_space(),

@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: cached factorials, binomials, small combinatorics.
+"""Exact arithmetic primitives: cached factorials and small combinatorics.
 
 Every quantity this package produces is an exact rational number, and the
 formulas producing them are ratios of large factorials, so the whole pipeline
@@ -8,15 +8,12 @@ deliberately no floating-point code path anywhere.
 ``Fraction`` already guarantees lowest terms and a positive denominator, and
 its ``str()`` renders ``"p/q"`` (or ``"p"`` for integers), which is exactly the
 serialization used in JSON and CSV output, so it serves as the canonical exact
-scalar under the alias :data:`ExactRational`.
+scalar.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
-
-ExactRational = Fraction
 
 # Factorial cache: grows on demand, never evicted.
 _FACTORIALS = [1, 1]
@@ -31,20 +28,13 @@ def factorial(n: int) -> int:
     return _FACTORIALS[n]
 
 
-def binomial(n: int, k: int) -> int:
-    """n choose k, exact, for 0 <= k <= n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        raise ValueError(f"binomial requires k <= n, got ({n}, {k})")
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
 def compositions(total: int, min_parts: int = 1) -> Iterator[tuple[int, ...]]:
     """Ordered tuples of positive integers summing to ``total``.
 
     Yields all 2^(total-1) compositions (fewer when ``min_parts`` > 1) in
-    lexicographic order of the leading parts.
+    lexicographic order of the leading parts.  No pipeline calls it; it stays
+    public because the test oracles sum over ordered compositions and the
+    benchmark's trace counts the items it yields.
     """
     if total < 0:
         raise ValueError(f"compositions requires total >= 0, got {total}")

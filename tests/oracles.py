@@ -20,12 +20,18 @@ ordered compositions with a 1/k! factor; ``tree_wtT_infinity`` is the
 infinite-ratio tree sum written with plain integer factorials and central
 binomials instead of lattice points.
 
+``per_partition_compose`` composes two L-infinity morphisms by applying the
+outer morphism once per set partition of the inputs, where the library groups
+partitions whose blocks carry equal input multisets and weights each group by
+its count.
+
 ``tree_sum_invert`` inverts an L-infinity morphism by the signed sum over
 every ordered tree, memoizing subtrees by their decorated canonical form,
 where the library groups the same sum at the root and recurses on set
 partitions of the inputs.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
@@ -33,7 +39,6 @@ from itertools import groupby, product
 from ellsuper import (
     LinfError,
     LinfMorphism,
-    binomial,
     compositions,
     ellipsoid_morphism,
     enumerate_ordered_trees,
@@ -45,7 +50,7 @@ from ellsuper import (
     partitions,
     path_signature,
     point_add,
-    point_scale,
+    set_partitions,
     vertex_data,
 )
 from ellsuper.linf import _recip, _vec_acc
@@ -126,7 +131,7 @@ def per_tree_wtT(d, a):
             value *= Fraction(num, den)
             if v.movable:
                 ell = v.leaf_number
-                movable = Fraction(pair_factorial(point_scale(g2, ell)),
+                movable = Fraction(pair_factorial(tuple(ell * x for x in g2)),
                                    factorial(ell) ** 2 * g2f ** ell) - 1
                 value *= movable
         return value
@@ -252,7 +257,7 @@ def tree_wtT_infinity(d):
                               factorial(3 * v.leaf_number - v.valency + 1))
             if v.movable:
                 ell = v.leaf_number
-                value *= Fraction(binomial(2 * ell, ell), 2 ** ell) - 1
+                value *= Fraction(math.comb(2 * ell, ell), 2 ** ell) - 1
         total += value
     return 2 ** d * total
 
@@ -342,3 +347,24 @@ def tree_sum_invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorp
 
     return LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=arity,
                         rule=rule, name=f"inv({phi.name})")
+
+
+def per_partition_compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorphism:
+    """Composite morphism; inputs split into unordered blocks, phi inside psi."""
+    if phi.target != psi.source:
+        raise LinfError(
+            f"space mismatch in composition: {phi.name} lands in {phi.target.name} "
+            f"but {psi.name} starts from {psi.source.name}"
+        )
+    max_index = min(psi.max_index, phi.max_index)
+    max_arity = min(psi.max_arity, phi.max_arity)
+
+    def rule(key: tuple[int, ...]) -> dict:
+        out: dict = {}
+        for blocks in set_partitions(range(len(key))):
+            inner = [phi.entry(tuple(key[p] for p in block)) for block in blocks]
+            _vec_acc(out, psi.apply(inner))
+        return out
+
+    return LinfMorphism(phi.source, psi.target, max_index=max_index, max_arity=max_arity,
+                        rule=rule, name=name or f"{psi.name} o {phi.name}")

@@ -201,6 +201,17 @@ def test_tree_method_refused_beyond_degree_12():
     assert "recursion" in proc.stderr
 
 
+def test_trees_refused_beyond_degree_12():
+    # a subprocess with a timeout: unguarded, d = 13 prints 68954 trees and d = 14 about 3x more
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellsuper", "trees", "--d", "13"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "d <= 12" in proc.stderr and "compute" in proc.stderr
+
+
 def test_scan_and_validate_skip_tree_oracle_beyond_degree_12():
     # subprocesses with a timeout: unguarded, the tree-sum cross-checks run for hours
     proc = subprocess.run(

@@ -1,21 +1,14 @@
-import warnings
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellsuper import (
-    AmbiguityError,
     AspectRatio,
-    AspectVector,
     gamma_path,
     gamma_point,
-    gamma_point_vec,
     mult,
     pair_factorial,
     point_add,
-    point_scale,
 )
 from oracles import brute_gamma_point
 
@@ -45,7 +38,6 @@ def test_parse_and_render():
 def test_point_helpers():
     assert point_add((1, 2), (3, 4)) == (4, 6)
     assert point_add((1, 2, 3), (0, 0, 1), (1, 1, 1)) == (2, 3, 5)
-    assert point_scale((2, 1), 3) == (6, 3)
     assert pair_factorial((3, 2)) == 12
     assert pair_factorial((0, 0)) == 1
     assert pair_factorial((2, 1, 3)) == 12
@@ -100,7 +92,7 @@ def test_gamma_path_unit_steps_and_pointwise(pq, k_max):
         dj = path[k + 1][1] - path[k][1]
         assert (di, dj) in ((1, 0), (0, 1))
     for k in (0, k_max // 2, k_max):
-        assert path[k] == gamma_point(a, k)
+        assert path[k] == brute_gamma_point(*pq, k)
 
 
 def test_mult_values():
@@ -115,62 +107,6 @@ def test_mult_values():
         mult(inf, (0, 0))
     with pytest.raises(ValueError):
         mult(AspectRatio.plus_delta(2, 1), (1, 2, 3))
-
-
-def test_exact_ratio_rejected_by_planar_ops():
-    exact = AspectRatio.exact_ratio(3, 2)
-    for fn in (lambda: gamma_point(exact, 3), lambda: gamma_path(exact, 3),
-               lambda: mult(exact, (1, 0))):
-        with pytest.raises(ValueError):
-            fn()
-
-
-def test_vector_embedding_matches_planar():
-    one = AspectRatio.exact_ratio(1)
-    for p, q in [(3, 2), (2, 1), (7, 3), (11, 4), (5, 4)]:
-        vec = AspectVector((one, AspectRatio.plus_delta(p, q)))
-        for k in range(26):
-            assert gamma_point_vec(vec, k) == gamma_point(AspectRatio.plus_delta(p, q), k)
-
-
-def test_vector_three_components():
-    vec = AspectVector((
-        AspectRatio.exact_ratio(1),
-        AspectRatio.plus_delta(10, 1),
-        AspectRatio.plus_delta(10, 1),
-    ))
-    assert gamma_point_vec(vec, 3) == (3, 0, 0)
-    assert gamma_point_vec(vec, 0) == (0, 0, 0)
-
-
-def test_vector_infinite_component_gets_no_mass():
-    vec = AspectVector((
-        AspectRatio.exact_ratio(1),
-        AspectRatio.infinite(),
-    ))
-    for k in range(8):
-        assert gamma_point_vec(vec, k) == (k, 0)
-
-
-def test_vector_tie_handling():
-    vec = AspectVector((AspectRatio.exact_ratio(1), AspectRatio.exact_ratio(1)))
-    with pytest.raises(AmbiguityError):
-        gamma_point_vec(vec, 1, on_tie="error")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pt = gamma_point_vec(vec, 1)
-    assert pt == (1, 0)  # mass pushed to the earlier coordinate
-    assert any("tie" in str(w.message) for w in caught)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert gamma_point_vec(vec, 1, on_tie="ignore") == (1, 0)
-
-
-def test_vector_validation():
-    with pytest.raises(ValueError):
-        AspectVector((AspectRatio.plus_delta(2, 1),))
-    with pytest.raises(TypeError):
-        AspectVector((AspectRatio.plus_delta(2, 1), Fraction(3, 2)))
 
 
 def test_determinism():

@@ -20,7 +20,7 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from oracles import ordered_linf_superpotential, tree_sum_invert
+from oracles import ordered_linf_superpotential, per_partition_compose, tree_sum_invert
 
 INF = AspectRatio.infinite()
 A32 = AspectRatio.plus_delta(3, 2)
@@ -280,6 +280,33 @@ def test_root_split_inverse_matches_tree_sum_oracle_ellipsoid():
     for a in (INF, A32, AspectRatio.plus_delta(52, 7)):
         eps = ellipsoid_morphism(a, max_index=14, max_arity=5)
         assert _assert_inverses_agree(eps, 5) > 100
+
+
+def _assert_composites_agree(psi, phi, max_arity):
+    # every key, repeated indices included, whose intermediate indices stay inside the truncation
+    grouped = compose(psi, phi)
+    slow = per_partition_compose(psi, phi)
+    checked = 0
+    for k in range(1, max_arity + 1):
+        for key in combinations_with_replacement(range(1, grouped.max_index + 1), k):
+            if sum(key) + k - 1 > grouped.max_index:
+                continue
+            assert grouped.entry(key) == slow.entry(key), (grouped.name, key)
+            checked += 1
+    return checked
+
+
+def test_grouped_compose_matches_per_partition_oracle_generic():
+    phi, _, _, _ = generic_morphism(max_index=14, max_arity=5)
+    psi, _, _, _ = generic_morphism(max_index=14, max_arity=5, seed=11)
+    psi = LinfMorphism(phi.target, BasedSpace("U"), max_index=14, max_arity=5,
+                       rule=psi._rule, name="psi")
+    assert _assert_composites_agree(psi, phi, 5) > 100
+
+
+def test_grouped_compose_matches_per_partition_oracle_round_trip():
+    eps = ellipsoid_morphism(INF, max_index=14, max_arity=5)
+    assert _assert_composites_agree(invert(eps), eps, 5) > 100
 
 
 def test_linf_matches_recursion_beyond_default_bound():

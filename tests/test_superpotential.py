@@ -12,7 +12,6 @@ import ellsuper.pipelines as sp
 from ellsuper import (
     AspectRatio,
     MethodDisagreement,
-    binomial,
     cross_validate,
     gamma_path,
     integrality_scan,
@@ -71,14 +70,14 @@ def test_tree_headline_values():
 def test_tree_d2_by_hand():
     # single tree, one movable vertex with leaf number 2:
     # 2^2 * (1/2) * (5!/4!) * (2^-2 * binom(4,2) - 1) = 4 * (1/2) * 5 * (1/2)
-    movable = Fraction(binomial(4, 2), 4) - 1
+    movable = Fraction(math.comb(4, 2), 4) - 1
     assert tree_wtT(2, INF) == 4 * Fraction(1, 2) * 5 * movable == 5
 
 
 def test_tree_d3_by_hand():
     # 2^3 * (14 - 10): corolla term 14, nested term -10
-    corolla = Fraction(1, 6) * Fraction(40320, 720) * (Fraction(binomial(6, 3), 8) - 1)
-    nested = Fraction(1, 2) * 5 * 8 * (Fraction(binomial(4, 2), 4) - 1)
+    corolla = Fraction(1, 6) * Fraction(40320, 720) * (Fraction(math.comb(6, 3), 8) - 1)
+    nested = Fraction(1, 2) * 5 * 8 * (Fraction(math.comb(4, 2), 4) - 1)
     assert corolla == 14 and nested == 10
     assert tree_wtT(3, INF) == 8 * (corolla - nested)
 
@@ -173,15 +172,15 @@ def test_movable_factor_positive_for_wide_ratios():
     # for a >= 2 the movable factor is 2^-l * binom(2l, l) - 1; movable
     # vertices always have l >= 2, where it is strictly positive
     for ell in range(2, 31):
-        assert Fraction(binomial(2 * ell, ell), 2 ** ell) - 1 > 0
-    assert Fraction(binomial(2, 1), 2) - 1 == 0
+        assert Fraction(math.comb(2 * ell, ell), 2 ** ell) - 1 > 0
+    assert Fraction(math.comb(2, 1), 2) - 1 == 0
 
 
 def test_tree_term_signs_for_wide_ratios():
     # with every movable factor positive, each summand's sign is determined
     # by the parity of the unmovable internal vertices; the terms also re-sum
     # to the pipeline value
-    from ellsuper import enumerate_trees, gamma_point, pair_factorial, point_add, point_scale, vertex_data
+    from ellsuper import enumerate_trees, gamma_point, pair_factorial, point_add, vertex_data
     from ellsuper.numerics import factorial as fact
 
     for a in (INF, AspectRatio.plus_delta(5, 2)):
@@ -198,7 +197,7 @@ def test_tree_term_signs_for_wide_ratios():
                     term *= Fraction(num, den)
                     if v.movable:
                         ell = v.leaf_number
-                        term *= Fraction(pair_factorial(point_scale(path[2], ell)),
+                        term *= Fraction(pair_factorial(tuple(ell * x for x in path[2])),
                                          fact(ell) ** 2 * g2f ** ell) - 1
                     else:
                         unmovable += 1
