@@ -26,7 +26,7 @@ compute it exactly:
   the sum over ordered splits with a 1/k! factor give the same values; all
   three are kept in ``tests/oracles.py`` as cross-checks.
 
-* ``tree_wtT``: a single pass over rooted trees with d unordered leaves,
+* ``tree_wtT``: the closed sum over rooted trees with d unordered leaves,
 
       wtT_d = (G_2!)^d * sum over trees T of
               (-1)^(#unmovable internal) / |Aut(T)|
@@ -37,20 +37,20 @@ compute it exactly:
   with ``l(v)`` the leaf number; leaf children contribute ``G_2`` to the sums
   and ``l(v)*G_2`` is a scalar multiple of the lattice point.  A vertex's
   factor, sign included, depends only on its type, the sorted leaf numbers
-  of its children.  So the sum is split in two: a per-degree table, built
-  once and kept in a small LRU cache, lists every tree as its 1/|Aut(T)| and
-  its vertex types (trees with the same multiset of types merged); each call
-  evaluates every distinct type's factor once on the path prefix, as an
-  integer numerator and denominator, and sums one product per table row.
+  of its children.  So no tree is built: grouping each root's children by
+  leaf number, the sum over trees with l leaves becomes a sum over the
+  partitions of l into >= 2 parts (the root's type), each term one integer
+  numerator and denominator made from the sums at its parts, in one pass
+  over l = 2..d with no state kept between calls.
 
 * ``linf_superpotential`` (in :mod:`.linf`): inversion of the ellipsoid
   morphism, summed against the split constants.
 
-The tree sum (about 3^d trees) and linf are bounded oracles that cross-check
-the recursion; ``superpotential`` refuses them beyond ``TREE_MAX_DEGREE`` and
-``linf_bound``.  The other test oracles, among them the per-tree form of the
-tree sum and its infinite-ratio specialization with plain integer
-factorials, live in ``tests/oracles.py``.
+The tree sum (over the partitions of each l <= d) and linf are bounded
+oracles that cross-check the recursion; ``superpotential`` refuses them
+beyond ``TREE_MAX_DEGREE`` and ``linf_bound``.  The other test oracles,
+among them the per-tree form of the tree sum and its infinite-ratio
+specialization with plain integer factorials, live in ``tests/oracles.py``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.
@@ -64,17 +64,15 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import groupby
 
 from .lattice import AspectRatio, gamma_path, mult
 from .linf import linf_superpotential
-from .numerics import factorial
-from .trees import enumerate_trees, vertex_data
+from .numerics import factorial, partitions
 
 METHODS = ("recursion", "tree", "linf")
 DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; its cost grows with the Bell numbers
-TREE_MAX_DEGREE = 12  # 21965 trees; the enumeration grows about 3x per degree
-TREE_TABLE_CACHE_SIZE = 8  # per-degree tree tables kept; older degrees are rebuilt
+TREE_MAX_DEGREE = 12  # bounds `trees --d` (21965 trees) and the tree oracle's CLI contract
 
 
 class MethodDisagreement(RuntimeError):
@@ -142,28 +140,15 @@ def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
     return Fraction(nums[d], dens[d])
 
 
-@lru_cache(maxsize=TREE_TABLE_CACHE_SIZE)
-def _tree_table(d: int) -> tuple[tuple, tuple]:
-    """The ratio-independent part of the tree sum with d leaves.
-
-    Returns ``(kinds, rows)``.  ``kinds`` lists the distinct vertex types, a
-    type being the sorted leaf numbers of a vertex's children; it fixes
-    ``l(v)``, movability and the sign.  Each row is ``(coefficient, type
-    indices)``: the trees sharing one multiset of vertex types, merged, with
-    the sum of their ``1/|Aut(T)|`` as coefficient.
-    """
-    merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for tree in enumerate_trees(d):
-        types = tuple(sorted(v.child_leaf_numbers for v in vertex_data(tree)))
-        merged[types] = merged.get(types, 0) + Fraction(1, tree.aut_order)
-    kinds = sorted({kind for types in merged for kind in types})
-    index = {kind: i for i, kind in enumerate(kinds)}
-    rows = tuple((coeff, tuple(index[kind] for kind in types)) for types, coeff in merged.items())
-    return tuple(kinds), rows
-
-
 def tree_wtT(d: int, a: AspectRatio) -> Fraction:
-    """wtT by the closed sum over rooted trees with d unordered leaves."""
+    """wtT by the closed sum over rooted trees with d unordered leaves.
+
+    Evaluated by leaf count: ``sums[l]`` is the sum over trees with l leaves
+    of their vertex factors' product over |Aut(T)|, and ``sums[1] = 1``.  A
+    root's factor depends only on its type, the partition of l into its
+    children's leaf numbers, and the m children with s leaves each range over
+    multisets of trees, which contribute ``sums[s]**m / m!`` together.
+    """
     if d < 1:
         raise ValueError(f"tree_wtT requires d >= 1, got {d}")
     path = path_signature(a, d)
@@ -172,29 +157,27 @@ def tree_wtT(d: int, a: AspectRatio) -> Fraction:
     fact = [factorial(m) for m in range(3 * d)]
     gi, gj = path[2]
     g2f = fact[gi] * fact[gj]
-    kinds, rows = _tree_table(d)
-    nums, dens = [], []
-    for kids in kinds:
-        ell = sum(kids)
+    sums = [None, Fraction(1)]  # index 0 unused
+    for ell in range(2, d + 1):
         ti, tj = path[3 * ell - 1]
-        num = fact[ti] * fact[tj]
-        den = fact[sum(path[3 * c - 1][0] for c in kids)] * fact[sum(path[3 * c - 1][1] for c in kids)]
-        if kids[-1] == 1:  # movable: every child is a leaf
-            base = fact[ell] ** 2 * g2f ** ell
-            num *= fact[ell * gi] * fact[ell * gj] - base
-            den *= base
-        else:
-            num = -num
-        nums.append(num)
-        dens.append(den)
-    total = Fraction(0)
-    for coeff, types in rows:
-        num, den = coeff.numerator, coeff.denominator
-        for t in types:
-            num *= nums[t]
-            den *= dens[t]
-        total += Fraction(num, den)
-    return g2f ** d * total
+        total = Fraction(0)
+        for kids in partitions(ell, min_parts=2):
+            ci = sum(path[3 * c - 1][0] for c in kids)
+            cj = sum(path[3 * c - 1][1] for c in kids)
+            num, den = fact[ti] * fact[tj], fact[ci] * fact[cj]
+            if kids[0] == 1:  # movable: every child is a leaf
+                base = fact[ell] ** 2 * g2f ** ell
+                num *= fact[ell * gi] * fact[ell * gj] - base
+                den *= base
+            else:
+                num = -num
+            for s, group in groupby(kids):
+                m = len(tuple(group))
+                num *= sums[s].numerator ** m
+                den *= sums[s].denominator ** m * fact[m]
+            total += Fraction(num, den)
+        sums.append(total)
+    return g2f ** d * sums[d]
 
 
 def _warn_outside_range(a: AspectRatio) -> None:
