@@ -53,7 +53,15 @@ among them the per-tree form of the tree sum and its infinite-ratio
 specialization with plain integer factorials, live in ``tests/oracles.py``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
-ratios sharing a prefix share values.
+ratios sharing a prefix share values.  Finer: the degree-n state of either
+engine (wtT_n and f_n in the recursion, the tree sum's ``S_n``) reads only
+the points ``G_2, G_5, .., G_{3n-1}``.  Each engine is therefore a private
+pass that extends a caller-owned list of per-degree rows, each row tagged
+with the point it read last, and keeps the rows up to the first point that
+differs from the ratio it was last run at.  ``recursion_wtT`` and
+``tree_wtT`` run it once on an empty list; ``scan_monotonicity`` sweeps all
+its ratios in ascending order through one list per engine, so each ratio
+recomputes only the degrees past its common prefix with the previous one.
 """
 
 from __future__ import annotations
@@ -94,26 +102,49 @@ def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(gamma_path(a, 3 * d - 1))
 
 
-def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
-    """wtT by the split recursion, as one online pass of the series exponential."""
-    if d < 1:
-        raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
-    path = path_signature(a, d)
-    # coordinates of G_k are at most k, so every lattice point of f_1..f_d has
-    # coordinates below 3d; one table serves every pair factorial of the pass
-    fact = [factorial(m) for m in range(3 * d)]
-    nums, dens = [0], [1]  # wtT_s = nums[s] / dens[s], reduced; index 0 unused
-    # f_n = series[n] / denoms[n], series[n] mapping lattice point -> integer; index 0 unused
-    series: list = [None]
-    denoms = [1]
-    for n in range(1, d + 1):
+def _factorials(d: int) -> list[int]:
+    """The factorials 0! .. (3d-1)!, one table per call of an engine or a scan.
+
+    Every lattice point either engine meets at degree d has coordinates below
+    3d: G_k's are at most k, a split of n <= d sums points G_{3k-1} to at most
+    3n - 2 in total, and the tree sum's ``l * G_2`` reaches at most 2l.
+    """
+    return [factorial(m) for m in range(3 * d)]
+
+
+def _resume(rows: list, points) -> None:
+    """Cut ``rows`` back to the longest prefix still valid for ``points``.
+
+    Row n - 1 of an engine holds its degree-n state, a function of
+    ``points[:n]`` alone, and carries ``points[n - 1]`` as its first entry;
+    the rows up to the first point that differs are kept, the rest dropped.
+    """
+    keep = 0
+    for row, point in zip(rows, points):
+        if row[0] != point:
+            break
+        keep += 1
+    del rows[keep:]
+
+
+def _recursion_pass(points, fact: list[int], rows: list) -> Fraction:
+    """wtT_d, d = len(points), extending ``rows`` from their longest valid prefix.
+
+    ``points[n - 1]`` is G_{3n-1} and ``fact`` comes from :func:`_factorials`.
+    Row n - 1 is ``(G_{3n-1}, num, den, series, denom)``: wtT_n = num / den,
+    reduced, and f_n = series / denom, series mapping lattice point -> integer.
+    """
+    _resume(rows, points)
+    for n in range(len(rows) + 1, len(points) + 1):
         # f_n - g_n = (1/n) sum_{k<n} k g_k f_{n-k}: the splits of n into >= 2 parts,
         # collected as acc / (n * common) with every product scaled to one denominator
-        common = math.lcm(*(dens[k] * denoms[n - k] for k in range(1, n)))
+        common = math.lcm(*(rows[k - 1][2] * rows[n - k - 1][4] for k in range(1, n)))
         acc: dict = {}
         for k in range(1, n):
-            (gi, gj), weight = path[3 * k - 1], k * nums[k] * (common // (dens[k] * denoms[n - k]))
-            for (i, j), coeff in series[n - k].items():
+            (gi, gj), num_k, den_k = rows[k - 1][:3]
+            _, _, _, series, denom = rows[n - k - 1]
+            weight = k * num_k * (common // (den_k * denom))
+            for (i, j), coeff in series.items():
                 key = (i + gi, j + gj)
                 acc[key] = acc.get(key, 0) + weight * coeff
         scale = n * common
@@ -122,48 +153,46 @@ def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
         top_j = fact[max((j for _, j in acc), default=0)]
         inner_num = sum(c * (top_i // fact[i]) * (top_j // fact[j]) for (i, j), c in acc.items())
         inner_den = scale * top_i * top_j
-        point = path[3 * n - 1]
+        point = points[n - 1]
         cube = fact[n] ** 3
         num = fact[point[0]] * fact[point[1]] * (inner_den - cube * inner_num)
         den = cube * inner_den
         g = math.gcd(num, den)
         num, den = num // g, den // g
-        nums.append(num)
-        dens.append(den)
         # fold in the one-part term g_n over lcm(scale, den), then reduce once
         denom = math.lcm(scale, den)
         f_n = {key: c * (denom // scale) for key, c in acc.items()}
         f_n[point] = f_n.get(point, 0) + num * (denom // den)
         g = math.gcd(denom, *f_n.values())
-        series.append({key: c // g for key, c in f_n.items()})
-        denoms.append(denom // g)
-    return Fraction(nums[d], dens[d])
+        rows.append((point, num, den, {key: c // g for key, c in f_n.items()}, denom // g))
+    return Fraction(rows[-1][1], rows[-1][2])
 
 
-def tree_wtT(d: int, a: AspectRatio) -> Fraction:
-    """wtT by the closed sum over rooted trees with d unordered leaves.
-
-    Evaluated by leaf count: ``sums[l]`` is the sum over trees with l leaves
-    of their vertex factors' product over |Aut(T)|, and ``sums[1] = 1``.  A
-    root's factor depends only on its type, the partition of l into its
-    children's leaf numbers, and the m children with s leaves each range over
-    multisets of trees, which contribute ``sums[s]**m / m!`` together.
-    """
+def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
+    """wtT by the split recursion, as one online pass of the series exponential."""
     if d < 1:
-        raise ValueError(f"tree_wtT requires d >= 1, got {d}")
-    path = path_signature(a, d)
-    # every lattice point below has coordinates under 3d: G_k's are at most k,
-    # a children sum reaches 3l(v) - 2 and l(v) * G_2 at most 2l(v)
-    fact = [factorial(m) for m in range(3 * d)]
-    gi, gj = path[2]
+        raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
+    return _recursion_pass(path_signature(a, d)[2::3], _factorials(d), [])
+
+
+def _tree_pass(points, fact: list[int], rows: list) -> Fraction:
+    """The tree sum at d = len(points), extending ``rows`` from their longest valid prefix.
+
+    ``points`` and ``fact`` are as for :func:`_recursion_pass`.  Row l - 1 is
+    ``(G_{3l-1}, S_l)``, where ``S_l`` is the sum over trees with l leaves of
+    their vertex factors' product over |Aut(T)|, and ``S_1 = 1``.
+    """
+    _resume(rows, points)
+    gi, gj = points[0]
     g2f = fact[gi] * fact[gj]
-    sums = [None, Fraction(1)]  # index 0 unused
-    for ell in range(2, d + 1):
-        ti, tj = path[3 * ell - 1]
+    if not rows:
+        rows.append((points[0], Fraction(1)))
+    for ell in range(len(rows) + 1, len(points) + 1):
+        ti, tj = points[ell - 1]
         total = Fraction(0)
         for kids in partitions(ell, min_parts=2):
-            ci = sum(path[3 * c - 1][0] for c in kids)
-            cj = sum(path[3 * c - 1][1] for c in kids)
+            ci = sum(points[c - 1][0] for c in kids)
+            cj = sum(points[c - 1][1] for c in kids)
             num, den = fact[ti] * fact[tj], fact[ci] * fact[cj]
             if kids[0] == 1:  # movable: every child is a leaf
                 base = fact[ell] ** 2 * g2f ** ell
@@ -173,11 +202,26 @@ def tree_wtT(d: int, a: AspectRatio) -> Fraction:
                 num = -num
             for s, group in groupby(kids):
                 m = len(tuple(group))
-                num *= sums[s].numerator ** m
-                den *= sums[s].denominator ** m * fact[m]
+                sub = rows[s - 1][1]
+                num *= sub.numerator ** m
+                den *= sub.denominator ** m * fact[m]
             total += Fraction(num, den)
-        sums.append(total)
-    return g2f ** d * sums[d]
+        rows.append((points[ell - 1], total))
+    return g2f ** len(points) * rows[-1][1]
+
+
+def tree_wtT(d: int, a: AspectRatio) -> Fraction:
+    """wtT by the closed sum over rooted trees with d unordered leaves.
+
+    Evaluated by leaf count: ``S_l`` is the sum over trees with l leaves
+    of their vertex factors' product over |Aut(T)|, and ``S_1 = 1``.  A
+    root's factor depends only on its type, the partition of l into its
+    children's leaf numbers, and the m children with s leaves each range over
+    multisets of trees, which contribute ``S_s**m / m!`` together.
+    """
+    if d < 1:
+        raise ValueError(f"tree_wtT requires d >= 1, got {d}")
+    return _tree_pass(path_signature(a, d)[2::3], _factorials(d), [])
 
 
 def _warn_outside_range(a: AspectRatio) -> None:
@@ -199,8 +243,8 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
     elif method == "tree":
         if d > TREE_MAX_DEGREE:
             raise ValueError(
-                f"method 'tree' is an oracle intended for d <= {TREE_MAX_DEGREE} "
-                f"(about 3^d trees); use 'recursion' for d={d}"
+                f"method 'tree' is an oracle, bounded to d <= {TREE_MAX_DEGREE} like its "
+                f"cross-checks in validate and scan; use 'recursion' for d={d}"
             )
         wt = tree_wtT(d, a)
     elif method == "linf":
@@ -215,6 +259,17 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
     multiplier = mult(a, path_signature(a, d)[3 * d - 1])
     return SuperpotentialResult(d=d, a=a, wtT=wt, multiplier=multiplier,
                                 T=wt / multiplier, method=method)
+
+
+def _disagreement(d: int, a: AspectRatio, path, values: dict) -> MethodDisagreement:
+    """The error for pipelines that differ at (d, a), with a full operand dump."""
+    dump = {
+        "d": d,
+        "a": str(a),
+        "path_prefix": [list(pt) for pt in path],
+        "values": {name: str(v) for name, v in values.items()},
+    }
+    return MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
 
 
 def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND) -> dict:
@@ -245,13 +300,7 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
         run("linf", lambda: linf_superpotential(d, a))
 
     if len(set(values.values())) != 1:
-        dump = {
-            "d": d,
-            "a": str(a),
-            "path_prefix": [list(pt) for pt in path_signature(a, d)],
-            "values": {name: str(v) for name, v in values.items()},
-        }
-        raise MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
+        raise _disagreement(d, a, path_signature(a, d), values)
 
     wt = values["recursion"]
     multiplier = mult(a, path_signature(a, d)[3 * d - 1])
@@ -294,29 +343,48 @@ def scan_monotonicity(d: int) -> dict:
     Each interval is represented by its left endpoint plus delta (for the
     first interval, 1 + delta).  For d <= ``TREE_MAX_DEGREE`` every
     representative value is cross-validated between the recursion and the tree
-    sum; beyond it the recursion alone gives it.  At every d a second point
-    inside the same interval (the mediant with the next breakpoint), computed
-    by the recursion, guards the breakpoint analysis: the report is marked
-    inconsistent if the two ever differ.  A non-monotone profile is reported,
-    never raised; it is exploratory output.
+    sum, raising :class:`MethodDisagreement` as ``cross_validate`` does; beyond
+    it the recursion alone gives it.  At every d a second point inside the
+    same interval (the mediant with the next breakpoint), with its own path
+    and its own recursion value, guards the breakpoint analysis: the report is
+    marked inconsistent if the two ever differ.  A non-monotone profile is
+    reported, never raised; it is exploratory output.
+
+    The ratios are evaluated in one ascending sweep (each start, its
+    midpoint, the next start, ..., then ``inf``), each path built once, and
+    every engine resumes from the previous ratio's rows.  That is exact: the
+    degree-n rows of both engines read only the points G_2, G_5, .., G_{3n-1},
+    so rows up to the longest common prefix of two ratios' points are the
+    same for both, and only the degrees past it are recomputed.
     """
     bps = scan_breakpoints(d)
     reps = [Fraction(1)] + bps
+    fact = _factorials(d)
+    recursion_rows: list = []
+    tree_rows: list = []  # interval starts only
+
+    def evaluate(a: AspectRatio):
+        path = path_signature(a, d)
+        wt = _recursion_pass(path[2::3], fact, recursion_rows)
+        return path, wt, wt / mult(a, path[-1])
+
     rows = []
     nondecreasing = True
     consistent = True
     previous: Fraction | None = None
     for idx, rep in enumerate(reps):
         a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
-        report = cross_validate(d, a, linf_bound=0)
-        value = Fraction(report["T"])
+        path, wt, value = evaluate(a)
+        if d <= TREE_MAX_DEGREE:
+            tree = _tree_pass(path[2::3], fact, tree_rows)
+            if tree != wt:
+                raise _disagreement(d, a, path, {"recursion": wt, "tree": tree})
         if idx + 1 < len(reps):
             nxt = reps[idx + 1]
             mid = Fraction(rep.numerator + nxt.numerator, rep.denominator + nxt.denominator)
         else:
             mid = rep + 1
-        mid_a = AspectRatio.plus_delta(mid.numerator, mid.denominator)
-        mid_value = superpotential(d, mid_a).T
+        mid_value = evaluate(AspectRatio.plus_delta(mid.numerator, mid.denominator))[2]
         if mid_value != value:
             consistent = False
         if previous is not None and value < previous:
@@ -329,7 +397,7 @@ def scan_monotonicity(d: int) -> dict:
             "midpoint": str(mid),
             "midpoint_T": str(mid_value),
         })
-    infinity_T = superpotential(d, AspectRatio.infinite()).T
+    infinity_T = evaluate(AspectRatio.infinite())[2]
     if previous is not None and infinity_T < previous:
         nondecreasing = False
     if rows and Fraction(rows[-1]["T"]) != infinity_T:

@@ -161,6 +161,14 @@ def test_scan_report(capsys):
     assert starts == ["1", "3/2", "2", "3", "4", "5"]
 
 
+def test_scan_disagreement_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(sp, "_tree_pass", lambda points, fact, rows: Fraction(999))
+    code, out, err = run_cli(capsys, "scan", "--d", "3")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "cross-validation failure" in err and "path_prefix" in err
+
+
 def test_integrality_report(capsys):
     code, out, _ = run_cli(capsys, "integrality", "--d", "3", "--format", "text")
     assert code == EXIT_OK

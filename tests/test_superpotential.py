@@ -361,6 +361,48 @@ def test_scan_same_interval_same_value():
     assert superpotential(d, a1).T == superpotential(d, a2).T
 
 
+@given(data=st.data(), d=st.integers(1, 20))
+@settings(max_examples=40, deadline=None)
+def test_resumed_passes_match_fresh_calls_in_any_order(data, d):
+    # the passes share one row list across ratios in any order, repeats and
+    # inf included; each result must equal a fresh call at that ratio
+    drawn = data.draw(st.lists(aspect_ratios, min_size=1, max_size=6))
+    order = data.draw(st.permutations(drawn + drawn[: len(drawn) // 2 + 1] + [INF]))
+    d_tree = min(d, 12)
+    fact = sp._factorials(d)
+    recursion_rows, tree_rows = [], []
+    for a in order:
+        points = path_signature(a, d)[2::3]
+        assert sp._recursion_pass(points, fact, recursion_rows) == recursion_wtT(d, a), (d, str(a))
+        assert sp._tree_pass(points[:d_tree], fact, tree_rows) == tree_wtT(d_tree, a), (d_tree, str(a))
+
+
+def test_scan_midpoints_catch_a_missing_breakpoint(monkeypatch):
+    # with one breakpoint of d = 5 left out, its two intervals merge; the
+    # midpoint check must notice wherever the value changes across it
+    full = scan_breakpoints(5)
+    caught = set()
+    for dropped in full:
+        monkeypatch.setattr(sp, "scan_breakpoints", lambda d: [b for b in full if b != dropped])
+        if not scan_monotonicity(5)["consistent"]:
+            caught.add(dropped)
+    assert caught == {5, 6, 8, 11, 13}
+
+
+def test_scan_cross_checks_the_tree_sum(monkeypatch):
+    monkeypatch.setattr(sp, "_tree_pass", lambda points, fact, rows: Fraction(1, 7))
+    with pytest.raises(MethodDisagreement, match="path_prefix"):
+        scan_monotonicity(4)
+
+
+def test_scan_profile_through_degree_20():
+    # observed data, not a theorem (ROADMAP item A): every scan is consistent,
+    # and the profile drops somewhere exactly at these degrees
+    reports = {d: scan_monotonicity(d) for d in range(1, 21)}
+    assert all(report["consistent"] for report in reports.values())
+    assert [d for d, report in reports.items() if not report["nondecreasing"]] == [14, 17, 19, 20]
+
+
 def test_integrality_scan_values():
     rows1 = integrality_scan(1)["rows"]
     assert [(r["p"], r["q"], r["T"]) for r in rows1] == [(2, 1, "1")]
