@@ -17,19 +17,7 @@ from .lattice import (
     pair_factorial,
     point_add,
 )
-from .linf import (
-    BasedSpace,
-    LinfError,
-    LinfMorphism,
-    compose,
-    descendant_space,
-    ellipsoid_morphism,
-    ellipsoid_space,
-    identity_morphism,
-    invert,
-    linf_superpotential,
-)
-from .numerics import compositions, factorial, partitions
+from .numerics import compositions, factorial, partitions, set_partitions
 from .pipelines import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
@@ -43,18 +31,33 @@ from .pipelines import (
     superpotential,
     tree_wtT,
 )
-from .trees import (
-    LEAF,
-    Tree,
-    VertexInfo,
-    enumerate_ordered_trees,
-    enumerate_trees,
-    ordered_count,
-    ordered_internal_count,
-    ordered_leaves,
-    set_partitions,
-    vertex_data,
-)
+
+# The L-infinity engine and the tree enumerator are imported on first use
+# (PEP 562), so that a job which never runs them does not load them.
+_LAZY = {
+    "linf": ("BasedSpace", "LinfError", "LinfMorphism", "compose", "descendant_space",
+             "ellipsoid_morphism", "ellipsoid_space", "identity_morphism", "invert",
+             "linf_superpotential"),
+    "trees": ("LEAF", "Tree", "VertexInfo", "enumerate_ordered_trees", "enumerate_trees",
+              "ordered_count", "ordered_internal_count", "ordered_leaves", "vertex_data"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_LAZY_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
 
 __version__ = "0.1.0"
 

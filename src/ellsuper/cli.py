@@ -24,8 +24,6 @@ run-dependent output; pass ``--no-timing`` for byte-identical reruns.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -41,7 +39,6 @@ from .pipelines import (
     scan_monotonicity,
     superpotential,
 )
-from .trees import enumerate_trees, vertex_data
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,6 +126,8 @@ def _cmd_trees(args) -> dict:
             f"trees lists every tree and is intended for d <= {TREE_MAX_DEGREE} "
             f"(about 3^d trees); use 'compute' for the value at d={args.d}"
         )
+    from .trees import enumerate_trees, vertex_data
+
     rows = []
     for tree in enumerate_trees(args.d):
         rows.append({
@@ -188,6 +187,9 @@ def _render_json(payload: dict) -> str:
 
 
 def _render_csv(command: str, payload: dict) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command == "gamma":

@@ -19,7 +19,6 @@ The infinite ratio sends all mass to the first coordinate: ``Gamma_k = (k, 0)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import factorial
@@ -27,24 +26,46 @@ from .numerics import factorial
 LatticePoint = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class AspectRatio:
-    """Ellipsoid aspect ratio: either infinite or the perturbed ``p/q + delta``."""
+    """Ellipsoid aspect ratio: either infinite or the perturbed ``p/q + delta``.
 
-    p: int | None  # None encodes the infinite ratio
-    q: int = 1
+    An immutable value: ``p/q`` is kept in lowest terms, and ``p`` is None
+    for the infinite ratio.
+    """
 
-    def __post_init__(self) -> None:
-        if self.p is None:
-            if self.q != 1:
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int | None, q: int = 1) -> None:
+        if p is None:
+            if q != 1:
                 raise ValueError("infinite aspect ratio carries no q")
-            return
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"aspect ratio requires positive p, q; got {self.p}/{self.q}")
-        g = math.gcd(self.p, self.q)
-        if g != 1:
-            object.__setattr__(self, "p", self.p // g)
-            object.__setattr__(self, "q", self.q // g)
+        else:
+            if p < 1 or q < 1:
+                raise ValueError(f"aspect ratio requires positive p, q; got {p}/{q}")
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
+
+    def __repr__(self) -> str:
+        return f"AspectRatio(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return AspectRatio, (self.p, self.q)
 
     @staticmethod
     def infinite() -> "AspectRatio":

@@ -40,8 +40,7 @@ from fractions import Fraction
 from itertools import groupby, product
 
 from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
-from .numerics import factorial, partitions
-from .trees import set_partitions
+from .numerics import factorial, partitions, set_partitions
 
 
 class LinfError(ValueError):

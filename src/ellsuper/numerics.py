@@ -1,4 +1,4 @@
-"""Exact arithmetic primitives: cached factorials and small combinatorics.
+"""Exact arithmetic primitives: factorials and small combinatorics.
 
 Every quantity this package produces is an exact rational number, and the
 formulas producing them are ratios of large factorials, so the whole pipeline
@@ -13,19 +13,15 @@ scalar.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-# Factorial cache: grows on demand, never evicted.
-_FACTORIALS = [1, 1]
+import math
+from collections.abc import Iterable, Iterator
 
 
 def factorial(n: int) -> int:
-    """n! with all values up to n memoized."""
+    """n!, by ``math.factorial``; nothing is cached between calls."""
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got {n}")
-    while len(_FACTORIALS) <= n:
-        _FACTORIALS.append(_FACTORIALS[-1] * len(_FACTORIALS))
-    return _FACTORIALS[n]
+    return math.factorial(n)
 
 
 def compositions(total: int, min_parts: int = 1) -> Iterator[tuple[int, ...]]:
@@ -64,3 +60,20 @@ def partitions(total: int, min_parts: int = 1) -> Iterator[tuple[int, ...]]:
             yield from rec(remaining - first, first, acc + (first,))
 
     yield from rec(total, total, ())
+
+
+def set_partitions(items: Iterable) -> Iterator[list[tuple]]:
+    """All partitions of a sequence into unordered nonempty blocks (as tuples)."""
+    seq = list(items)
+
+    def rec(rest: list) -> Iterator[list[tuple]]:
+        if not rest:
+            yield []
+            return
+        first, tail = rest[0], rest[1:]
+        for part in rec(tail):
+            for idx in range(len(part)):
+                yield part[:idx] + [(first,) + part[idx]] + part[idx + 1 :]
+            yield [(first,)] + part
+
+    yield from rec(seq)

@@ -66,17 +66,15 @@ recomputes only the degrees past its common prefix with the previous one.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 
 from .lattice import AspectRatio, gamma_path, mult
-from .linf import linf_superpotential
-from .numerics import factorial, partitions
+from .numerics import partitions
 
 METHODS = ("recursion", "tree", "linf")
 DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; its cost grows with the Bell numbers
@@ -87,14 +85,10 @@ class MethodDisagreement(RuntimeError):
     """Two pipelines produced different exact values; the message carries a full dump."""
 
 
-@dataclass(frozen=True)
-class SuperpotentialResult:
-    d: int
-    a: AspectRatio
-    wtT: Fraction
-    multiplier: int
-    T: Fraction
-    method: str
+class SuperpotentialResult(namedtuple("SuperpotentialResult", "d a wtT multiplier T method")):
+    """One value: wtT(d, a) by ``method``, its multiplier, and T = wtT / multiplier."""
+
+    __slots__ = ()
 
 
 def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
@@ -109,7 +103,10 @@ def _factorials(d: int) -> list[int]:
     3d: G_k's are at most k, a split of n <= d sums points G_{3k-1} to at most
     3n - 2 in total, and the tree sum's ``l * G_2`` reaches at most 2l.
     """
-    return [factorial(m) for m in range(3 * d)]
+    out = [1]
+    for m in range(1, 3 * d):
+        out.append(out[-1] * m)
+    return out
 
 
 def _resume(rows: list, points) -> None:
@@ -253,6 +250,8 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
                 f"method 'linf' is an oracle intended for d <= {linf_bound}; "
                 f"use 'recursion' for d={d}, or pass a larger linf_bound"
             )
+        from .linf import linf_superpotential
+
         wt = linf_superpotential(d, a)
     else:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -263,6 +262,8 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
 
 def _disagreement(d: int, a: AspectRatio, path, values: dict) -> MethodDisagreement:
     """The error for pipelines that differ at (d, a), with a full operand dump."""
+    import json
+
     dump = {
         "d": d,
         "a": str(a),
@@ -297,6 +298,8 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
     if d <= TREE_MAX_DEGREE:
         run("tree", lambda: tree_wtT(d, a))
     if d <= linf_bound:
+        from .linf import linf_superpotential
+
         run("linf", lambda: linf_superpotential(d, a))
 
     if len(set(values.values())) != 1:

@@ -21,17 +21,17 @@ checks the two routes against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, product
-from typing import Iterable, Iterator, Union
 
-from .numerics import factorial, partitions
+from .numerics import factorial, partitions, set_partitions
 
 # Ordered trees are plain nested tuples: a leaf is its integer label, an
 # internal vertex the tuple of its children sorted by minimum label.
-OrderedTree = Union[int, tuple]
+OrderedTree = int | tuple
 
 
 class Tree:
@@ -81,14 +81,16 @@ class Tree:
 LEAF = Tree()
 
 
-@dataclass(frozen=True)
-class VertexInfo:
-    """Data attached to one internal vertex."""
+class VertexInfo(namedtuple("VertexInfo", "leaf_number valency movable child_leaf_numbers")):
+    """Data attached to one internal vertex.
 
-    leaf_number: int  # leaves lying above the vertex
-    valency: int  # children + 1 (the edge toward the root)
-    movable: bool  # no internal vertices above: all children are leaves
-    child_leaf_numbers: tuple[int, ...]  # sorted multiset of children's leaf numbers
+    ``leaf_number`` counts the leaves lying above the vertex; ``valency`` is
+    its children + 1 (the edge toward the root); ``movable`` says no internal
+    vertex lies above it (all children are leaves); ``child_leaf_numbers`` is
+    the sorted multiset of its children's leaf numbers.
+    """
+
+    __slots__ = ()
 
 
 def vertex_data(tree: Tree) -> list[VertexInfo]:
@@ -133,23 +135,6 @@ def enumerate_trees(d: int) -> tuple[Tree, ...]:
             out.append(Tree(chain.from_iterable(combo)))
     out.sort(key=lambda t: t.key)
     return tuple(out)
-
-
-def set_partitions(items: Iterable) -> Iterator[list[tuple]]:
-    """All partitions of a sequence into unordered nonempty blocks (as tuples)."""
-    seq = list(items)
-
-    def rec(rest: list) -> Iterator[list[tuple]]:
-        if not rest:
-            yield []
-            return
-        first, tail = rest[0], rest[1:]
-        for part in rec(tail):
-            for idx in range(len(part)):
-                yield part[:idx] + [(first,) + part[idx]] + part[idx + 1 :]
-            yield [(first,)] + part
-
-    yield from rec(seq)
 
 
 def _min_leaf(t: OrderedTree) -> int:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +35,30 @@ def test_parse_and_render():
         AspectRatio.parse("-3/2")
     with pytest.raises(ValueError):
         AspectRatio.parse("0")
+
+
+@given(ratios, st.integers(1, 50))
+def test_aspect_ratio_is_a_reduced_immutable_value(pq, k):
+    a = AspectRatio(*pq)
+    scaled = AspectRatio(k * pq[0], k * pq[1])
+    assert scaled == a and hash(scaled) == hash(a)
+    assert AspectRatio.parse(str(a)) == a
+    assert repr(a) == f"AspectRatio(p={a.p}, q={a.q})"
+    for field in ("p", "q"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+
+
+def test_infinite_aspect_ratio_is_one_value():
+    inf = AspectRatio.infinite()
+    assert inf == AspectRatio(None) and hash(inf) == hash(AspectRatio(None))
+    assert AspectRatio.parse(str(inf)) == inf
+    assert inf != AspectRatio(1) and AspectRatio(3, 2) != (3, 2)
+    assert pickle.loads(pickle.dumps(AspectRatio(6, 4))) == AspectRatio(3, 2)
+    with pytest.raises(ValueError):
+        AspectRatio(None, 2)
 
 
 def test_point_helpers():

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ellsuper import compositions, factorial, partitions
-from ellsuper.numerics import _FACTORIALS
 
 
 def test_factorial_base_values():
@@ -14,10 +13,9 @@ def test_factorial_base_values():
     assert factorial(8) == 40320
 
 
-def test_factorial_cache_recurrence():
-    factorial(40)  # force growth
-    for n in range(len(_FACTORIALS) - 1):
-        assert _FACTORIALS[n + 1] == (n + 1) * _FACTORIALS[n]
+def test_factorial_recurrence():
+    for n in range(40):
+        assert factorial(n + 1) == (n + 1) * factorial(n)
 
 
 def test_factorial_rejects_negative():

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import os
 import subprocess
 import sys
 import types
@@ -12,11 +13,54 @@ import ellsuper.pipelines
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# neither `import ellsuper.cli` nor a plain `compute` needs the oracles or these
+# costly standard modules (dataclasses imports inspect)
+NOT_ON_COMPUTE_PATH = {"dataclasses", "inspect", "typing", "csv", "ellsuper.linf", "ellsuper.trees"}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded after ``code`` runs in a fresh ``python -S``.
+
+    ``-S`` keeps ``site`` and whatever it preloads out, so the set depends on
+    the package alone.
+    """
+    probe = f"{code}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def _modules_after_cli(*argv: str) -> set[str]:
+    return _modules_after(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == 0")
 
 
 def test_public_names_resolve():
     missing = [name for name in ellsuper.__all__ if not hasattr(ellsuper, name)]
     assert missing == []
+
+
+def test_cli_import_and_compute_load_no_oracle():
+    assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH
+    loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--no-timing")
+    assert not loaded & NOT_ON_COMPUTE_PATH
+
+
+def test_subcommands_load_the_oracles_they_run():
+    loaded = _modules_after_cli("validate", "--d-max", "3")
+    assert "ellsuper.linf" in loaded and "ellsuper.trees" not in loaded
+    assert "ellsuper.trees" in _modules_after_cli("trees", "--d", "4")
+
+
+def test_lazy_public_names_cover_all():
+    _modules_after(
+        "import ellsuper\n"
+        "assert set(ellsuper.__all__) <= set(dir(ellsuper))\n"
+        "assert ellsuper.trees.set_partitions is ellsuper.set_partitions\n"
+        "from ellsuper import *\n"
+        "missing = [name for name in ellsuper.__all__ if name not in globals()]\n"
+        "assert not missing, missing"
+    )
 
 
 def test_pipelines_module_is_a_module():
