@@ -6,11 +6,10 @@ range of degrees), ``scan`` (monotonicity profile), ``integrality`` (integer
 check at the boundary fractions).  Output formats: json (default), csv, text.
 
 ``compute``, ``scan`` and ``integrality`` use the recursion, the production
-engine; ``compute --method tree|linf`` selects an oracle instead.  ``validate``
-and the per-interval check in ``scan`` run the oracles beside it within their
-bounds (the tree sum for d <= 12, linf up to ``--linf-bound``) and demand
-exact agreement; a ``validate`` row where the recursion ran alone reports
-``agree`` as null (``unchecked`` in text and csv).
+engine; ``compute --method tree|linf`` selects another pipeline instead.
+``validate`` and the per-interval check in ``scan`` run the tree sum beside
+it at every d (``validate`` also linf, up to ``--linf-bound``) and demand
+exact agreement.
 
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure.
 
@@ -32,7 +31,6 @@ from .lattice import AspectRatio, gamma_path
 from .pipelines import (
     DEFAULT_LINF_BOUND,
     METHODS,
-    TREE_MAX_DEGREE,
     MethodDisagreement,
     cross_validate,
     integrality_scan,
@@ -120,6 +118,9 @@ def _cmd_gamma(args) -> dict:
     }
 
 
+TREE_MAX_DEGREE = 12  # bounds `trees --d`, which lists every tree (21965 at d = 12)
+
+
 def _cmd_trees(args) -> dict:
     if args.d > TREE_MAX_DEGREE:
         raise ValueError(
@@ -172,14 +173,7 @@ def _cmd_validate(args) -> dict:
         if args.no_timing:
             report.pop("ms", None)
         results.append(report)
-    # only the rows where two or more pipelines ran were compared
-    checked = any(report["agree"] for report in results)
-    return {"a": str(args.a), "d_max": args.d_max, "agree": True if checked else None,
-            "results": results}
-
-
-def _agree_cell(agree) -> str:
-    return "unchecked" if agree is None else str(agree)
+    return {"a": str(args.a), "d_max": args.d_max, "agree": True, "results": results}
 
 
 def _render_json(payload: dict) -> str:
@@ -211,7 +205,7 @@ def _render_csv(command: str, payload: dict) -> str:
     elif command == "validate":
         writer.writerow(["d", "a", "wtT", "mult", "T", "agree"])
         for row in payload["results"]:
-            writer.writerow([row["d"], row["a"], row["wtT"], row["mult"], row["T"], _agree_cell(row["agree"])])
+            writer.writerow([row["d"], row["a"], row["wtT"], row["mult"], row["T"], row["agree"]])
     elif command == "scan":
         writer.writerow(["interval_start", "a", "T", "midpoint", "midpoint_T"])
         for row in payload["profile"]:
@@ -249,7 +243,7 @@ def _render_text(command: str, payload: dict) -> str:
             lines.append(f"warning: {payload['warning']}")
     elif command == "validate":
         for row in payload["results"]:
-            lines.append(f"d={row['d']} a={row['a']}: wtT = {row['wtT']}, T = {row['T']}, agree = {_agree_cell(row['agree'])}")
+            lines.append(f"d={row['d']} a={row['a']}: wtT = {row['wtT']}, T = {row['T']}, agree = {row['agree']}")
     elif command == "scan":
         lines.append(f"T profile for d = {payload['d']} (interval start -> value):")
         for row in payload["profile"]:

@@ -35,33 +35,34 @@ compute it exactly:
               * prod over movable v of ( (l(v)!)^-2 (l(v)*G_2)! / (G_2!)^l(v) - 1 )
 
   with ``l(v)`` the leaf number; leaf children contribute ``G_2`` to the sums
-  and ``l(v)*G_2`` is a scalar multiple of the lattice point.  A vertex's
-  factor, sign included, depends only on its type, the sorted leaf numbers
-  of its children.  So no tree is built: grouping each root's children by
-  leaf number, the sum over trees with l leaves becomes a sum over the
-  partitions of l into >= 2 parts (the root's type), each term one integer
-  numerator and denominator made from the sums at its parts, in one pass
-  over l = 2..d with no state kept between calls.
+  and ``l(v)*G_2`` is a scalar multiple of the lattice point.  No tree is
+  built: an unmovable root's factor ``-G_{3l-1}! / P!`` reads its children
+  only through the point P their points sum to, so the sum ``S_l`` over
+  trees with l leaves is ``-G_{3l-1}!`` times the degree-l part of
+  ``exp(sum_s S_s x^s y^{G_{3s-1}})``, ``y^P -> 1/P!``, over >= 2 factors,
+  with the all-leaves root (the one movable type) swapping its -1 for the
+  movable factor.  It is the recursion's online series exponential, on
+  integers too, but written separately: the two are independent witnesses.
 
 * ``linf_superpotential`` (in :mod:`.linf`): inversion of the ellipsoid
   morphism, summed against the split constants.
 
-The tree sum (over the partitions of each l <= d) and linf are bounded
-oracles that cross-check the recursion; ``superpotential`` refuses them
-beyond ``TREE_MAX_DEGREE`` and ``linf_bound``.  The other test oracles,
-among them the per-tree form of the tree sum and its infinite-ratio
-specialization with plain integer factorials, live in ``tests/oracles.py``.
+The recursion and the tree sum run in polynomial time at every d; linf is a
+bounded oracle, refused by ``superpotential`` beyond ``linf_bound``.  The
+other test oracles, among them the tree sum over partitions of l and over
+every tree one at a time, live in ``tests/oracles.py``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.  Finer: the degree-n state of either
-engine (wtT_n and f_n in the recursion, the tree sum's ``S_n``) reads only
-the points ``G_2, G_5, .., G_{3n-1}``.  Each engine is therefore a private
-pass that extends a caller-owned list of per-degree rows, each row tagged
-with the point it read last, and keeps the rows up to the first point that
-differs from the ratio it was last run at.  ``recursion_wtT`` and
-``tree_wtT`` run it once on an empty list; ``scan_monotonicity`` sweeps all
-its ratios in ascending order through one list per engine, so each ratio
-recomputes only the degrees past its common prefix with the previous one.
+engine (wtT_n and f_n in the recursion, S_n and its series part in the tree
+sum) reads only the points ``G_2, G_5, .., G_{3n-1}``.  Each engine is
+therefore a private pass that extends a caller-owned list of per-degree
+rows, each row tagged with the point it read last, and keeps the rows up
+to the first point that differs from the ratio it was last run at.
+``recursion_wtT`` and ``tree_wtT`` run it once on an empty list;
+``scan_monotonicity`` sweeps all its ratios in ascending order through one
+list per engine, so each ratio recomputes only the degrees past its common
+prefix with the previous one.
 """
 
 from __future__ import annotations
@@ -71,14 +72,11 @@ import time
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from itertools import groupby
 
 from .lattice import AspectRatio, gamma_path, mult
-from .numerics import partitions
 
 METHODS = ("recursion", "tree", "linf")
 DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; its cost grows with the Bell numbers
-TREE_MAX_DEGREE = 12  # bounds `trees --d` (21965 trees) and the tree oracle's CLI contract
 
 
 class MethodDisagreement(RuntimeError):
@@ -100,8 +98,8 @@ def _factorials(d: int) -> list[int]:
     """The factorials 0! .. (3d-1)!, one table per call of an engine or a scan.
 
     Every lattice point either engine meets at degree d has coordinates below
-    3d: G_k's are at most k, a split of n <= d sums points G_{3k-1} to at most
-    3n - 2 in total, and the tree sum's ``l * G_2`` reaches at most 2l.
+    3d: G_k's are at most k, and a split of n <= d sums points G_{3k-1} to at
+    most 3n - 2 in total.
     """
     out = [1]
     for m in range(1, 3 * d):
@@ -176,45 +174,59 @@ def _tree_pass(points, fact: list[int], rows: list) -> Fraction:
     """The tree sum at d = len(points), extending ``rows`` from their longest valid prefix.
 
     ``points`` and ``fact`` are as for :func:`_recursion_pass`.  Row l - 1 is
-    ``(G_{3l-1}, S_l)``, where ``S_l`` is the sum over trees with l leaves of
-    their vertex factors' product over |Aut(T)|, and ``S_1 = 1``.
+    ``(G_{3l-1}, num, den, forest, denom)``: S_l = num / den, reduced, and
+    forest / denom, the multisets of trees with l leaves in all collected
+    by the lattice point their roots' points sum to (lattice point -> integer).
     """
     _resume(rows, points)
     gi, gj = points[0]
     g2f = fact[gi] * fact[gj]
     if not rows:
-        rows.append((points[0], Fraction(1)))
+        rows.append((points[0], 1, 1, {points[0]: 1}, 1))
     for ell in range(len(rows) + 1, len(points) + 1):
+        # a root's children, the multisets of >= 2 trees with ell leaves in all:
+        # (1/ell) sum_s s S_s y^{G_{3s-1}} forest_{ell-s}, over one denominator
+        share = math.lcm(*(rows[s - 1][2] * rows[ell - s - 1][4] for s in range(1, ell)))
+        kids: dict = {}
+        for s in range(1, ell):
+            (si, sj), s_num, s_den, _, _ = rows[s - 1]
+            forest, denom = rows[ell - s - 1][3:]
+            weight = s * s_num * (share // (s_den * denom))
+            for (i, j), coeff in forest.items():
+                key = (i + si, j + sj)
+                kids[key] = kids.get(key, 0) + weight * coeff
+        kids_den = ell * share
+        # each unmovable root over children at P has factor -G_{3l-1}! / P!;
+        # i + j <= 3l - 2 and i! j! divides (i + j)!, so (3l - 2)! clears each P!
+        clear = fact[3 * ell - 2]
+        unmov_num = -sum(c * (clear // (fact[i] * fact[j])) for (i, j), c in kids.items())
+        unmov_den = kids_den * clear
+        # the all-leaves root, counted there with weight 1 / (l! (l G_2)!), is
+        # movable: swapping its -1 for (l G_2)! / (l!^2 (G_2!)^l) - 1 adds
+        # 1 / (l!^3 (G_2!)^l), and G_{3l-1}! then multiplies the whole sum
+        swap_den = fact[ell] ** 3 * g2f ** ell
         ti, tj = points[ell - 1]
-        total = Fraction(0)
-        for kids in partitions(ell, min_parts=2):
-            ci = sum(points[c - 1][0] for c in kids)
-            cj = sum(points[c - 1][1] for c in kids)
-            num, den = fact[ti] * fact[tj], fact[ci] * fact[cj]
-            if kids[0] == 1:  # movable: every child is a leaf
-                base = fact[ell] ** 2 * g2f ** ell
-                num *= fact[ell * gi] * fact[ell * gj] - base
-                den *= base
-            else:
-                num = -num
-            for s, group in groupby(kids):
-                m = len(tuple(group))
-                sub = rows[s - 1][1]
-                num *= sub.numerator ** m
-                den *= sub.denominator ** m * fact[m]
-            total += Fraction(num, den)
-        rows.append((points[ell - 1], total))
-    return g2f ** len(points) * rows[-1][1]
+        num = fact[ti] * fact[tj] * (unmov_num * swap_den + unmov_den)
+        den = unmov_den * swap_den
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        # forest_ell: the multisets of >= 2 trees, and a single tree at G_{3l-1}
+        denom = math.lcm(kids_den, den)
+        forest = {key: c * (denom // kids_den) for key, c in kids.items()}
+        forest[points[ell - 1]] = forest.get(points[ell - 1], 0) + num * (denom // den)
+        g = math.gcd(denom, *forest.values())
+        rows.append((points[ell - 1], num, den, {key: c // g for key, c in forest.items()}, denom // g))
+    return Fraction(g2f ** len(points) * rows[-1][1], rows[-1][2])
 
 
 def tree_wtT(d: int, a: AspectRatio) -> Fraction:
     """wtT by the closed sum over rooted trees with d unordered leaves.
 
     Evaluated by leaf count: ``S_l`` is the sum over trees with l leaves
-    of their vertex factors' product over |Aut(T)|, and ``S_1 = 1``.  A
-    root's factor depends only on its type, the partition of l into its
-    children's leaf numbers, and the m children with s leaves each range over
-    multisets of trees, which contribute ``S_s**m / m!`` together.
+    of their vertex factors' product over |Aut(T)|, and ``S_1 = 1``.  The
+    multisets of trees below a root are the terms of a power-series
+    exponential in the ``S_s``, collected by the lattice point their points
+    sum to, which is all an unmovable root's factor reads.
     """
     if d < 1:
         raise ValueError(f"tree_wtT requires d >= 1, got {d}")
@@ -238,11 +250,6 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
     if method == "recursion":
         wt = recursion_wtT(d, a)
     elif method == "tree":
-        if d > TREE_MAX_DEGREE:
-            raise ValueError(
-                f"method 'tree' is an oracle, bounded to d <= {TREE_MAX_DEGREE} like its "
-                f"cross-checks in validate and scan; use 'recursion' for d={d}"
-            )
         wt = tree_wtT(d, a)
     elif method == "linf":
         if d > linf_bound:
@@ -276,12 +283,10 @@ def _disagreement(d: int, a: AspectRatio, path, values: dict) -> MethodDisagreem
 def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND) -> dict:
     """Run every applicable pipeline, demand exact agreement, report values and timings.
 
-    The recursion always runs; the tree sum runs for d <= ``TREE_MAX_DEGREE``
-    and linf for d <= ``linf_bound`` (``linf_bound=0`` skips it), and
-    ``methods`` lists the pipelines that ran.  ``agree`` is ``True`` when two
-    or more pipelines ran and ``None`` when the recursion ran alone, so
-    nothing was compared.  Raises :class:`MethodDisagreement` with a full
-    operand dump if any two pipelines differ.
+    The recursion and the tree sum always run, linf for d <= ``linf_bound``
+    (``linf_bound=0`` skips it), and ``methods`` lists the pipelines that
+    ran.  Raises :class:`MethodDisagreement` with a full operand dump if any
+    two pipelines differ, so a returned report has ``agree`` ``True``.
     """
     if d < 1:
         raise ValueError(f"cross_validate requires d >= 1, got {d}")
@@ -295,8 +300,7 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
         timings[name] = round((time.perf_counter() - start) * 1e3, 3)
 
     run("recursion", lambda: recursion_wtT(d, a))
-    if d <= TREE_MAX_DEGREE:
-        run("tree", lambda: tree_wtT(d, a))
+    run("tree", lambda: tree_wtT(d, a))
     if d <= linf_bound:
         from .linf import linf_superpotential
 
@@ -314,7 +318,7 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
         "mult": multiplier,
         "T": str(wt / multiplier),
         "methods": sorted(values),
-        "agree": True if len(values) > 1 else None,
+        "agree": True,
         "ms": timings,
     }
 
@@ -344,14 +348,13 @@ def scan_monotonicity(d: int) -> dict:
     """Profile of T(d, a) over the intervals between breakpoints, a in (1, inf).
 
     Each interval is represented by its left endpoint plus delta (for the
-    first interval, 1 + delta).  For d <= ``TREE_MAX_DEGREE`` every
-    representative value is cross-validated between the recursion and the tree
-    sum, raising :class:`MethodDisagreement` as ``cross_validate`` does; beyond
-    it the recursion alone gives it.  At every d a second point inside the
-    same interval (the mediant with the next breakpoint), with its own path
-    and its own recursion value, guards the breakpoint analysis: the report is
-    marked inconsistent if the two ever differ.  A non-monotone profile is
-    reported, never raised; it is exploratory output.
+    first interval, 1 + delta).  Every representative value is
+    cross-validated between the recursion and the tree sum, raising
+    :class:`MethodDisagreement` as ``cross_validate`` does.  A second point
+    inside the same interval (the mediant with the next breakpoint), with its
+    own path and its own recursion value, guards the breakpoint analysis: the
+    report is marked inconsistent if the two ever differ.  A non-monotone
+    profile is reported, never raised; it is exploratory output.
 
     The ratios are evaluated in one ascending sweep (each start, its
     midpoint, the next start, ..., then ``inf``), each path built once, and
@@ -378,10 +381,9 @@ def scan_monotonicity(d: int) -> dict:
     for idx, rep in enumerate(reps):
         a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
         path, wt, value = evaluate(a)
-        if d <= TREE_MAX_DEGREE:
-            tree = _tree_pass(path[2::3], fact, tree_rows)
-            if tree != wt:
-                raise _disagreement(d, a, path, {"recursion": wt, "tree": tree})
+        tree = _tree_pass(path[2::3], fact, tree_rows)
+        if tree != wt:
+            raise _disagreement(d, a, path, {"recursion": wt, "tree": tree})
         if idx + 1 < len(reps):
             nxt = reps[idx + 1]
             mid = Fraction(rep.numerator + nxt.numerator, rep.denominator + nxt.denominator)

@@ -8,13 +8,15 @@ assembles children multisets per partition without deduplication.
 
 The superpotential oracles are second formulas for values the library
 computes one way only.  ``per_tree_wtT`` evaluates the tree sum one tree at a
-time with ``pair_factorial`` on lattice points, where the library builds a
-ratio-independent table per degree and evaluates each vertex type once per
-ratio; ``fraction_series_recursion_wtT`` runs the library's series
-exponential with one ``Fraction`` per coefficient, where the library keeps
-integers over one denominator per degree; ``multiset_recursion_wtT`` sums
-the recursion's inner sum over the partitions of d with a 1/(m_1! m_2! ..)
-factor, where the library reads it off a power-series exponential;
+time with ``pair_factorial`` on lattice points, and ``partition_tree_wtT``
+sums it over the partitions of each leaf count (a root's type) with one
+``Fraction`` per term, where the library reads it off a power-series
+exponential on integers; ``fraction_series_recursion_wtT`` runs the
+library's series exponential with one ``Fraction`` per coefficient, where
+the library keeps integers over one denominator per degree;
+``multiset_recursion_wtT`` sums the recursion's inner sum over the
+partitions of d with a 1/(m_1! m_2! ..) factor, where the library reads it
+off a power-series exponential;
 ``ordered_recursion_wtT`` and ``ordered_linf_superpotential`` sum over
 ordered compositions with a 1/k! factor; ``tree_wtT_infinity`` is the
 infinite-ratio tree sum written with plain integer factorials and central
@@ -54,6 +56,7 @@ from ellsuper import (
     vertex_data,
 )
 from ellsuper.linf import _recip, _vec_acc
+from ellsuper.pipelines import _factorials, _resume
 
 
 def brute_gamma_point(p: int, q: int, k: int) -> tuple[int, int]:
@@ -138,6 +141,48 @@ def per_tree_wtT(d, a):
 
     total = sum(map(term, enumerate_trees(d)), Fraction(0))
     return g2f ** d * total
+
+
+def partition_tree_wtT(d, a):
+    """wtT by the closed tree sum, summed over the partitions of each leaf count."""
+    if d < 1:
+        raise ValueError(f"partition_tree_wtT requires d >= 1, got {d}")
+    return _partition_tree_pass(path_signature(a, d)[2::3], _factorials(d), [])
+
+
+def _partition_tree_pass(points, fact: list[int], rows: list) -> Fraction:
+    """The tree sum at d = len(points), extending ``rows`` from their longest valid prefix.
+
+    ``points`` and ``fact`` are as for ``ellsuper.pipelines._tree_pass``.
+    Row l - 1 is ``(G_{3l-1}, S_l)``, where ``S_l`` is the sum over trees with l leaves of
+    their vertex factors' product over |Aut(T)|, and ``S_1 = 1``.
+    """
+    _resume(rows, points)
+    gi, gj = points[0]
+    g2f = fact[gi] * fact[gj]
+    if not rows:
+        rows.append((points[0], Fraction(1)))
+    for ell in range(len(rows) + 1, len(points) + 1):
+        ti, tj = points[ell - 1]
+        total = Fraction(0)
+        for kids in partitions(ell, min_parts=2):
+            ci = sum(points[c - 1][0] for c in kids)
+            cj = sum(points[c - 1][1] for c in kids)
+            num, den = fact[ti] * fact[tj], fact[ci] * fact[cj]
+            if kids[0] == 1:  # movable: every child is a leaf
+                base = fact[ell] ** 2 * g2f ** ell
+                num *= fact[ell * gi] * fact[ell * gj] - base
+                den *= base
+            else:
+                num = -num
+            for s, group in groupby(kids):
+                m = len(tuple(group))
+                sub = rows[s - 1][1]
+                num *= sub.numerator ** m
+                den *= sub.denominator ** m * fact[m]
+            total += Fraction(num, den)
+        rows.append((points[ell - 1], total))
+    return g2f ** len(points) * rows[-1][1]
 
 
 def multiset_recursion_wtT(d, a):

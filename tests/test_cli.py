@@ -123,25 +123,10 @@ def test_validate_agreement(capsys):
     assert payload["agree"] is True
     assert [row["T"] for row in payload["results"]] == ["1", "1", "4", "26"]
     assert all("ms" not in row for row in payload["results"])
-
-
-def test_validate_marks_rows_without_a_comparison(capsys, monkeypatch):
-    # rows past the oracles' bounds ran the recursion alone: null, "unchecked"
-    monkeypatch.setattr(sp, "TREE_MAX_DEGREE", 2)
-    code, out, _ = run_cli(capsys, "validate", "--d-max", "3", "--linf-bound", "0", "--no-timing")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert [row["agree"] for row in payload["results"]] == [True, True, None]
-    assert payload["agree"] is True  # over the compared rows only
     _, text, _ = run_cli(capsys, "validate", "--d-max", "3", "--linf-bound", "0", "--format", "text")
-    assert text.splitlines()[-1].endswith("agree = unchecked")
-    assert text.splitlines()[0].endswith("agree = True")
+    assert all(line.endswith("agree = True") for line in text.splitlines())
     _, table, _ = run_cli(capsys, "validate", "--d-max", "3", "--linf-bound", "0", "--format", "csv")
-    assert [line.split(",")[-1] for line in table.splitlines()] == ["agree", "True", "True", "unchecked"]
-
-    monkeypatch.setattr(sp, "TREE_MAX_DEGREE", 0)
-    _, out, _ = run_cli(capsys, "validate", "--d-max", "2", "--linf-bound", "0", "--no-timing")
-    assert json.loads(out)["agree"] is None  # nothing compared at all
+    assert [line.split(",")[-1] for line in table.splitlines()] == ["agree", "True", "True", "True"]
 
 
 def test_validate_disagreement_exit_code(capsys, monkeypatch):
@@ -198,15 +183,18 @@ def test_linf_bound_respected(capsys):
     assert "linf" in err
 
 
-def test_tree_method_refused_beyond_degree_12():
-    # a subprocess with a timeout: unguarded, this enumerates trees until memory runs out
+def test_tree_method_answers_at_degree_40():
+    # a subprocess with a timeout, so an exponential tree sum fails fast instead of hanging;
+    # at 52/7 the value is nonzero, where at 3/2 it cancels to zero
     proc = subprocess.run(
-        [sys.executable, "-m", "ellsuper", "compute", "--d", "40", "--a", "3/2", "--method", "tree"],
+        [sys.executable, "-m", "ellsuper", "compute", "--d", "40", "--a", "52/7", "--method", "tree",
+         "--no-timing"],
         capture_output=True, text=True, timeout=10,
     )
-    assert proc.returncode == EXIT_USAGE
-    assert proc.stdout == ""
-    assert "recursion" in proc.stderr
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["method"] == "tree"
+    assert Fraction(payload["T"]) == sp.superpotential(40, AspectRatio.plus_delta(52, 7)).T != 0
 
 
 def test_trees_refused_beyond_degree_12():
@@ -220,8 +208,8 @@ def test_trees_refused_beyond_degree_12():
     assert "d <= 12" in proc.stderr and "compute" in proc.stderr
 
 
-def test_scan_and_validate_skip_tree_oracle_beyond_degree_12():
-    # subprocesses with a timeout: unguarded, the tree-sum cross-checks run for hours
+def test_scan_and_validate_run_tree_sum_beyond_degree_12():
+    # subprocesses with a timeout, so an exponential tree sum fails fast instead of hanging
     proc = subprocess.run(
         [sys.executable, "-m", "ellsuper", "scan", "--d", "13"],
         capture_output=True, text=True, timeout=60,
@@ -235,10 +223,9 @@ def test_scan_and_validate_skip_tree_oracle_beyond_degree_12():
     assert proc.returncode == EXIT_OK, proc.stderr
     payload = json.loads(proc.stdout)
     methods = {row["d"]: row["methods"] for row in payload["results"]}
-    assert methods[13] == ["recursion"]
+    assert methods[13] == ["recursion", "tree"]
     assert all("tree" in methods[d] for d in range(1, 13))
-    # the d = 13 row compared nothing; the verdict covers d <= 12
-    assert [row["agree"] for row in payload["results"]] == [True] * 12 + [None]
+    assert [row["agree"] for row in payload["results"]] == [True] * 13
     assert payload["agree"] is True
 
 
