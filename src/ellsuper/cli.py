@@ -82,9 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", parents=[common], help="lattice path of an aspect ratio")
     p.add_argument("--a", type=_aspect, required=True, help="aspect ratio: 'inf' or 'p/q' (means p/q+delta)")
     p.add_argument("--k", type=_nonnegative_int, required=True, help="largest path index")
+    p.set_defaults(run=_cmd_gamma)
 
     p = sub.add_parser("trees", parents=[common], help="trees with d unordered leaves")
     p.add_argument("--d", type=_positive_int, required=True)
+    p.set_defaults(run=_cmd_trees)
 
     p = sub.add_parser("compute", parents=[common], help="one superpotential value")
     p.add_argument("--d", type=_positive_int, required=True)
@@ -93,18 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--linf-bound", type=_nonnegative_int, default=DEFAULT_LINF_BOUND,
                    help="largest d accepted by the linf oracle")
     p.add_argument("--no-timing", action="store_true", help="omit the ms field")
+    p.set_defaults(run=_cmd_compute)
 
     p = sub.add_parser("validate", parents=[common], help="check that all pipelines agree")
     p.add_argument("--d-max", type=_positive_int, required=True)
     p.add_argument("--a", type=_aspect, default=AspectRatio.infinite())
     p.add_argument("--linf-bound", type=_nonnegative_int, default=DEFAULT_LINF_BOUND)
     p.add_argument("--no-timing", action="store_true")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("scan", parents=[common], help="monotonicity profile over aspect intervals")
     p.add_argument("--d", type=_positive_int, required=True)
+    p.set_defaults(run=lambda args: scan_monotonicity(args.d))
 
     p = sub.add_parser("integrality", parents=[common], help="integrality at the p+q=3d fractions")
     p.add_argument("--d", type=_positive_int, required=True)
+    p.set_defaults(run=lambda args: integrality_scan(args.d))
 
     return parser
 
@@ -180,13 +186,26 @@ def _render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
+# the subcommands whose csv is one row per report row: (report key, columns)
+_CSV_ROWS = {
+    "validate": ("results", ("d", "a", "wtT", "mult", "T", "agree")),
+    "scan": ("profile", ("interval_start", "a", "T", "midpoint", "midpoint_T")),
+    "integrality": ("rows", ("p", "q", "T", "integer", "nonnegative", "vanishes", "adjunction_bound")),
+}
+
+
 def _render_csv(command: str, payload: dict) -> str:
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if command == "gamma":
+    if command in _CSV_ROWS:
+        key, columns = _CSV_ROWS[command]
+        writer.writerow(columns)
+        for row in payload[key]:
+            writer.writerow([row[c] for c in columns])
+    elif command == "gamma":
         writer.writerow(["k", "i", "j"])
         for k, (i, j) in enumerate(payload["points"]):
             writer.writerow([k, i, j])
@@ -198,25 +217,10 @@ def _render_csv(command: str, payload: dict) -> str:
                 for v in row["vertices"]
             )
             writer.writerow([row["key"], row["aut"], cells])
-    elif command == "compute":
+    else:  # compute
         header = [k for k in payload if k != "warning"]
         writer.writerow(header)
         writer.writerow([payload[k] for k in header])
-    elif command == "validate":
-        writer.writerow(["d", "a", "wtT", "mult", "T", "agree"])
-        for row in payload["results"]:
-            writer.writerow([row["d"], row["a"], row["wtT"], row["mult"], row["T"], row["agree"]])
-    elif command == "scan":
-        writer.writerow(["interval_start", "a", "T", "midpoint", "midpoint_T"])
-        for row in payload["profile"]:
-            writer.writerow([row["interval_start"], row["a"], row["T"], row["midpoint"], row["midpoint_T"]])
-    elif command == "integrality":
-        writer.writerow(["p", "q", "T", "integer", "nonnegative", "vanishes", "adjunction_bound"])
-        for row in payload["rows"]:
-            writer.writerow([row["p"], row["q"], row["T"], row["integer"],
-                             row["nonnegative"], row["vanishes"], row["adjunction_bound"]])
-    else:
-        raise ValueError(f"no csv rendering for {command}")
     return buf.getvalue().rstrip("\n")
 
 
@@ -250,14 +254,12 @@ def _render_text(command: str, payload: dict) -> str:
             lines.append(f"  a > {row['interval_start']}: T = {row['T']}")
         lines.append(f"  a = inf: T = {payload['infinity_T']}")
         lines.append(f"nondecreasing: {payload['nondecreasing']}  consistent: {payload['consistent']}")
-    elif command == "integrality":
+    else:  # integrality
         lines.append(f"boundary fractions for d = {payload['d']} (p + q = {3 * payload['d']}):")
         for row in payload["rows"]:
             flags = [name for name in ("integer", "nonnegative", "vanishes", "adjunction_bound") if row[name]]
             lines.append(f"  a = {row['p']}/{row['q']}: T = {row['T']}  [{' '.join(flags)}]")
         lines.append(f"all integral: {payload['all_integral']}")
-    else:
-        raise ValueError(f"no text rendering for {command}")
     return "\n".join(lines)
 
 
@@ -269,18 +271,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        if args.command == "gamma":
-            payload = _cmd_gamma(args)
-        elif args.command == "trees":
-            payload = _cmd_trees(args)
-        elif args.command == "compute":
-            payload = _cmd_compute(args)
-        elif args.command == "validate":
-            payload = _cmd_validate(args)
-        elif args.command == "scan":
-            payload = scan_monotonicity(args.d)
-        else:
-            payload = integrality_scan(args.d)
+        payload = args.run(args)
     except MethodDisagreement as exc:
         print(f"ellsuper: cross-validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

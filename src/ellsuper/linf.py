@@ -175,10 +175,6 @@ class LinfMorphism:
             _vec_acc(out, self.entry(key), coeff)
         return _vec_trim(out)
 
-    def materialized(self) -> dict[tuple[int, ...], dict]:
-        """All entries computed so far (useful for dumps and inspection)."""
-        return dict(self._entries)
-
     def dump(self) -> dict:
         """JSON-ready view of the materialized tables, rationals as strings."""
         arities: dict[str, dict] = {}

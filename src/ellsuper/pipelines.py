@@ -241,27 +241,31 @@ def _warn_outside_range(a: AspectRatio) -> None:
                       stacklevel=3)
 
 
+def _engine(method: str):
+    """The function computing wtT(d, a) by ``method``; the linf oracle loads on first use."""
+    if method == "recursion":
+        return recursion_wtT
+    if method == "tree":
+        return tree_wtT
+    if method == "linf":
+        from .linf import linf_superpotential
+
+        return linf_superpotential
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+
+
 def superpotential(d: int, a: AspectRatio, method: str = "recursion",
                    linf_bound: int = DEFAULT_LINF_BOUND) -> SuperpotentialResult:
     """Full record: wtT by the chosen method, the multiplier, and T = wtT / mult."""
     if d < 1:
         raise ValueError(f"superpotential requires d >= 1, got {d}")
     _warn_outside_range(a)
-    if method == "recursion":
-        wt = recursion_wtT(d, a)
-    elif method == "tree":
-        wt = tree_wtT(d, a)
-    elif method == "linf":
-        if d > linf_bound:
-            raise ValueError(
-                f"method 'linf' is an oracle intended for d <= {linf_bound}; "
-                f"use 'recursion' for d={d}, or pass a larger linf_bound"
-            )
-        from .linf import linf_superpotential
-
-        wt = linf_superpotential(d, a)
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if method == "linf" and d > linf_bound:
+        raise ValueError(
+            f"method 'linf' is an oracle intended for d <= {linf_bound}; "
+            f"use 'recursion' for d={d}, or pass a larger linf_bound"
+        )
+    wt = _engine(method)(d, a)
     multiplier = mult(a, path_signature(a, d)[3 * d - 1])
     return SuperpotentialResult(d=d, a=a, wtT=wt, multiplier=multiplier,
                                 T=wt / multiplier, method=method)
@@ -293,18 +297,12 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
     _warn_outside_range(a)
     values: dict[str, Fraction] = {}
     timings: dict[str, float] = {}
-
-    def run(name, fn):
+    for method in METHODS:
+        if method == "linf" and d > linf_bound:
+            continue
         start = time.perf_counter()
-        values[name] = fn()
-        timings[name] = round((time.perf_counter() - start) * 1e3, 3)
-
-    run("recursion", lambda: recursion_wtT(d, a))
-    run("tree", lambda: tree_wtT(d, a))
-    if d <= linf_bound:
-        from .linf import linf_superpotential
-
-        run("linf", lambda: linf_superpotential(d, a))
+        values[method] = _engine(method)(d, a)
+        timings[method] = round((time.perf_counter() - start) * 1e3, 3)
 
     if len(set(values.values())) != 1:
         raise _disagreement(d, a, path_signature(a, d), values)
@@ -363,6 +361,8 @@ def scan_monotonicity(d: int) -> dict:
     so rows up to the longest common prefix of two ratios' points are the
     same for both, and only the degrees past it are recomputed.
     """
+    if d < 1:
+        raise ValueError(f"scan_monotonicity requires d >= 1, got {d}")
     bps = scan_breakpoints(d)
     reps = [Fraction(1)] + bps
     fact = _factorials(d)

@@ -6,6 +6,10 @@ scaled integers.  The tree oracle generates canonical forms by brute
 composition enumeration with set-based deduplication, whereas the library
 assembles children multisets per partition without deduplication.
 
+``exact_path`` and ``exact_mult`` evaluate the path and the multiplicity
+at a plain rational ratio, with no perturbation and no tie rule, where the
+library works at ``p/q + delta``.
+
 The superpotential oracles are second formulas for values the library
 computes one way only.  ``per_tree_wtT`` evaluates the tree sum one tree at a
 time with ``pair_factorial`` on lattice points, and ``partition_tree_wtT``
@@ -77,6 +81,29 @@ def brute_gamma_point(p: int, q: int, k: int) -> tuple[int, int]:
     winners = [pt for rank, pt in ranked if rank == best]
     assert len(winners) == 1, f"non-unique argmin for {p}/{q} at k={k}: {winners}"
     return winners[0]
+
+
+def exact_path(num: int, den: int, k_max: int) -> tuple[tuple[int, int], ...]:
+    """G_0..G_{k_max} at the plain rational ratio num/den, with no perturbation.
+
+    G_k is the argmin of max(i, (num/den) * j) over i + j = k, compared as
+    max(i * den, num * j) on integers.  Asserts that the minimizer is unique,
+    so num/den must not be a ratio where two candidates tie.
+    """
+    path = []
+    for k in range(k_max + 1):
+        ranked = [(max((k - j) * den, num * j), (k - j, j)) for j in range(k + 1)]
+        best = min(rank for rank, _ in ranked)
+        winners = [pt for rank, pt in ranked if rank == best]
+        assert len(winners) == 1, f"non-unique argmin for {num}/{den} at k={k}: {winners}"
+        path.append(winners[0])
+    return tuple(path)
+
+
+def exact_mult(num: int, den: int, point: tuple[int, int]) -> int:
+    """Multiplicity of a path point at the plain ratio num/den: i if i > (num/den) * j, else j."""
+    i, j = point
+    return i if i * den > num * j else j
 
 
 def _compositions(total, min_parts=1):

@@ -166,6 +166,20 @@ def test_reports_are_byte_identical_across_runs(capsys):
         first = run_cli(capsys, *argv)[1]
         second = run_cli(capsys, *argv)[1]
         assert first == second
+    assert run_cli(capsys, "scan", "--d", "2", "--format", "csv")[1] == (
+        "interval_start,a,T,midpoint,midpoint_T\n"
+        "1,1+delta,0,4/3,0\n"
+        "3/2,3/2+delta,0,5/3,0\n"
+        "2,2+delta,1/4,5/2,1/4\n"
+        "3,3+delta,1/4,7/2,1/4\n"
+        "4,4+delta,1,9/2,1\n"
+        "5,5+delta,1,6,1\n"
+    )
+    assert run_cli(capsys, "integrality", "--d", "4", "--format", "csv")[1] == (
+        "p,q,T,integer,nonnegative,vanishes,adjunction_bound\n"
+        "11,1,26,True,True,False,True\n"
+        "7,5,0,True,True,True,False\n"
+    )
 
 
 def test_usage_errors(capsys):

@@ -41,6 +41,7 @@ def test_public_names_resolve():
 
 
 def test_cli_import_and_compute_load_no_oracle():
+    assert not {name for name in _modules_after("import ellsuper") if name.startswith("ellsuper.")}
     assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH
     loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--no-timing")
     assert not loaded & NOT_ON_COMPUTE_PATH

@@ -25,6 +25,9 @@ from ellsuper import (
 )
 from oracles import (
     ASSORTED_FRACTIONS,
+    _multiset_recursion_from_path,
+    exact_mult,
+    exact_path,
     fraction_series_recursion_wtT,
     multiset_recursion_wtT,
     ordered_recursion_wtT,
@@ -174,6 +177,31 @@ def test_tree_sum_matches_per_tree_oracle_at_breakpoints():
         a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
         for d in range(1, 8):
             assert tree_wtT(d, a) == per_tree_wtT(d, a), (d, str(a))
+
+
+def test_interval_values_match_exact_ratios_on_both_sides_of_each_start():
+    # The shared path, mult and tie-rule layer, witnessed without it: at the plain
+    # ratios s + eps and s - eps around each interval start s = p/q, the path and
+    # the multiplicity come from a brute argmin and wtT from the multiset
+    # recursion oracle.  eps = 1/(3d q) is below the gap to a neighbouring
+    # breakpoint p'/q', since p' + q' <= 3d gives |s - p'/q'| >= 1/(q q') with
+    # q' < 3d (q' < 3d/2 above 1, where q' < p'); so s + eps lies in the interval
+    # s starts, s - eps in the one before, and no two candidates tie at either.
+    for d in range(1, 13):
+        m = (3 * d - 1) // 2  # m/(m+1) is the largest breakpoint below 1
+        starts = [Fraction(m, m + 1), Fraction(1)] + scan_breakpoints(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the interval below 1 warns
+            values = [superpotential(d, AspectRatio.plus_delta(s.numerator, s.denominator)).T
+                      for s in starts]
+        for idx in range(1, len(starts)):
+            s = starts[idx]
+            eps = Fraction(1, 3 * d * s.denominator)
+            for ratio, expected in ((s + eps, values[idx]), (s - eps, values[idx - 1])):
+                num, den = ratio.numerator, ratio.denominator
+                path = exact_path(num, den, 3 * d - 1)
+                value = _multiset_recursion_from_path(d, path) / exact_mult(num, den, path[-1])
+                assert value == expected, (d, str(s), str(ratio))
 
 
 def test_movable_factor_positive_for_wide_ratios():
@@ -492,4 +520,7 @@ def test_invalid_degree_rejected():
                lambda: cross_validate(0, INF), lambda: integrality_scan(0)):
         with pytest.raises(ValueError):
             fn()
+    for fn in (scan_monotonicity, scan_breakpoints):
+        with pytest.raises(ValueError, match=fn.__name__):
+            fn(0)
 
