@@ -16,8 +16,8 @@ _PUBLIC = {
     "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult", "pair_factorial", "point_add"),
     "numerics": ("compositions", "factorial", "partitions", "set_partitions"),
     "pipelines": ("DEFAULT_LINF_BOUND", "MethodDisagreement", "SuperpotentialResult",
-                  "cross_validate", "integrality_scan", "path_signature", "recursion_wtT",
-                  "scan_breakpoints", "scan_monotonicity", "superpotential", "tree_wtT"),
+                  "path_signature", "recursion_wtT", "superpotential", "tree_wtT"),
+    "sweeps": ("cross_validate", "integrality_scan", "scan_breakpoints", "scan_monotonicity"),
     "linf": ("BasedSpace", "LinfError", "LinfMorphism", "compose", "descendant_space",
              "ellipsoid_morphism", "ellipsoid_space", "identity_morphism", "invert",
              "linf_superpotential"),

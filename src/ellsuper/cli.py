@@ -11,6 +11,10 @@ engine; ``compute --method tree|linf`` selects another pipeline instead.
 it at every d (``validate`` also linf, up to ``--linf-bound``) and demand
 exact agreement.
 
+A job compiles only the code its subcommand runs: ``validate``, ``scan`` and
+``integrality`` import :mod:`.sweeps` in their handlers, ``trees`` imports
+:mod:`.trees`, and ``--format csv|text`` imports :mod:`.render`.
+
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
@@ -20,23 +24,13 @@ value re-parses exactly.  Timings (the ``ms`` fields) are the only
 run-dependent output; pass ``--no-timing`` for byte-identical reruns.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
 import time
 
 from .lattice import AspectRatio, gamma_path
-from .pipelines import (
-    DEFAULT_LINF_BOUND,
-    METHODS,
-    MethodDisagreement,
-    cross_validate,
-    integrality_scan,
-    scan_monotonicity,
-    superpotential,
-)
+from .pipelines import DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _engine, superpotential
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,18 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="check that all pipelines agree")
     p.add_argument("--d-max", type=_positive_int, required=True)
-    p.add_argument("--a", type=_aspect, default=AspectRatio.infinite())
-    p.add_argument("--linf-bound", type=_nonnegative_int, default=DEFAULT_LINF_BOUND)
-    p.add_argument("--no-timing", action="store_true")
+    p.add_argument("--a", type=_aspect, default=AspectRatio.infinite(),
+                   help="aspect ratio: 'inf' (default) or 'p/q' (means p/q+delta)")
+    p.add_argument("--linf-bound", type=_nonnegative_int, default=DEFAULT_LINF_BOUND,
+                   help="largest d accepted by the linf oracle")
+    p.add_argument("--no-timing", action="store_true", help="omit the ms fields")
     p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser("scan", parents=[common], help="monotonicity profile over aspect intervals")
     p.add_argument("--d", type=_positive_int, required=True)
-    p.set_defaults(run=lambda args: scan_monotonicity(args.d))
+    p.set_defaults(run=_cmd_scan)
 
     p = sub.add_parser("integrality", parents=[common], help="integrality at the p+q=3d fractions")
     p.add_argument("--d", type=_positive_int, required=True)
-    p.set_defaults(run=lambda args: integrality_scan(args.d))
+    p.set_defaults(run=_cmd_integrality)
 
     return parser
 
@@ -154,6 +150,7 @@ def _cmd_trees(args) -> dict:
 
 
 def _cmd_compute(args) -> dict:
+    _engine(args.method)  # loads the engine's module before the clock starts
     start = time.perf_counter()
     res = superpotential(args.d, args.a, args.method, linf_bound=args.linf_bound)
     elapsed = round((time.perf_counter() - start) * 1e3, 3)
@@ -173,6 +170,8 @@ def _cmd_compute(args) -> dict:
 
 
 def _cmd_validate(args) -> dict:
+    from .sweeps import cross_validate
+
     results = []
     for d in range(1, args.d_max + 1):
         report = cross_validate(d, args.a, linf_bound=args.linf_bound)
@@ -182,85 +181,16 @@ def _cmd_validate(args) -> dict:
     return {"a": str(args.a), "d_max": args.d_max, "agree": True, "results": results}
 
 
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2)
+def _cmd_scan(args) -> dict:
+    from .sweeps import scan_monotonicity
+
+    return scan_monotonicity(args.d)
 
 
-# the subcommands whose csv is one row per report row: (report key, columns)
-_CSV_ROWS = {
-    "validate": ("results", ("d", "a", "wtT", "mult", "T", "agree")),
-    "scan": ("profile", ("interval_start", "a", "T", "midpoint", "midpoint_T")),
-    "integrality": ("rows", ("p", "q", "T", "integer", "nonnegative", "vanishes", "adjunction_bound")),
-}
+def _cmd_integrality(args) -> dict:
+    from .sweeps import integrality_scan
 
-
-def _render_csv(command: str, payload: dict) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if command in _CSV_ROWS:
-        key, columns = _CSV_ROWS[command]
-        writer.writerow(columns)
-        for row in payload[key]:
-            writer.writerow([row[c] for c in columns])
-    elif command == "gamma":
-        writer.writerow(["k", "i", "j"])
-        for k, (i, j) in enumerate(payload["points"]):
-            writer.writerow([k, i, j])
-    elif command == "trees":
-        writer.writerow(["key", "aut", "vertices"])
-        for row in payload["trees"]:
-            cells = ";".join(
-                f"l={v['leaf_number']} val={v['valency']} mov={int(v['movable'])}"
-                for v in row["vertices"]
-            )
-            writer.writerow([row["key"], row["aut"], cells])
-    else:  # compute
-        header = [k for k in payload if k != "warning"]
-        writer.writerow(header)
-        writer.writerow([payload[k] for k in header])
-    return buf.getvalue().rstrip("\n")
-
-
-def _render_text(command: str, payload: dict) -> str:
-    lines: list[str] = []
-    if command == "gamma":
-        lines.append(f"path for a = {payload['a']}:")
-        lines.append("  " + " ".join(f"({i},{j})" for i, j in payload["points"]))
-    elif command == "trees":
-        lines.append(f"{payload['count']} trees with {payload['d']} leaves:")
-        width = max(len(r["key"]) for r in payload["trees"])
-        for row in payload["trees"]:
-            cells = "; ".join(
-                f"l={v['leaf_number']} |v|={v['valency']}" + (" movable" if v["movable"] else "")
-                for v in row["vertices"]
-            ) or "no internal vertices"
-            lines.append(f"  {row['key']:<{width}}  Aut={row['aut']:<6} {cells}")
-    elif command == "compute":
-        lines.append(
-            f"T_{payload['d']}^{payload['a']} = {payload['T']}  "
-            f"(wtT = {payload['wtT']}, mult = {payload['mult']}, method = {payload['method']})"
-        )
-        if "warning" in payload:
-            lines.append(f"warning: {payload['warning']}")
-    elif command == "validate":
-        for row in payload["results"]:
-            lines.append(f"d={row['d']} a={row['a']}: wtT = {row['wtT']}, T = {row['T']}, agree = {row['agree']}")
-    elif command == "scan":
-        lines.append(f"T profile for d = {payload['d']} (interval start -> value):")
-        for row in payload["profile"]:
-            lines.append(f"  a > {row['interval_start']}: T = {row['T']}")
-        lines.append(f"  a = inf: T = {payload['infinity_T']}")
-        lines.append(f"nondecreasing: {payload['nondecreasing']}  consistent: {payload['consistent']}")
-    else:  # integrality
-        lines.append(f"boundary fractions for d = {payload['d']} (p + q = {3 * payload['d']}):")
-        for row in payload["rows"]:
-            flags = [name for name in ("integer", "nonnegative", "vanishes", "adjunction_bound") if row[name]]
-            lines.append(f"  a = {row['p']}/{row['q']}: T = {row['T']}  [{' '.join(flags)}]")
-        lines.append(f"all integral: {payload['all_integral']}")
-    return "\n".join(lines)
+    return integrality_scan(args.d)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -280,11 +210,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     if args.format == "json":
-        print(_render_json(payload))
-    elif args.format == "csv":
-        print(_render_csv(args.command, payload))
+        print(json.dumps(payload, indent=2))
     else:
-        print(_render_text(args.command, payload))
+        from .render import render_csv, render_text
+
+        print((render_csv if args.format == "csv" else render_text)(args.command, payload))
     return EXIT_OK
 
 

@@ -16,12 +16,8 @@ This is exactly the ``delta -> 0+`` limit of the real comparison.
 The infinite ratio sends all mass to the first coordinate: ``Gamma_k = (k, 0)``.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
-
-from .numerics import factorial
 
 LatticePoint = tuple[int, ...]
 
@@ -122,7 +118,7 @@ def pair_factorial(point: LatticePoint) -> int:
     """(i, j)! = i!·j!, the product of the coordinate factorials."""
     out = 1
     for x in point:
-        out *= factorial(x)
+        out *= math.factorial(x)
     return out
 
 

@@ -33,8 +33,6 @@ Inverting it and pairing with the rational constants ``(d!)^-3`` yields the
 superpotential, independently of the recursion and the closed tree sum.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product

@@ -11,8 +11,6 @@ serialization used in JSON and CSV output, so it serves as the canonical exact
 scalar.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Iterator
 

@@ -1,0 +1,215 @@
+"""Sweeps that drive the engines of :mod:`.pipelines` over degrees and ratios.
+
+``cross_validate`` runs every applicable pipeline at one ``(d, a)`` and
+demands exact agreement; ``scan_monotonicity`` profiles T(d, .) over the
+intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
+at the boundary fractions ``p + q = 3d``.  The command line loads this module
+only for ``validate``, ``scan`` and ``integrality``.
+
+The scan sweeps all its ratios in ascending order through one list of
+per-degree rows per engine.  The degree-n row of either engine reads only
+the points ``G_2, G_5, .., G_{3n-1}``, and each pass keeps the rows up to
+the first point that differs from the ratio it was last run at, so each
+ratio recomputes only the degrees past its common prefix with the previous
+one.
+"""
+
+import json
+import math
+import time
+from fractions import Fraction
+
+from .lattice import AspectRatio, mult
+from .pipelines import (
+    DEFAULT_LINF_BOUND,
+    METHODS,
+    MethodDisagreement,
+    _engine,
+    _factorials,
+    _recursion_pass,
+    _tree_pass,
+    _warn_outside_range,
+    path_signature,
+    superpotential,
+)
+
+
+def _disagreement(d: int, a: AspectRatio, path, values: dict) -> MethodDisagreement:
+    """The error for pipelines that differ at (d, a), with a full operand dump."""
+    dump = {
+        "d": d,
+        "a": str(a),
+        "path_prefix": [list(pt) for pt in path],
+        "values": {name: str(v) for name, v in values.items()},
+    }
+    return MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
+
+
+def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND) -> dict:
+    """Run every applicable pipeline, demand exact agreement, report values and timings.
+
+    The recursion and the tree sum always run, linf for d <= ``linf_bound``
+    (``linf_bound=0`` skips it), and ``methods`` lists the pipelines that
+    ran.  Raises :class:`MethodDisagreement` with a full operand dump if any
+    two pipelines differ, so a returned report has ``agree`` ``True``.  Each
+    ``ms`` entry times its pipeline's run alone: the engine, and the module
+    that defines it, is loaded before its clock starts.
+    """
+    if d < 1:
+        raise ValueError(f"cross_validate requires d >= 1, got {d}")
+    _warn_outside_range(a)
+    values: dict[str, Fraction] = {}
+    timings: dict[str, float] = {}
+    for method in METHODS:
+        if method == "linf" and d > linf_bound:
+            continue
+        engine = _engine(method)
+        start = time.perf_counter()
+        values[method] = engine(d, a)
+        timings[method] = round((time.perf_counter() - start) * 1e3, 3)
+
+    if len(set(values.values())) != 1:
+        raise _disagreement(d, a, path_signature(a, d), values)
+
+    wt = values["recursion"]
+    multiplier = mult(a, path_signature(a, d)[3 * d - 1])
+    return {
+        "d": d,
+        "a": str(a),
+        "wtT": str(wt),
+        "mult": multiplier,
+        "T": str(wt / multiplier),
+        "methods": sorted(values),
+        "agree": True,
+        "ms": timings,
+    }
+
+
+def scan_breakpoints(d: int) -> list[Fraction]:
+    """Reduced fractions p/q > 1 with p + q <= 3d, sorted ascending.
+
+    These are the only ratios at which the path prefix G_0..G_{3d-1} can
+    change: the argmin at level k flips where adjacent candidates tie, i.e.
+    at a = (k-j)/(j+1) or a = (k-j-1)/j with k <= 3d-1, and both kinds have
+    numerator plus denominator at most 3d.  (The bound 3d is sharp: the
+    prefix point at index 3d-1 flips from (3d-2, 1) to (3d-1, 0) at
+    a = 3d-1, a fraction with p + q = 3d.)
+    """
+    if d < 1:
+        raise ValueError(f"scan_breakpoints requires d >= 1, got {d}")
+    out = set()
+    for total in range(3, 3 * d + 1):
+        for q in range(1, total):
+            p = total - q
+            if p > q and math.gcd(p, q) == 1:
+                out.add(Fraction(p, q))
+    return sorted(out)
+
+
+def scan_monotonicity(d: int) -> dict:
+    """Profile of T(d, a) over the intervals between breakpoints, a in (1, inf).
+
+    Each interval is represented by its left endpoint plus delta (for the
+    first interval, 1 + delta).  Every representative value is
+    cross-validated between the recursion and the tree sum, raising
+    :class:`MethodDisagreement` as ``cross_validate`` does.  A second point
+    inside the same interval (the mediant with the next breakpoint), with its
+    own path and its own recursion value, guards the breakpoint analysis: the
+    report is marked inconsistent if the two ever differ.  A non-monotone
+    profile is reported, never raised; it is exploratory output.
+
+    The ratios are evaluated in one ascending sweep (each start, its
+    midpoint, the next start, ..., then ``inf``), each path built once, and
+    every engine resumes from the previous ratio's rows.  That is exact: the
+    degree-n rows of both engines read only the points G_2, G_5, .., G_{3n-1},
+    so rows up to the longest common prefix of two ratios' points are the
+    same for both, and only the degrees past it are recomputed.
+    """
+    if d < 1:
+        raise ValueError(f"scan_monotonicity requires d >= 1, got {d}")
+    bps = scan_breakpoints(d)
+    reps = [Fraction(1)] + bps
+    fact = _factorials(d)
+    recursion_rows: list = []
+    tree_rows: list = []  # interval starts only
+
+    def evaluate(a: AspectRatio):
+        path = path_signature(a, d)
+        wt = _recursion_pass(path[2::3], fact, recursion_rows)
+        return path, wt, wt / mult(a, path[-1])
+
+    rows = []
+    nondecreasing = True
+    consistent = True
+    previous: Fraction | None = None
+    for idx, rep in enumerate(reps):
+        a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
+        path, wt, value = evaluate(a)
+        tree = _tree_pass(path[2::3], fact, tree_rows)
+        if tree != wt:
+            raise _disagreement(d, a, path, {"recursion": wt, "tree": tree})
+        if idx + 1 < len(reps):
+            nxt = reps[idx + 1]
+            mid = Fraction(rep.numerator + nxt.numerator, rep.denominator + nxt.denominator)
+        else:
+            mid = rep + 1
+        mid_value = evaluate(AspectRatio.plus_delta(mid.numerator, mid.denominator))[2]
+        if mid_value != value:
+            consistent = False
+        if previous is not None and value < previous:
+            nondecreasing = False
+        previous = value
+        rows.append({
+            "interval_start": str(rep),
+            "a": str(a),
+            "T": str(value),
+            "midpoint": str(mid),
+            "midpoint_T": str(mid_value),
+        })
+    infinity_T = evaluate(AspectRatio.infinite())[2]
+    if previous is not None and infinity_T < previous:
+        nondecreasing = False
+    if rows and Fraction(rows[-1]["T"]) != infinity_T:
+        consistent = False  # the last interval extends to the infinite ratio
+    return {
+        "d": d,
+        "profile": rows,
+        "infinity_T": str(infinity_T),
+        "nondecreasing": nondecreasing,
+        "consistent": consistent,
+    }
+
+
+def integrality_scan(d: int) -> dict:
+    """T(d, p/q + delta) for every reduced p/q > 1 with p + q = 3d.
+
+    Reports, per fraction, the exact value, whether it is a nonnegative
+    integer, whether it vanishes, and whether the pair clears the adjunction
+    bound (p-1)(q-1) <= (d-1)(d-2).  The bound column is informational: the
+    scan asserts nothing about where the count may vanish.
+    """
+    if d < 1:
+        raise ValueError(f"integrality_scan requires d >= 1, got {d}")
+    rows = []
+    for q in range(1, 3 * d):
+        p = 3 * d - q
+        if p <= q or math.gcd(p, q) != 1:
+            continue
+        a = AspectRatio.plus_delta(p, q)
+        res = superpotential(d, a)
+        rows.append({
+            "p": p,
+            "q": q,
+            "a": str(a),
+            "T": str(res.T),
+            "integer": res.T.denominator == 1,
+            "nonnegative": res.T >= 0,
+            "vanishes": res.T == 0,
+            "adjunction_bound": (p - 1) * (q - 1) <= (d - 1) * (d - 2),
+        })
+    return {
+        "d": d,
+        "rows": rows,
+        "all_integral": all(r["integer"] for r in rows),
+        "all_nonnegative": all(r["nonnegative"] for r in rows),
+    }

@@ -19,8 +19,6 @@ equals the sum of d!/|Aut(T)| over the unordered classes, and the test suite
 checks the two routes against each other.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction

@@ -3,9 +3,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from types import SimpleNamespace
+
 import pytest
 
+import ellsuper.cli as cli
 import ellsuper.pipelines as sp
+import ellsuper.sweeps as sweeps
 from ellsuper import AspectRatio
 from ellsuper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
@@ -63,6 +67,16 @@ def test_compute_stable_apart_from_timing(capsys):
     for payload in outs:
         payload.pop("ms")
     assert outs[0] == outs[1]
+
+
+def test_compute_resolves_the_engine_before_the_clock(capsys, monkeypatch):
+    # the ms field times the computation, not the import of the engine's module
+    calls = []
+    engine = cli._engine
+    monkeypatch.setattr(cli, "_engine", lambda method: calls.append("engine") or engine(method))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: calls.append("clock") or 0.0))
+    assert run_cli(capsys, "compute", "--d", "3", "--a", "inf", "--method", "linf")[0] == EXIT_OK
+    assert calls == ["engine", "clock", "clock"]
 
 
 def test_compute_warns_below_one(capsys):
@@ -147,7 +161,7 @@ def test_scan_report(capsys):
 
 
 def test_scan_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(sp, "_tree_pass", lambda points, fact, rows: Fraction(999))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(999))
     code, out, err = run_cli(capsys, "scan", "--d", "3")
     assert code == EXIT_VALIDATION
     assert out == ""

@@ -13,9 +13,14 @@ import ellsuper.pipelines
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# neither `import ellsuper.cli` nor a plain `compute` needs the oracles or these
-# costly standard modules (dataclasses imports inspect)
-NOT_ON_COMPUTE_PATH = {"dataclasses", "inspect", "typing", "csv", "ellsuper.linf", "ellsuper.trees"}
+# neither `import ellsuper.cli` nor a plain `compute` needs the oracles, the
+# sweep drivers, the csv/text renderers, numerics, or these costly standard
+# modules (dataclasses imports inspect); no module of the package imports
+# __future__, since every annotation it writes evaluates on Python 3.10
+NOT_ON_COMPUTE_PATH = {
+    "dataclasses", "inspect", "typing", "csv", "__future__",
+    "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render", "ellsuper.numerics",
+}
 
 
 def _modules_after(code: str) -> set[str]:
@@ -51,6 +56,19 @@ def test_subcommands_load_the_oracles_they_run():
     loaded = _modules_after_cli("validate", "--d-max", "3")
     assert "ellsuper.linf" in loaded and "ellsuper.trees" not in loaded
     assert "ellsuper.trees" in _modules_after_cli("trees", "--d", "4")
+
+
+@pytest.mark.parametrize("argv", [("validate", "--d-max", "2"), ("scan", "--d", "2"),
+                                  ("integrality", "--d", "2")], ids=lambda argv: argv[0])
+def test_sweep_subcommands_load_the_sweeps(argv):
+    loaded = _modules_after_cli(*argv)
+    assert "ellsuper.sweeps" in loaded and "ellsuper.render" not in loaded
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_csv_and_text_load_the_renderers(fmt):
+    loaded = _modules_after_cli("compute", "--d", "3", "--a", "7", "--format", fmt)
+    assert "ellsuper.render" in loaded and "ellsuper.sweeps" not in loaded
 
 
 def test_lazy_public_names_cover_all():

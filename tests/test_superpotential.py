@@ -3,12 +3,14 @@ import math
 import time
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellsuper.pipelines as sp
+import ellsuper.sweeps as sweeps
 from ellsuper import (
     AspectRatio,
     MethodDisagreement,
@@ -179,6 +181,25 @@ def test_tree_sum_matches_per_tree_oracle_at_breakpoints():
             assert tree_wtT(d, a) == per_tree_wtT(d, a), (d, str(a))
 
 
+def _interval_starts(d):
+    m = (3 * d - 1) // 2  # m/(m+1) is the largest breakpoint below 1
+    return [Fraction(m, m + 1), Fraction(1)] + scan_breakpoints(d)
+
+
+def _plus_delta_T(d, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the interval below 1 warns
+        return superpotential(d, AspectRatio.plus_delta(s.numerator, s.denominator)).T
+
+
+def _exact_ratio_T(d, ratio):
+    # T at the plain ratio, with no delta: the path and the multiplicity by a
+    # brute argmin, wtT by the multiset recursion oracle fed that path
+    num, den = ratio.numerator, ratio.denominator
+    path = exact_path(num, den, 3 * d - 1)
+    return _multiset_recursion_from_path(d, path) / exact_mult(num, den, path[-1])
+
+
 def test_interval_values_match_exact_ratios_on_both_sides_of_each_start():
     # The shared path, mult and tie-rule layer, witnessed without it: at the plain
     # ratios s + eps and s - eps around each interval start s = p/q, the path and
@@ -188,20 +209,26 @@ def test_interval_values_match_exact_ratios_on_both_sides_of_each_start():
     # q' < 3d (q' < 3d/2 above 1, where q' < p'); so s + eps lies in the interval
     # s starts, s - eps in the one before, and no two candidates tie at either.
     for d in range(1, 13):
-        m = (3 * d - 1) // 2  # m/(m+1) is the largest breakpoint below 1
-        starts = [Fraction(m, m + 1), Fraction(1)] + scan_breakpoints(d)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the interval below 1 warns
-            values = [superpotential(d, AspectRatio.plus_delta(s.numerator, s.denominator)).T
-                      for s in starts]
+        starts = _interval_starts(d)
+        values = [_plus_delta_T(d, s) for s in starts]
         for idx in range(1, len(starts)):
             s = starts[idx]
             eps = Fraction(1, 3 * d * s.denominator)
             for ratio, expected in ((s + eps, values[idx]), (s - eps, values[idx - 1])):
-                num, den = ratio.numerator, ratio.denominator
-                path = exact_path(num, den, 3 * d - 1)
-                value = _multiset_recursion_from_path(d, path) / exact_mult(num, den, path[-1])
-                assert value == expected, (d, str(s), str(ratio))
+                assert _exact_ratio_T(d, ratio) == expected, (d, str(s), str(ratio))
+
+
+@given(data=st.data(), d=st.integers(13, 20))
+@settings(max_examples=40, deadline=None)
+def test_sampled_interval_starts_match_exact_ratios_beyond_degree_12(data, d):
+    # the check above at sampled starts of 13 <= d <= 20, where every start
+    # would take too long
+    starts = _interval_starts(d)
+    idx = data.draw(st.integers(1, len(starts) - 1), label="start index")
+    s = starts[idx]
+    eps = Fraction(1, 3 * d * s.denominator)
+    assert _exact_ratio_T(d, s + eps) == _plus_delta_T(d, s), (d, str(s))
+    assert _exact_ratio_T(d, s - eps) == _plus_delta_T(d, starts[idx - 1]), (d, str(s))
 
 
 def test_movable_factor_positive_for_wide_ratios():
@@ -332,7 +359,21 @@ def test_cross_validate_runs_the_tree_sum_beyond_linf():
 def test_cross_validate_detects_disagreement(monkeypatch):
     monkeypatch.setattr(sp, "tree_wtT", lambda d, a: Fraction(1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix"):
-        sp.cross_validate(2, INF, linf_bound=0)
+        cross_validate(2, INF, linf_bound=0)
+
+
+def test_cross_validate_resolves_each_engine_before_its_clock(monkeypatch):
+    # each ms entry times its pipeline alone, not the first import of linf
+    calls = []
+
+    def engine(method):
+        calls.append("engine")
+        return lambda d, a: Fraction(WTT_INFINITY[d])
+
+    monkeypatch.setattr(sweeps, "_engine", engine)
+    monkeypatch.setattr(sweeps, "time", SimpleNamespace(perf_counter=lambda: calls.append("clock") or 0.0))
+    assert cross_validate(2, INF)["methods"] == ["linf", "recursion", "tree"]
+    assert calls == ["engine", "clock", "clock"] * 3
 
 
 def test_scan_breakpoints_small():
@@ -425,14 +466,14 @@ def test_scan_midpoints_catch_a_missing_breakpoint(monkeypatch):
     full = scan_breakpoints(5)
     caught = set()
     for dropped in full:
-        monkeypatch.setattr(sp, "scan_breakpoints", lambda d: [b for b in full if b != dropped])
+        monkeypatch.setattr(sweeps, "scan_breakpoints", lambda d: [b for b in full if b != dropped])
         if not scan_monotonicity(5)["consistent"]:
             caught.add(dropped)
     assert caught == {5, 6, 8, 11, 13}
 
 
 def test_scan_cross_checks_the_tree_sum(monkeypatch):
-    monkeypatch.setattr(sp, "_tree_pass", lambda points, fact, rows: Fraction(1, 7))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix"):
         scan_monotonicity(4)
 
