@@ -170,14 +170,12 @@ def _cmd_compute(args) -> dict:
 
 
 def _cmd_validate(args) -> dict:
-    from .sweeps import cross_validate
+    from .sweeps import _validation_sweep
 
-    results = []
-    for d in range(1, args.d_max + 1):
-        report = cross_validate(d, args.a, linf_bound=args.linf_bound)
-        if args.no_timing:
-            report.pop("ms", None)
-        results.append(report)
+    results = _validation_sweep(args.d_max, args.a, args.linf_bound)
+    if args.no_timing:
+        for report in results:
+            del report["ms"]
     return {"a": str(args.a), "d_max": args.d_max, "agree": True, "results": results}
 
 

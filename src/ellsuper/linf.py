@@ -17,8 +17,8 @@ with j incoming edges apply ``Psi^1 o Phi^j`` to its incoming labels, and sum
 the root-edge labels over all trees with sign ``(-1)^(number of internal
 vertices)``.  :func:`invert` evaluates this sum grouped at the root: the
 subtrees hanging from the root sum to lower-arity entries of ``Psi`` itself,
-so each entry is one pass over the set partitions of its inputs rather than
-over the trees (see :func:`invert`).
+so each entry is one pass over the multiset partitions of its inputs rather
+than over the trees (see :func:`invert`).
 
 Tables are stored sparsely per multiset of input basis indices; coefficients
 are exact rationals (any exact scalar with ring operations works, e.g. sympy
@@ -33,12 +33,11 @@ Inverting it and pairing with the rational constants ``(d!)^-3`` yields the
 superpotential, independently of the recursion and the closed tree sum.
 """
 
-from collections import Counter
 from fractions import Fraction
 from itertools import groupby, product
+from math import comb, factorial
 
 from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
-from .numerics import factorial, partitions, set_partitions
 
 
 class LinfError(ValueError):
@@ -205,15 +204,38 @@ def identity_morphism(space: BasedSpace, *, max_index: int, max_arity: int) -> L
                         rule=rule, name=f"id[{space.name}]")
 
 
-def _splits(key: tuple[int, ...]) -> Counter:
-    # Set partitions of the inputs, grouped by the sorted multisets of input
-    # indices their blocks carry: partitions with equal groups give equal terms
-    # in every sum over set partitions of symmetric maps, so each is evaluated
-    # once and weighted by its count.
-    return Counter(
-        tuple(sorted(tuple(key[p] for p in block) for block in blocks))
-        for blocks in set_partitions(range(len(key)))
-    )
+def _splits(key: tuple[int, ...], memo: dict) -> dict:
+    """The set partitions of the inputs ``key``, grouped by the sorted blocks they carry.
+
+    Maps each multiset partition (a sorted tuple of sorted blocks) to the
+    number of set partitions of the positions of ``key`` whose blocks carry
+    it.  Partitions with equal groups give equal terms in every sum over set
+    partitions of symmetric maps, so each is evaluated once, weighted by its
+    count.  The groups are built directly: the block holding the first input
+    takes ``t`` of the ``c`` other copies of each value, in ``comb(c, t)``
+    ways, and the inputs left over split recursively, read through ``memo``
+    (one dict per morphism, keyed like ``key``).
+    """
+    if not key:
+        return {(): 1}
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    first, rest = key[0], key[1:]
+    copies = [(v, len(tuple(grp))) for v, grp in groupby(rest)]
+    out: dict = {}
+    for takes in product(*(range(c + 1) for _, c in copies)):
+        block, left, ways = [first], [], 1
+        for (v, c), t in zip(copies, takes):
+            block += [v] * t
+            left += [v] * (c - t)
+            ways *= comb(c, t)
+        block = tuple(block)
+        for blocks, count in _splits(tuple(left), memo).items():
+            group = tuple(sorted((block, *blocks)))
+            out[group] = out.get(group, 0) + ways * count
+    memo[key] = out
+    return out
 
 
 def compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorphism:
@@ -225,10 +247,11 @@ def compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorp
         )
     max_index = min(psi.max_index, phi.max_index)
     max_arity = min(psi.max_arity, phi.max_arity)
+    memo: dict = {}
 
     def rule(key: tuple[int, ...]) -> dict:
         out: dict = {}
-        for blocks, count in _splits(key).items():
+        for blocks, count in _splits(key, memo).items():
             _vec_acc(out, psi.apply([phi.entry(block) for block in blocks]), count)
         return out
 
@@ -250,8 +273,11 @@ def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
         Psi^k(w_1..w_k) = -Psi^1( sum over set partitions P of {1..k}, |P| >= 2,
                                   of Phi^{|P|}( Psi^{|B|}(w_B) : B in P ) )
 
-    with the lower-arity entries read through the inverse's memo.  Partitions
-    whose blocks carry the same multisets of inputs are evaluated once.
+    with the lower-arity entries read through the inverse's memo.  Set
+    partitions whose blocks carry the same multisets of inputs give equal
+    terms, so the sum runs over those multiset partitions, each weighted by
+    its number of set partitions and built directly by :func:`_splits` (10
+    terms instead of 202 for six equal inputs).
     """
     arity = phi.max_arity if max_arity is None else max_arity
     inv1: dict[int, tuple[int, object]] = {}
@@ -265,13 +291,14 @@ def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
         inv1[j] = (i, _recip(c))
     if set(inv1) != set(range(1, phi.max_index + 1)):
         raise LinfError(f"{phi.name}: arity-1 part is not onto the truncated basis")
+    memo: dict = {}
 
     def rule(key: tuple[int, ...]) -> dict:
         if len(key) == 1:
             i, r = inv1[key[0]]
             return {i: r}
         total: dict = {}
-        for blocks, count in _splits(key).items():
+        for blocks, count in _splits(key, memo).items():
             if len(blocks) < 2:
                 continue
             _vec_acc(total, phi.apply([psi.entry(block) for block in blocks]), count)
@@ -321,30 +348,46 @@ def ellipsoid_morphism(a: AspectRatio, *, max_index: int, max_arity: int) -> Lin
                         rule=rule, name=f"eps[{a}]")
 
 
+def _linf_pass(d_max: int, a: AspectRatio):
+    """Yield wtT_1 .. wtT_{d_max} via one inverse of the ellipsoid morphism.
+
+    Inverts the ellipsoid morphism truncated at index 3 d_max - 1 and arity
+    d_max once, then pairs the inverse against the degree-split constants at
+    each d in turn: summing over multisets {d_1,..,d_k} with d_1+..+d_k = d,
+    each term contributes
+
+        [coefficient of o_{3d-1} in eta^k(q_{3d_1-1}, .., q_{3d_k-1})]
+        / (m_1! m_2! .. * (d_1!)^3 * .. * (d_k!)^3)
+
+    where ``m_j`` is the multiplicity of each distinct part.  An entry of
+    the inverse does not depend on the truncation it is read in, so every
+    degree's pairing reads the same memo.
+    """
+    eta = invert(ellipsoid_morphism(a, max_index=3 * d_max - 1, max_arity=d_max))
+    parts = [[()]]  # parts[n]: the partitions of n, each a nonincreasing tuple
+    for d in range(1, d_max + 1):
+        parts.append([(p, *rest) for p in range(d, 0, -1) for rest in parts[d - p]
+                      if not rest or rest[0] <= p])
+        total = Fraction(0)
+        for part in parts[d]:
+            den = 1
+            for ds, grp in groupby(part):
+                m = len(tuple(grp))
+                den *= factorial(m) * factorial(ds) ** (3 * m)
+            coeff = eta.entry(tuple(3 * ds - 1 for ds in part)).get(3 * d - 1)
+            if coeff is not None:
+                total += coeff / den
+        yield total
+
+
 def linf_superpotential(d: int, a: AspectRatio) -> Fraction:
     """Normalized count wtT via morphism inversion; exact, intended as an oracle.
 
-    Inverts the ellipsoid morphism truncated at index 3d-1 and arity d, then
-    pairs the inverse against the degree-split constants: summing over
-    multisets {d_1,..,d_k} with d_1+..+d_k = d, each term contributes
-
-        1/(m_1! m_2! .. * (d_1!)^3 * .. * (d_k!)^3) * [coefficient of o_{3d-1}
-        in eta^k(q_{3d_1-1}, .., q_{3d_k-1})]
-
-    where ``m_j`` is the multiplicity of each distinct part.
+    The last value of :func:`_linf_pass` at ``d_max = d``: the inverse of the
+    ellipsoid morphism truncated at index 3d-1 and arity d, paired against
+    the degree-split constants.
     """
     if d < 1:
         raise ValueError(f"linf_superpotential requires d >= 1, got {d}")
-    top = 3 * d - 1
-    eps = ellipsoid_morphism(a, max_index=top, max_arity=d)
-    eta = invert(eps)
-    total = Fraction(0)
-    for part in partitions(d):
-        weight = Fraction(1)
-        for _, grp in groupby(part):
-            weight /= factorial(len(tuple(grp)))
-        for ds in part:
-            weight /= factorial(ds) ** 3
-        vec = eta.entry(tuple(3 * ds - 1 for ds in part))
-        total += weight * vec.get(top, Fraction(0))
-    return total
+    *_, wt = _linf_pass(d, a)
+    return wt

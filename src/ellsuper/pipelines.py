@@ -72,7 +72,7 @@ from fractions import Fraction
 from .lattice import AspectRatio, gamma_path, mult
 
 METHODS = ("recursion", "tree", "linf")
-DEFAULT_LINF_BOUND = 6  # the inversion route is an oracle; its cost grows with the Bell numbers
+DEFAULT_LINF_BOUND = 8  # the inversion route is an oracle; its cost grows with the multiset partitions
 
 
 class MethodDisagreement(RuntimeError):

@@ -1,7 +1,7 @@
 """Sweeps that drive the engines of :mod:`.pipelines` over degrees and ratios.
 
-``cross_validate`` runs every applicable pipeline at one ``(d, a)`` and
-demands exact agreement; ``scan_monotonicity`` profiles T(d, .) over the
+``cross_validate`` runs every applicable pipeline at one ``a`` and every
+degree up to d, and demands exact agreement; ``scan_monotonicity`` profiles T(d, .) over the
 intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
 at the boundary fractions ``p + q = 3d``.  The command line loads this module
 only for ``validate``, ``scan`` and ``integrality``.
@@ -22,9 +22,7 @@ from fractions import Fraction
 from .lattice import AspectRatio, mult
 from .pipelines import (
     DEFAULT_LINF_BOUND,
-    METHODS,
     MethodDisagreement,
-    _engine,
     _factorials,
     _recursion_pass,
     _tree_pass,
@@ -51,38 +49,65 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
     The recursion and the tree sum always run, linf for d <= ``linf_bound``
     (``linf_bound=0`` skips it), and ``methods`` lists the pipelines that
     ran.  Raises :class:`MethodDisagreement` with a full operand dump if any
-    two pipelines differ, so a returned report has ``agree`` ``True``.  Each
-    ``ms`` entry times its pipeline's run alone: the engine, and the module
-    that defines it, is loaded before its clock starts.
+    two pipelines differ, at d or at any lower degree, so a returned report
+    has ``agree`` ``True``.  The report is row d of :func:`_validation_sweep`.
     """
     if d < 1:
         raise ValueError(f"cross_validate requires d >= 1, got {d}")
+    return _validation_sweep(d, a, linf_bound)[-1]
+
+
+def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]:
+    """The ``cross_validate`` reports at d = 1 .. d_max, from one run of each pipeline.
+
+    The recursion and the tree sum extend their per-degree rows one degree
+    at a time, and linf pairs one inverse, truncated at
+    ``min(d_max, linf_bound)``, against every degree.  Each ``ms`` entry is
+    its pipeline's time from the start of the sweep to that degree, which
+    is what a run at that degree alone costs; the linf module is loaded
+    before any clock starts.
+    """
     _warn_outside_range(a)
-    values: dict[str, Fraction] = {}
-    timings: dict[str, float] = {}
-    for method in METHODS:
-        if method == "linf" and d > linf_bound:
-            continue
-        engine = _engine(method)
-        start = time.perf_counter()
-        values[method] = engine(d, a)
-        timings[method] = round((time.perf_counter() - start) * 1e3, 3)
-
-    if len(set(values.values())) != 1:
-        raise _disagreement(d, a, path_signature(a, d), values)
-
-    wt = values["recursion"]
-    multiplier = mult(a, path_signature(a, d)[3 * d - 1])
-    return {
-        "d": d,
-        "a": str(a),
-        "wtT": str(wt),
-        "mult": multiplier,
-        "T": str(wt / multiplier),
-        "methods": sorted(values),
-        "agree": True,
-        "ms": timings,
+    path = path_signature(a, d_max)
+    points = path[2::3]
+    fact = _factorials(d_max)
+    recursion_rows: list = []
+    tree_rows: list = []
+    steps = {
+        "recursion": lambda d: _recursion_pass(points[:d], fact, recursion_rows),
+        "tree": lambda d: _tree_pass(points[:d], fact, tree_rows),
     }
+    linf_top = min(d_max, linf_bound)
+    if linf_top >= 1:
+        from .linf import _linf_pass
+
+        linf_values = _linf_pass(linf_top, a)
+        steps["linf"] = lambda d: next(linf_values)
+    clocks = dict.fromkeys(steps, 0.0)
+    reports = []
+    for d in range(1, d_max + 1):
+        values: dict[str, Fraction] = {}
+        for method, step in steps.items():
+            if method == "linf" and d > linf_top:
+                continue
+            start = time.perf_counter()
+            values[method] = step(d)
+            clocks[method] += time.perf_counter() - start
+        if len(set(values.values())) != 1:
+            raise _disagreement(d, a, path[:3 * d], values)
+        wt = values["recursion"]
+        multiplier = mult(a, path[3 * d - 1])
+        reports.append({
+            "d": d,
+            "a": str(a),
+            "wtT": str(wt),
+            "mult": multiplier,
+            "T": str(wt / multiplier),
+            "methods": sorted(values),
+            "agree": True,
+            "ms": {method: round(clocks[method] * 1e3, 3) for method in values},
+        })
+    return reports
 
 
 def scan_breakpoints(d: int) -> list[Fraction]:

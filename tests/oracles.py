@@ -31,6 +31,11 @@ outer morphism once per set partition of the inputs, where the library groups
 partitions whose blocks carry equal input multisets and weights each group by
 its count.
 
+``set_partition_splits`` groups the set partitions of a key's positions by
+the sorted blocks they carry by enumerating every set partition, where the
+library builds the multiset partitions directly and counts each one's set
+partitions by binomials.
+
 ``tree_sum_invert`` inverts an L-infinity morphism by the signed sum over
 every ordered tree, memoizing subtrees by their decorated canonical form,
 where the library groups the same sum at the root and recurses on set
@@ -38,6 +43,7 @@ partitions of the inputs.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
@@ -440,3 +446,11 @@ def per_partition_compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "
 
     return LinfMorphism(phi.source, psi.target, max_index=max_index, max_arity=max_arity,
                         rule=rule, name=name or f"{psi.name} o {phi.name}")
+
+
+def set_partition_splits(key: tuple[int, ...]) -> Counter:
+    """{sorted blocks: number of set partitions of the positions of ``key`` carrying them}."""
+    return Counter(
+        tuple(sorted(tuple(key[p] for p in block) for block in blocks))
+        for blocks in set_partitions(range(len(key)))
+    )

@@ -144,7 +144,7 @@ def test_validate_agreement(capsys):
 
 
 def test_validate_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(sp, "tree_wtT", lambda d, a: Fraction(999))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(999))
     code, _, err = run_cli(capsys, "validate", "--d-max", "2", "--a", "inf")
     assert code == EXIT_VALIDATION
     assert "cross-validation failure" in err
@@ -206,9 +206,12 @@ def test_usage_errors(capsys):
 
 
 def test_linf_bound_respected(capsys):
-    code, _, err = run_cli(capsys, "compute", "--d", "8", "--a", "inf", "--method", "linf")
+    code, _, err = run_cli(capsys, "compute", "--d", "9", "--a", "inf", "--method", "linf")
     assert code == EXIT_USAGE
-    assert "linf" in err
+    assert "linf" in err and "d <= 8" in err
+    code, out, _ = run_cli(capsys, "compute", "--d", "8", "--a", "inf", "--method", "linf", "--no-timing")
+    assert code == EXIT_OK
+    assert json.loads(out)["T"] == "264057"
 
 
 def test_tree_method_answers_at_degree_40():

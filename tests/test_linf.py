@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellsuper import (
     AspectRatio,
@@ -20,7 +22,8 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from oracles import ordered_linf_superpotential, per_partition_compose, tree_sum_invert
+from ellsuper.linf import _splits
+from oracles import ordered_linf_superpotential, per_partition_compose, set_partition_splits, tree_sum_invert
 
 INF = AspectRatio.infinite()
 A32 = AspectRatio.plus_delta(3, 2)
@@ -294,6 +297,24 @@ def _assert_composites_agree(psi, phi, max_arity):
             assert grouped.entry(key) == slow.entry(key), (grouped.name, key)
             checked += 1
     return checked
+
+
+BELL = [1, 1, 2, 5, 15, 52, 203, 877]
+
+
+@given(key=st.lists(st.integers(1, 4), min_size=1, max_size=7).map(lambda xs: tuple(sorted(xs))))
+@settings(max_examples=150, deadline=None)
+def test_multiset_splits_match_set_partition_oracle(key):
+    # the grouping built from binomials equals the grouping of every set partition
+    splits = _splits(key, {})
+    assert splits == set_partition_splits(key)
+    assert sum(splits.values()) == BELL[len(key)]
+
+
+def test_multiset_splits_pin_six_equal_inputs():
+    splits = _splits((2,) * 6, {})
+    assert len(splits) == 11 and sum(splits.values()) == 203
+    assert splits[((2, 2), (2, 2), (2, 2))] == 15 and splits[((2,) * 6,)] == 1
 
 
 def test_grouped_compose_matches_per_partition_oracle_generic():

@@ -58,6 +58,14 @@ def test_subcommands_load_the_oracles_they_run():
     assert "ellsuper.trees" in _modules_after_cli("trees", "--d", "4")
 
 
+@pytest.mark.parametrize("argv", [("validate", "--d-max", "3"),
+                                  ("compute", "--d", "3", "--a", "inf", "--method", "linf")],
+                         ids=lambda argv: argv[0])
+def test_linf_runs_without_numerics(argv):
+    loaded = _modules_after_cli(*argv)
+    assert "ellsuper.linf" in loaded and "ellsuper.numerics" not in loaded
+
+
 @pytest.mark.parametrize("argv", [("validate", "--d-max", "2"), ("scan", "--d", "2"),
                                   ("integrality", "--d", "2")], ids=lambda argv: argv[0])
 def test_sweep_subcommands_load_the_sweeps(argv):

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from ellsuper import (
     cross_validate,
     gamma_path,
     integrality_scan,
+    linf_superpotential,
     ordered_count,
     path_signature,
     recursion_wtT,
@@ -286,8 +290,9 @@ def test_multiplier_at_infinity_is_3d_minus_1():
 
 
 def test_linf_method_refused_beyond_bound():
-    with pytest.raises(ValueError, match="linf"):
+    with pytest.raises(ValueError, match="d <= 8"):
         superpotential(9, INF, "linf")
+    assert superpotential(8, INF, "linf").T == T_INFINITY[8]
     # explicit bound raise is honored
     assert superpotential(4, INF, "linf", linf_bound=4).T == 26
 
@@ -357,23 +362,57 @@ def test_cross_validate_runs_the_tree_sum_beyond_linf():
 
 
 def test_cross_validate_detects_disagreement(monkeypatch):
-    monkeypatch.setattr(sp, "tree_wtT", lambda d, a: Fraction(1, 7))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix"):
         cross_validate(2, INF, linf_bound=0)
 
 
-def test_cross_validate_resolves_each_engine_before_its_clock(monkeypatch):
-    # each ms entry times its pipeline alone, not the first import of linf
-    calls = []
+def test_cross_validate_checks_every_lower_degree(monkeypatch):
+    # a fault planted at d = 3 surfaces in cross_validate(5), with d = 3 in the dump
+    tree_pass = sweeps._tree_pass
 
-    def engine(method):
-        calls.append("engine")
-        return lambda d, a: Fraction(WTT_INFINITY[d])
+    def faulty(points, fact, rows):
+        value = tree_pass(points, fact, rows)
+        return value + 1 if len(points) == 3 else value
 
-    monkeypatch.setattr(sweeps, "_engine", engine)
-    monkeypatch.setattr(sweeps, "time", SimpleNamespace(perf_counter=lambda: calls.append("clock") or 0.0))
-    assert cross_validate(2, INF)["methods"] == ["linf", "recursion", "tree"]
-    assert calls == ["engine", "clock", "clock"] * 3
+    monkeypatch.setattr(sweeps, "_tree_pass", faulty)
+    with pytest.raises(MethodDisagreement) as caught:
+        cross_validate(5, AspectRatio.plus_delta(52, 7))
+    assert json.loads(str(caught.value).split(": ", 1)[1])["d"] == 3
+
+
+def test_cross_validate_resolves_each_engine_before_its_clock():
+    # each ms entry times its pipeline, not the first import of linf: in a fresh
+    # interpreter, linf is loaded before any clock is read
+    probe = (
+        "import sys\n"
+        "from types import SimpleNamespace\n"
+        "import ellsuper.sweeps as sweeps\n"
+        "seen = []\n"
+        "sweeps.time = SimpleNamespace(perf_counter=lambda: seen.append('ellsuper.linf' in sys.modules) or 0.0)\n"
+        "assert sweeps.cross_validate(2, sweeps.AspectRatio.infinite())['methods'] == ['linf', 'recursion', 'tree']\n"
+        "assert len(seen) == 12 and all(seen), seen\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(sweeps.__file__).parents[1])}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("a", [INF] + [AspectRatio.plus_delta(p, q) for p, q in ASSORTED_FRACTIONS], ids=str)
+def test_validation_sweep_matches_lone_runs(a):
+    # one sweep per ratio gives, at every d, what each pipeline gives run alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = sweeps._validation_sweep(8, a, linf_bound=8)
+        for d, row in enumerate(rows, start=1):
+            wt = recursion_wtT(d, a)
+            assert tree_wtT(d, a) == linf_superpotential(d, a) == wt
+            res = superpotential(d, a)
+            assert row["wtT"] == str(wt) and row["mult"] == res.multiplier and row["T"] == str(res.T)
+            assert row["methods"] == ["linf", "recursion", "tree"] and list(row["ms"]) == ["recursion", "tree", "linf"]
+            alone = cross_validate(d, a, linf_bound=8)
+            assert alone.pop("ms").keys() == row.pop("ms").keys()
+            assert alone == row
 
 
 def test_scan_breakpoints_small():
