@@ -4,7 +4,7 @@ The package computes the ellipsoidal superpotential T(d, a), an exact
 rational count attached to a degree d >= 1 and an ellipsoid aspect ratio
 a > 0, together with its supporting combinatorics: staircase lattice paths,
 rooted trees with unordered leaves and no bivalent vertices, and a generic
-engine for evenly graded L-infinity morphisms.  Three independent pipelines
+engine for evenly graded L-infinity morphisms.  Three pipelines
 (a recursion over degree splits, a closed sum over trees, and morphism
 inversion) produce the same values and cross-validate each other.
 """

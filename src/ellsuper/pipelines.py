@@ -1,8 +1,8 @@
 """Superpotential values by three mutually validating pipelines.
 
 ``wtT(d, a)`` is the normalized count: the plain count ``T(d, a)`` times the
-multiplicity of the path point at index 3d-1.  Three independent pipelines
-compute it exactly:
+multiplicity of the path point at index 3d-1.  Three pipelines compute it
+exactly:
 
 * ``recursion_wtT``, the production engine: the recursion
 
@@ -42,7 +42,14 @@ compute it exactly:
   ``exp(sum_s S_s x^s y^{G_{3s-1}})``, ``y^P -> 1/P!``, over >= 2 factors,
   with the all-leaves root (the one movable type) swapping its -1 for the
   movable factor.  It is the recursion's online series exponential, on
-  integers too, but written separately: the two are independent witnesses.
+  integers too, written separately, and observed to be the recursion
+  rescaled: row l of the tree pass equals row l of the recursion over
+  ``(G_2!)^l`` (``S_l (G_2!)^l = wtT_l`` and ``forest_l (G_2!)^l = f_l``).
+  The two share one derivation, so their agreement catches coding slips,
+  not an error in that derivation.  The witnesses independent in
+  derivation are linf (up to ``linf_bound``; checked to d = 17), the
+  per-tree sum (d <= 12) and the multiset recursion in
+  ``tests/oracles.py``.
 
 * ``linf_superpotential`` (in :mod:`.linf`): inversion of the ellipsoid
   morphism, summed against the split constants.

@@ -1,8 +1,9 @@
+import gc
 import json
 import subprocess
 import sys
 from fractions import Fraction
-
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -267,6 +268,45 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["T"] == "1"
+
+
+# Run in a fresh interpreter: calls the process entry with a patched argv and
+# prints the freeze count main() starts with, then main()'s exit code.
+_FREEZE_PROBE = """
+import gc, sys
+import ellsuper.__main__ as entry
+seen = []
+inner = entry.main
+def probe(*args):
+    seen.append(gc.get_freeze_count())
+    return inner(*args)
+entry.main = probe
+sys.argv = ["ellsuper", "compute", "--d", "4", "--a", "inf", "--no-timing"]
+before = gc.get_freeze_count()
+code = entry.run()
+print(before, seen[0], code, file=sys.stderr)
+"""
+
+
+def test_only_the_process_entry_freezes_the_heap(capsys):
+    # python -m ellsuper runs the same run(); test_module_entry_point covers that path
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, at_main, code = map(int, proc.stderr.split())
+    assert (before, code) == (0, EXIT_OK)
+    assert at_main > 0
+    assert json.loads(proc.stdout)["T"] == "26"
+
+    # an in-process caller keeps its GC state
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "compute", "--d", "4", "--a", "inf", "--no-timing")[0] == EXIT_OK
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["ellsuper", "=", '"ellsuper.__main__:run"']
 
 
 def test_jobs_flag_is_a_usage_error(capsys):

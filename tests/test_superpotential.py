@@ -568,6 +568,27 @@ def test_degree_14_monotonicity_drop():
     # the tree sum agrees
     assert tree_wtT(14, AspectRatio.plus_delta(36, 5)) == 392
     assert tree_wtT(14, AspectRatio.plus_delta(29, 4)) == 340
+    # and so does linf, independent of both in derivation, at every degree up to 14
+    # on both sides; cross_validate raises at the first degree where any two differ
+    for (p, q), wt in (((36, 5), "392"), ((29, 4), "340")):
+        report = cross_validate(14, AspectRatio.plus_delta(p, q), linf_bound=14)
+        assert (report["methods"], report["wtT"], report["mult"]) == (["linf", "recursion", "tree"], wt, 5)
+
+
+def test_scan_rows_have_integer_wtT_at_degree_20():
+    # observed data, not a theorem: wtT has denominator 1 at every degree of
+    # every scan representative at d = 20 (11020 rows); a failure is a finding
+    d = 20
+    fact = sp._factorials(d)
+    rows: list = []
+    checked = 0
+    for rep in [Fraction(1)] + scan_breakpoints(d):
+        a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
+        sp._recursion_pass(path_signature(a, d)[2::3], fact, rows)
+        for n, (_, num, den, _, _) in enumerate(rows, start=1):
+            assert den == 1, f"d = {d}, interval start {rep}, degree {n}: wtT = {num}/{den}"
+        checked += len(rows)
+    assert checked == 11020
 
 
 def test_vanishing_matches_failed_adjunction_bound_through_degree_40():
