@@ -16,8 +16,9 @@ def run() -> int:
     """Freeze the import-time heap, then run the command line on ``sys.argv``.
 
     Everything alive once the CLI is imported (the interpreter's ``site``
-    objects, ``argparse``, ``json``, ``fractions`` and this package's modules)
-    lives until exit.  ``gc.freeze()`` moves it to the permanent generation,
+    objects, ``json``, ``fractions`` and this package's modules) lives until
+    exit; ``argparse`` is not among them, since it loads only for help and
+    usage errors.  ``gc.freeze()`` moves it to the permanent generation,
     which no collection scans, so neither the full collections at interpreter
     exit nor gen-2 collections during the run walk it again.  Objects the run
     creates are collected as before.

@@ -15,6 +15,14 @@ A job compiles only the code its subcommand runs: ``validate``, ``scan`` and
 ``integrality`` import :mod:`.sweeps` in their handlers, ``trees`` imports
 :mod:`.trees`, and ``--format csv|text`` imports :mod:`.render`.
 
+Each subcommand is described once, in the table :data:`_SUBCOMMANDS` (name,
+help, handler and options).  :func:`build_parser` makes the argparse parser
+from it, and :func:`_parse_plain` reads the same table to parse a plain
+command line (exact option names, each given once, valid values) without
+argparse.  :func:`main` tries the plain parser first and hands anything else
+to argparse, so help, abbreviations, ``--x=y`` forms and every usage error
+read as before, and a plain job never imports argparse.
+
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
@@ -24,10 +32,10 @@ value re-parses exactly.  Timings (the ``ms`` fields) are the only
 run-dependent output; pass ``--no-timing`` for byte-identical reruns.
 """
 
-import argparse
 import json
 import sys
 import time
+from types import SimpleNamespace
 
 from .lattice import AspectRatio, gamma_path
 from .pipelines import DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _engine, superpotential
@@ -37,25 +45,24 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the contract here reserves 2 for
-    # cross-validation failures, so remap.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _type_error(message: str) -> Exception:
+    # argparse reports this class's message as is; it is loaded only on a bad value
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError(message)
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        raise _type_error(f"must be a positive integer, got {text}")
     return value
 
 
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+        raise _type_error(f"must be a nonnegative integer, got {text}")
     return value
 
 
@@ -63,64 +70,25 @@ def _aspect(text: str) -> AspectRatio:
     try:
         return AspectRatio.parse(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _type_error(str(exc)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ellsuper", description="Exact superpotential counts for the projective plane.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json",
-                        help="output format (default json)")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("gamma", parents=[common], help="lattice path of an aspect ratio")
-    p.add_argument("--a", type=_aspect, required=True, help="aspect ratio: 'inf' or 'p/q' (means p/q+delta)")
-    p.add_argument("--k", type=_nonnegative_int, required=True, help="largest path index")
-    p.set_defaults(run=_cmd_gamma)
-
-    p = sub.add_parser("trees", parents=[common], help="trees with d unordered leaves")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.set_defaults(run=_cmd_trees)
-
-    p = sub.add_parser("compute", parents=[common], help="one superpotential value")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.add_argument("--a", type=_aspect, required=True)
-    p.add_argument("--method", choices=METHODS, default="recursion")
-    p.add_argument("--linf-bound", type=_nonnegative_int, default=DEFAULT_LINF_BOUND,
-                   help="largest d accepted by the linf oracle")
-    p.add_argument("--no-timing", action="store_true", help="omit the ms field")
-    p.set_defaults(run=_cmd_compute)
-
-    p = sub.add_parser("validate", parents=[common], help="check that all pipelines agree")
-    p.add_argument("--d-max", type=_positive_int, required=True)
-    p.add_argument("--a", type=_aspect, default=AspectRatio.infinite(),
-                   help="aspect ratio: 'inf' (default) or 'p/q' (means p/q+delta)")
-    p.add_argument("--linf-bound", type=_nonnegative_int, default=DEFAULT_LINF_BOUND,
-                   help="largest d accepted by the linf oracle")
-    p.add_argument("--no-timing", action="store_true", help="omit the ms fields")
-    p.set_defaults(run=_cmd_validate)
-
-    p = sub.add_parser("scan", parents=[common], help="monotonicity profile over aspect intervals")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.set_defaults(run=_cmd_scan)
-
-    p = sub.add_parser("integrality", parents=[common], help="integrality at the p+q=3d fractions")
-    p.add_argument("--d", type=_positive_int, required=True)
-    p.set_defaults(run=_cmd_integrality)
-
-    return parser
+GAMMA_MAX_INDEX = 100_000  # bounds `gamma --k`, which lists every point (about 400 bytes each)
+TREE_MAX_DEGREE = 12  # bounds `trees --d`, which lists every tree (21965 at d = 12)
 
 
 def _cmd_gamma(args) -> dict:
+    if args.k > GAMMA_MAX_INDEX:
+        raise ValueError(
+            f"gamma lists every path point and is intended for k <= {GAMMA_MAX_INDEX}; "
+            f"a degree-d value reads only the points up to k = 3d - 1"
+        )
     points = gamma_path(args.a, args.k)
     return {
         "a": str(args.a),
         "k_max": args.k,
         "points": [list(pt) for pt in points],
     }
-
-
-TREE_MAX_DEGREE = 12  # bounds `trees --d`, which lists every tree (21965 at d = 12)
 
 
 def _cmd_trees(args) -> dict:
@@ -191,12 +159,111 @@ def _cmd_integrality(args) -> dict:
     return integrality_scan(args.d)
 
 
+_FORMAT = ("--format", {"choices": ("json", "csv", "text"), "default": "json",
+                        "help": "output format (default json)"})
+_DEGREE = ("--d", {"type": _positive_int, "required": True})
+_LINF_BOUND = ("--linf-bound", {"type": _nonnegative_int, "default": DEFAULT_LINF_BOUND,
+                                "help": "largest d accepted by the linf oracle"})
+
+# Every subcommand, once: name -> (help, handler, options), each option a flag
+# and its add_argument keywords.  Every subcommand takes _FORMAT first.
+_SUBCOMMANDS = {
+    "gamma": ("lattice path of an aspect ratio", _cmd_gamma, (
+        ("--a", {"type": _aspect, "required": True,
+                 "help": "aspect ratio: 'inf' or 'p/q' (means p/q+delta)"}),
+        ("--k", {"type": _nonnegative_int, "required": True, "help": "largest path index"}),
+    )),
+    "trees": ("trees with d unordered leaves", _cmd_trees, (_DEGREE,)),
+    "compute": ("one superpotential value", _cmd_compute, (
+        _DEGREE,
+        ("--a", {"type": _aspect, "required": True}),
+        ("--method", {"choices": METHODS, "default": "recursion"}),
+        _LINF_BOUND,
+        ("--no-timing", {"action": "store_true", "help": "omit the ms field"}),
+    )),
+    "validate": ("check that all pipelines agree", _cmd_validate, (
+        ("--d-max", {"type": _positive_int, "required": True}),
+        ("--a", {"type": _aspect, "default": AspectRatio.infinite(),
+                 "help": "aspect ratio: 'inf' (default) or 'p/q' (means p/q+delta)"}),
+        _LINF_BOUND,
+        ("--no-timing", {"action": "store_true", "help": "omit the ms fields"}),
+    )),
+    "scan": ("monotonicity profile over aspect intervals", _cmd_scan, (_DEGREE,)),
+    "integrality": ("integrality at the p+q=3d fractions", _cmd_integrality, (_DEGREE,)),
+}
+
+
+def build_parser():
+    """The argparse parser of :data:`_SUBCOMMANDS`: help, abbreviations and every usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with 2 on usage errors; the contract here reserves 2 for
+        # cross-validation failures, so remap.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = _Parser(prog="ellsuper", description="Exact superpotential counts for the projective plane.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, run, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (_FORMAT, *options):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(run=run)
+    return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for a plain command line; else None.
+
+    Plain: a subcommand, then only its exact option names, none repeated,
+    each value option followed by a value that does not start with ``-`` and
+    that the option's type and choices accept, and every required option
+    present.  Any other command line (help, abbreviations, ``--x=y``, errors)
+    is left to argparse, which parses or reports it.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    _, run, options = _SUBCOMMANDS[argv[0]]
+    options = dict((_FORMAT, *options))
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except Exception:  # a ValueError or ArgumentTypeError, which argparse reports
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], run=run)
+    for flag, kwargs in options.items():
+        if kwargs.get("required") and flag not in given:
+            return None
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
         payload = args.run(args)

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellsuper.cli as cli
 import ellsuper.pipelines as sp
@@ -204,6 +208,92 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "compute", "--d", "2", "--a", "inf", "--frobnicate")[0] == EXIT_USAGE
     assert run_cli(capsys, "nosuchcommand")[0] == EXIT_USAGE
     assert run_cli(capsys)[0] == EXIT_USAGE
+
+
+# tokens that plain parsing leaves to argparse, among them abbreviations and options of no subcommand
+_ODD_TOKENS = ["--", "-", "-h", "--help", "--no-t", "--lin", "--form", "--d-m", "--jobs", "--k", "--d=3", "x"]
+_VALUES = {
+    cli._aspect: ["inf", "INF", "3/2", "52/7", "7", "3/2+delta", "1/2", "0", "bogus", "-5/2", ""],
+    cli._positive_int: ["1", "3", "0", "-1", "+2", " 4", "x", "2.5"],
+    cli._nonnegative_int: ["0", "5", "-1", "x"],
+}
+
+
+@st.composite
+def _command_lines(draw):
+    name = draw(st.sampled_from(list(cli._SUBCOMMANDS) + ["nosuch"]))
+    options = (cli._FORMAT, *cli._SUBCOMMANDS.get(name, (None, None, ()))[2])
+    present = [opt for opt in options if draw(st.integers(0, 9)) < (9 if opt[1].get("required") else 4)]
+    argv = [name]
+    for flag, kwargs in draw(st.permutations(present)):
+        form = draw(st.sampled_from(["exact"] * 6 + ["equals", "repeat", "no value", "odd"]))
+        if kwargs.get("action") == "store_true":
+            pool = None
+            tokens = [flag]
+        else:
+            pool = list(kwargs["choices"]) + ["nope"] if "choices" in kwargs else _VALUES[kwargs["type"]]
+            tokens = [flag, draw(st.sampled_from(pool))]
+        if form == "equals":
+            tokens = ["=".join(tokens)]
+        elif form == "repeat":
+            tokens += [flag] if pool is None else [flag, draw(st.sampled_from(pool))]
+        elif form == "no value":
+            tokens = [flag]
+        elif form == "odd":
+            tokens.append(draw(st.sampled_from(_ODD_TOKENS)))
+        argv += tokens
+    return argv
+
+
+@given(argv=_command_lines())
+@settings(max_examples=150, deadline=None)
+def test_plain_parser_matches_argparse(argv):
+    plain = cli._parse_plain(argv)
+    if plain is None:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        parsed = cli.build_parser().parse_args(argv)
+    assert vars(plain) == vars(parsed)
+
+
+def test_plain_parser_takes_the_benchmark_command_lines():
+    # the shapes every benchmark job passes; parsing them must not need argparse
+    for argv in (["compute", "--d", "10", "--a", "52/7", "--no-timing"], ["scan", "--d", "7"],
+                 ["validate", "--d-max", "6", "--linf-bound", "6", "--a", "29/4", "--no-timing"]):
+        assert cli._parse_plain(argv) is not None, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--d", "4", "--a", "inf", "--no-timing"],
+    ["compute", "--no-timing", "--a", "52/7", "--format", "csv", "--d", "5", "--method", "tree"],
+    ["compute", "--d", "3", "--a", "7", "--method", "linf", "--linf-bound", "3", "--format", "text", "--no-timing"],
+    ["gamma", "--k", "4", "--a", "3/2", "--format", "csv"],
+    ["trees", "--d", "3", "--format", "text"],
+    ["validate", "--d-max", "3", "--a", "29/4", "--no-timing"],
+    ["scan", "--d", "3", "--format", "csv"],
+    ["integrality", "--d", "4"],
+    [], ["-h"], ["compute", "-h"], ["nosuchcommand"], ["compute", "--d", "3"],
+    ["compute", "--d", "0", "--a", "inf"], ["compute", "--d", "2", "--a", "bogus"],
+    ["compute", "--d", "2", "--a", "inf", "--method", "nope"], ["compute", "--d", "2", "--a", "-5/2"],
+    ["compute", "--d", "2", "--a", "inf", "--jobs", "2"], ["compute", "--d", "2", "--d", "3", "--a", "inf", "--no-timing"],
+    ["compute", "--d=3", "--a", "inf", "--no-t"], ["validate", "--d-m", "2", "--lin", "0", "--no-timing"],
+    ["gamma", "--a", "3/2", "--k", "100001"], ["trees", "--d", "13"],
+], ids=" ".join)
+def test_plain_parsing_runs_as_argparse_does(capsys, monkeypatch, argv):
+    plain = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+    assert run_cli(capsys, *argv) == plain
+
+
+def test_gamma_refused_beyond_index_limit():
+    # a subprocess with a timeout: unguarded, k = 10^6 took about 5 s and 400 MB
+    proc = subprocess.run(
+        [sys.executable, "-m", "ellsuper", "gamma", "--a", "3/2", "--k", str(cli.GAMMA_MAX_INDEX + 1)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "k <= 100000" in proc.stderr and "3d - 1" in proc.stderr
 
 
 def test_linf_bound_respected(capsys):

@@ -15,10 +15,11 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # neither `import ellsuper.cli` nor a plain `compute` needs the oracles, the
 # sweep drivers, the csv/text renderers, numerics, or these costly standard
-# modules (dataclasses imports inspect); no module of the package imports
-# __future__, since every annotation it writes evaluates on Python 3.10
+# modules (dataclasses imports inspect; argparse imports gettext, which loads
+# locale); no module of the package imports __future__, since every
+# annotation it writes evaluates on Python 3.10
 NOT_ON_COMPUTE_PATH = {
-    "dataclasses", "inspect", "typing", "csv", "__future__",
+    "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
     "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render", "ellsuper.numerics",
 }
 
@@ -36,8 +37,8 @@ def _modules_after(code: str) -> set[str]:
     return set(proc.stderr.split())
 
 
-def _modules_after_cli(*argv: str) -> set[str]:
-    return _modules_after(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == 0")
+def _modules_after_cli(*argv: str, code: int = 0) -> set[str]:
+    return _modules_after(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == {code}")
 
 
 def test_public_names_resolve():
@@ -50,6 +51,12 @@ def test_cli_import_and_compute_load_no_oracle():
     assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH
     loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--no-timing")
     assert not loaded & NOT_ON_COMPUTE_PATH
+
+
+@pytest.mark.parametrize("argv, code", [(("compute", "--help"), 0), (("compute", "--d", "0", "--a", "inf"), 1)],
+                         ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_argparse(argv, code):
+    assert "argparse" in _modules_after_cli(*argv, code=code)
 
 
 def test_subcommands_load_the_oracles_they_run():

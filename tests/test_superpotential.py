@@ -133,6 +133,26 @@ def test_series_tree_pass_matches_partition_sum_oracle():
             assert sp._tree_pass(points[:d], fact, rows) == partition_tree_wtT(d, a), (d, str(a))
 
 
+def test_tree_pass_rows_are_recursion_rows_rescaled():
+    # observed data, not a theorem: row l of the tree pass times (G_2!)^l is row l
+    # of the recursion, for the value and for the whole series; the two passes
+    # share one derivation, so a divergence points at the row where it starts
+    d = 30
+    fact = sp._factorials(d)
+    for a in [AspectRatio.plus_delta(p, q) for p, q in ((3, 2), (52, 7), (29, 4), (7, 1))] + [INF]:
+        points = path_signature(a, d)[2::3]
+        recursion_rows, tree_rows = [], []
+        sp._recursion_pass(points, fact, recursion_rows)
+        sp._tree_pass(points, fact, tree_rows)
+        g2f = fact[points[0][0]] * fact[points[0][1]]
+        for ell, (rec, tree) in enumerate(zip(recursion_rows, tree_rows, strict=True), start=1):
+            scale = g2f ** ell
+            value = Fraction(tree[1] * scale, tree[2]) == Fraction(rec[1], rec[2])
+            series = ({key: Fraction(c * scale, tree[4]) for key, c in tree[3].items()}
+                      == {key: Fraction(c, rec[4]) for key, c in rec[3].items()})
+            assert value and series, f"a = {a}: row {ell} diverges (value {value}, series {series})"
+
+
 def test_inner_sum_modes_agree():
     for a in (INF, AspectRatio.plus_delta(3, 2), AspectRatio.plus_delta(5, 2)):
         for d in range(1, 9):
