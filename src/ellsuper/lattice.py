@@ -73,12 +73,18 @@ class AspectRatio:
 
     @staticmethod
     def parse(text: str) -> "AspectRatio":
-        """Parse ``"inf"``, ``"p/q"``, ``"p"``, or the rendered ``"p/q+delta"``."""
+        """Parse ``"inf"``, ``"p/q"``, ``"p"``, a decimal, or the rendered ``"p/q+delta"``.
+
+        Exponent forms are refused: ``Fraction("1e9999999")`` is a
+        ten-million-digit integer, built before any bound could apply.
+        """
         s = text.strip().lower()
         if s in ("inf", "infinity", "oo"):
             return AspectRatio.infinite()
         if s.endswith("+delta"):
             s = s[: -len("+delta")]
+        if "e" in s:
+            raise ValueError(f"cannot parse aspect ratio {text!r}")
         try:
             frac = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

@@ -17,15 +17,73 @@ The ordered variant (leaves labeled 1..k, children still unordered) is
 enumerated independently via set partitions of the label set; its cardinality
 equals the sum of d!/|Aut(T)| over the unordered classes, and the test suite
 checks the two routes against each other.
+
+The module also holds the integer splits both enumerations run:
+:func:`partitions` of a leaf count and :func:`set_partitions` of a label set.
+:func:`compositions` is run by no pipeline; it stays public only for the test
+oracles, which sum over ordered compositions, and for the benchmark's trace,
+which counts the items it yields.
 """
 
 from collections import namedtuple
-from collections.abc import Iterable
-from fractions import Fraction
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, product
+from math import factorial
 
-from .numerics import factorial, partitions, set_partitions
+
+def compositions(total: int, min_parts: int = 1) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of positive integers summing to ``total``.
+
+    Yields all 2^(total-1) compositions (fewer when ``min_parts`` > 1) in
+    lexicographic order of the leading parts.
+    """
+    if total < 0:
+        raise ValueError(f"compositions requires total >= 0, got {total}")
+
+    def rec(remaining: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            if len(acc) >= min_parts:
+                yield acc
+            return
+        for first in range(1, remaining + 1):
+            yield from rec(remaining - first, acc + (first,))
+
+    yield from rec(total, ())
+
+
+def partitions(total: int, min_parts: int = 1) -> Iterator[tuple[int, ...]]:
+    """Nonincreasing tuples of positive integers summing to ``total``."""
+    if total < 0:
+        raise ValueError(f"partitions requires total >= 0, got {total}")
+
+    def rec(remaining: int, cap: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if remaining == 0:
+            if len(acc) >= min_parts:
+                yield acc
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            yield from rec(remaining - first, first, acc + (first,))
+
+    yield from rec(total, total, ())
+
+
+def set_partitions(items: Iterable) -> Iterator[list[tuple]]:
+    """All partitions of a sequence into unordered nonempty blocks (as tuples)."""
+    seq = list(items)
+
+    def rec(rest: list) -> Iterator[list[tuple]]:
+        if not rest:
+            yield []
+            return
+        first, tail = rest[0], rest[1:]
+        for part in rec(tail):
+            for idx in range(len(part)):
+                yield part[:idx] + [(first,) + part[idx]] + part[idx + 1 :]
+            yield [(first,)] + part
+
+    yield from rec(seq)
+
 
 # Ordered trees are plain nested tuples: a leaf is its integer label, an
 # internal vertex the tuple of its children sorted by minimum label.
@@ -186,10 +244,10 @@ def ordered_internal_count(t: OrderedTree) -> int:
 def ordered_count(d: int) -> int:
     """Number of ordered-leaf classes, as the sum of d!/|Aut(T)| over unordered ones.
 
-    Every term is the size of a leaf-relabeling orbit, so the total is an
-    integer; the division is kept exact and checked rather than truncated.
+    Every term is the size of a leaf-relabeling orbit, so each division is
+    exact; a remainder is raised rather than truncated.
     """
-    total = sum(Fraction(factorial(d), t.aut_order) for t in enumerate_trees(d))
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integer ordered count for d={d}: {total}")
-    return total.numerator
+    orbits = [divmod(factorial(d), t.aut_order) for t in enumerate_trees(d)]
+    if any(rest for _, rest in orbits):
+        raise ArithmeticError(f"non-integer ordered count for d={d}")
+    return sum(orbit for orbit, _ in orbits)

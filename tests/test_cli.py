@@ -204,6 +204,7 @@ def test_reports_are_byte_identical_across_runs(capsys):
 def test_usage_errors(capsys):
     assert run_cli(capsys, "compute", "--d", "0", "--a", "inf")[0] == EXIT_USAGE
     assert run_cli(capsys, "compute", "--d", "2", "--a", "bogus")[0] == EXIT_USAGE
+    assert run_cli(capsys, "compute", "--d", "2", "--a", "1E3")[0] == EXIT_USAGE
     assert run_cli(capsys, "compute", "--d", "2", "--a", "inf", "--method", "nope")[0] == EXIT_USAGE
     assert run_cli(capsys, "compute", "--d", "2", "--a", "inf", "--frobnicate")[0] == EXIT_USAGE
     assert run_cli(capsys, "nosuchcommand")[0] == EXIT_USAGE
@@ -213,7 +214,7 @@ def test_usage_errors(capsys):
 # tokens that plain parsing leaves to argparse, among them abbreviations and options of no subcommand
 _ODD_TOKENS = ["--", "-", "-h", "--help", "--no-t", "--lin", "--form", "--d-m", "--jobs", "--k", "--d=3", "x"]
 _VALUES = {
-    cli._aspect: ["inf", "INF", "3/2", "52/7", "7", "3/2+delta", "1/2", "0", "bogus", "-5/2", ""],
+    cli._aspect: ["inf", "INF", "3/2", "52/7", "7", "3/2+delta", "1/2", "0", "bogus", "-5/2", "1e3", ""],
     cli._positive_int: ["1", "3", "0", "-1", "+2", " 4", "x", "2.5"],
     cli._nonnegative_int: ["0", "5", "-1", "x"],
 }

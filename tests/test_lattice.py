@@ -1,4 +1,6 @@
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,25 @@ def test_parse_and_render():
         AspectRatio.parse("-3/2")
     with pytest.raises(ValueError):
         AspectRatio.parse("0")
+
+
+def test_parse_refuses_exponent_forms():
+    # a subprocess with a timeout: accepted, "1e9999999" became a ten-million-digit
+    # integer and ran 12.5 s before failing
+    probe = (
+        "from ellsuper import AspectRatio\n"
+        "for text in ('1e9999999', '1E3', '3/2e1+delta'):\n"
+        "    try:\n"
+        "        AspectRatio.parse(text)\n"
+        "    except ValueError as exc:\n"
+        "        assert 'cannot parse aspect ratio' in str(exc), exc\n"
+        "    else:\n"
+        "        raise AssertionError(text)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert AspectRatio.parse("7.5") == AspectRatio.plus_delta(15, 2)
+    assert AspectRatio.parse("7.5+delta") == AspectRatio.plus_delta(15, 2)
 
 
 @given(ratios, st.integers(1, 50))

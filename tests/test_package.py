@@ -14,13 +14,13 @@ import ellsuper.pipelines
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # neither `import ellsuper.cli` nor a plain `compute` needs the oracles, the
-# sweep drivers, the csv/text renderers, numerics, or these costly standard
+# sweep drivers, the csv/text renderers, or these costly standard
 # modules (dataclasses imports inspect; argparse imports gettext, which loads
 # locale); no module of the package imports __future__, since every
 # annotation it writes evaluates on Python 3.10
 NOT_ON_COMPUTE_PATH = {
     "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
-    "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render", "ellsuper.numerics",
+    "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render",
 }
 
 
@@ -68,9 +68,9 @@ def test_subcommands_load_the_oracles_they_run():
 @pytest.mark.parametrize("argv", [("validate", "--d-max", "3"),
                                   ("compute", "--d", "3", "--a", "inf", "--method", "linf")],
                          ids=lambda argv: argv[0])
-def test_linf_runs_without_numerics(argv):
+def test_linf_runs_without_trees(argv):
     loaded = _modules_after_cli(*argv)
-    assert "ellsuper.linf" in loaded and "ellsuper.numerics" not in loaded
+    assert "ellsuper.linf" in loaded and "ellsuper.trees" not in loaded
 
 
 @pytest.mark.parametrize("argv", [("validate", "--d-max", "2"), ("scan", "--d", "2"),
@@ -115,6 +115,17 @@ def test_traced_layers_stay_public():
             assert inspect.isgeneratorfunction(fn), public
     for _, cls_name, method, _ in driver.METHODS:
         assert callable(vars(getattr(ellsuper, cls_name)).get(method)), (cls_name, method)
+
+
+def test_trees_owns_the_enumerators():
+    # the benchmark's trace counts what `partitions` and `compositions` yield
+    # and reads the cache of `enumerate_trees`
+    assert importlib.util.find_spec("ellsuper.numerics") is None
+    for name in ("partitions", "set_partitions", "compositions"):
+        assert getattr(ellsuper, name).__module__ == "ellsuper.trees", name
+    assert inspect.isgeneratorfunction(ellsuper.partitions)
+    assert inspect.isgeneratorfunction(ellsuper.compositions)
+    assert callable(ellsuper.enumerate_trees.cache_info)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])

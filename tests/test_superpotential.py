@@ -268,7 +268,7 @@ def test_tree_term_signs_for_wide_ratios():
     # by the parity of the unmovable internal vertices; the terms also re-sum
     # to the pipeline value
     from ellsuper import enumerate_trees, gamma_point, pair_factorial, point_add, vertex_data
-    from ellsuper.numerics import factorial as fact
+    from math import factorial as fact
 
     for a in (INF, AspectRatio.plus_delta(5, 2)):
         for d in range(2, 7):
