@@ -6,7 +6,7 @@ infinitesimal delta > 0, and the infinite ratio pushes all mass onto the
 first coordinate.
 """
 
-from ellsuper import AspectRatio, gamma_path, mult
+from ellsuper import AspectRatio, gamma_path, gamma_point, mult
 
 for text in ("3/2", "2", "5/2", "5", "inf"):
     a = AspectRatio.parse(text)
@@ -17,6 +17,6 @@ print()
 print("The multiplicity of a path point picks the coordinate achieving the max:")
 a = AspectRatio.parse("3/2")
 for k in (2, 5, 7):
-    pt = gamma_path(a, k)[k]
+    pt = gamma_point(a, k)
     print(f"  mult_{a}{pt} = {mult(a, pt)}")
 

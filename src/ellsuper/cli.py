@@ -38,7 +38,8 @@ import time
 from types import SimpleNamespace
 
 from .lattice import AspectRatio, gamma_path
-from .pipelines import DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _engine, superpotential
+from .pipelines import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine,
+                        superpotential)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,7 +131,7 @@ def _cmd_compute(args) -> dict:
         "T": str(res.T),
         "method": res.method,
     }
-    if not args.a.is_infinite and args.a.p < args.a.q:
+    if _below_one(args.a):
         out["warning"] = "aspect ratio below 1: outside the intended range a > 1"
     if not args.no_timing:
         out["ms"] = elapsed

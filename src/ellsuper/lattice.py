@@ -3,15 +3,15 @@
 For an aspect ratio ``a > 0`` the path point ``Gamma_k`` is the pair
 ``(i, j)`` with ``i + j = k`` minimizing ``max(i, a*j)``.  The minimizer is
 unique when ``a`` is irrational; rational inputs are therefore always
-understood as ``p/q + delta`` for an infinitesimal ``delta > 0``, and every
-comparison below is decided exactly from ``(p, q)`` plus the sign of the
-perturbation.  Concretely, a candidate ``(i, j)`` is ranked by the pair
+understood as ``p/q + delta`` for an infinitesimal ``delta > 0``.
 
-    (max(i*q, p*j), 0 if i*q > p*j else j)
-
-compared lexicographically: the first entry is the limit value of
-``max(i, a*j)`` scaled by ``q``, the second its derivative in ``delta``.
-This is exactly the ``delta -> 0+`` limit of the real comparison.
+Along ``i + j = k`` the entry ``k - j`` falls and ``a*j`` rises with ``j``,
+so ``j`` is the least ``j >= 0`` with ``a*(j + 1) >= k - j``: the next step
+onto the second coordinate would not lower the max.  At ``a = p/q + delta``
+that is ``p*(j + 1) >= q*(k - j)``, i.e. ``j*(p + q) >= k*q - p``: delta
+settles an exact tie toward the smaller ``j``, so ties go to ``i``.  Hence
+``j = ((k + 1)*q - 1) // (p + q)``, the ceiling of ``(k*q - p)/(p + q)``
+or 0 if that is negative.
 
 The infinite ratio sends all mass to the first coordinate: ``Gamma_k = (k, 0)``.
 """
@@ -107,7 +107,7 @@ class AspectRatio:
     def __str__(self) -> str:
         if self.p is None:
             return "inf"
-        return f"{Fraction(self.p, self.q)}+delta"
+        return f"{self.p}+delta" if self.q == 1 else f"{self.p}/{self.q}+delta"
 
 
 def point_add(*points: LatticePoint) -> LatticePoint:
@@ -128,39 +128,25 @@ def pair_factorial(point: LatticePoint) -> int:
     return out
 
 
-def _key(a: AspectRatio, i: int, j: int) -> tuple[int, int]:
-    # Rank of max(i, a*j) among candidates with the same i+j; see module docstring.
-    iq, pj = i * a.q, a.p * j
-    return (iq, 0) if iq > pj else (pj, j)
-
-
 def gamma_point(a: AspectRatio, k: int) -> tuple[int, int]:
-    """The path point Gamma_k: the (i, j) with i+j = k minimizing max(i, a*j)."""
+    """The path point Gamma_k: the (i, j) with i+j = k minimizing max(i, a*j).
+
+    ``j`` is the least ``j >= 0`` with ``j*(p + q) >= k*q - p``; see the
+    module docstring.  The test suite checks it against a brute-force argmin.
+    """
     if k < 0:
         raise ValueError(f"gamma_point requires k >= 0, got {k}")
-    return gamma_path(a, k)[k]
+    if a.is_infinite:
+        return (k, 0)
+    j = ((k + 1) * a.q - 1) // (a.p + a.q)
+    return (k - j, j)
 
 
 def gamma_path(a: AspectRatio, k_max: int) -> list[tuple[int, int]]:
-    """The points Gamma_0 .. Gamma_k_max, built by unit steps.
-
-    Each step moves to whichever of ``(i+1, j)`` and ``(i, j+1)`` ranks lower,
-    ties incrementing ``i``.  This is the one path rule of the package
-    (:func:`gamma_point` reads a point off it); the test suite checks every
-    point against a brute-force argmin rather than trusting the greedy
-    construction.
-    """
+    """The points Gamma_0 .. Gamma_k_max."""
     if k_max < 0:
         raise ValueError(f"gamma_path requires k_max >= 0, got {k_max}")
-    i = j = 0
-    points: list[tuple[int, int]] = [(0, 0)]
-    for _ in range(k_max):
-        if a.is_infinite or _key(a, i + 1, j) <= _key(a, i, j + 1):
-            i += 1
-        else:
-            j += 1
-        points.append((i, j))
-    return points
+    return [gamma_point(a, k) for k in range(k_max + 1)]
 
 
 def mult(a: AspectRatio, point: LatticePoint) -> int:

@@ -62,7 +62,9 @@ every tree one at a time, live in ``tests/oracles.py``.
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.  Finer: the degree-n state of either
 engine (wtT_n and f_n in the recursion, S_n and its series part in the tree
-sum) reads only the points ``G_2, G_5, .., G_{3n-1}``.  Each engine is
+sum) reads only the points ``G_2, G_5, .., G_{3n-1}``, and each engine
+receives those read points ``G_{3n-1}`` and nothing else of ``a``; the full
+prefix is built only for a :class:`MethodDisagreement` dump.  Each engine is
 therefore a private pass that extends a caller-owned list of per-degree
 rows, each row tagged with the point it read last, and keeps the rows up
 to the first point that differs from the ratio it was last run at.
@@ -76,7 +78,7 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import AspectRatio, gamma_path, mult
+from .lattice import AspectRatio, gamma_path, gamma_point, mult
 
 METHODS = ("recursion", "tree", "linf")
 DEFAULT_LINF_BOUND = 8  # the inversion route is an oracle; its cost grows with the multiset partitions
@@ -95,6 +97,11 @@ class SuperpotentialResult(namedtuple("SuperpotentialResult", "d a wtT multiplie
 def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
     """The path prefix G_0..G_{3d-1} that wtT(d, .) depends on."""
     return tuple(gamma_path(a, 3 * d - 1))
+
+
+def _read_points(a: AspectRatio, d: int) -> list[tuple[int, int]]:
+    """The points G_2, G_5, .., G_{3d-1}, all that the engines read of ``a`` up to degree d."""
+    return [gamma_point(a, 3 * n - 1) for n in range(1, d + 1)]
 
 
 def _factorials(d: int) -> list[int]:
@@ -170,7 +177,7 @@ def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
     """wtT by the split recursion, as one online pass of the series exponential."""
     if d < 1:
         raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
-    return _recursion_pass(path_signature(a, d)[2::3], _factorials(d), [])
+    return _recursion_pass(_read_points(a, d), _factorials(d), [])
 
 
 def _tree_pass(points, fact: list[int], rows: list) -> Fraction:
@@ -233,13 +240,17 @@ def tree_wtT(d: int, a: AspectRatio) -> Fraction:
     """
     if d < 1:
         raise ValueError(f"tree_wtT requires d >= 1, got {d}")
-    return _tree_pass(path_signature(a, d)[2::3], _factorials(d), [])
+    return _tree_pass(_read_points(a, d), _factorials(d), [])
+
+
+def _below_one(a: AspectRatio) -> bool:
+    # All headline evaluations assume a > 1; a = p/q + delta stays above 1
+    # exactly when p >= q.
+    return not a.is_infinite and a.p < a.q
 
 
 def _warn_outside_range(a: AspectRatio) -> None:
-    # All headline evaluations assume a > 1; a = p/q + delta stays above 1
-    # exactly when p >= q.
-    if not a.is_infinite and a.p < a.q:
+    if _below_one(a):
         warnings.warn(f"aspect ratio {a} is below 1: outside the intended range a > 1",
                       stacklevel=3)
 
@@ -269,7 +280,7 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
             f"use 'recursion' for d={d}, or pass a larger linf_bound"
         )
     wt = _engine(method)(d, a)
-    multiplier = mult(a, path_signature(a, d)[3 * d - 1])
+    multiplier = mult(a, gamma_point(a, 3 * d - 1))
     return SuperpotentialResult(d=d, a=a, wtT=wt, multiplier=multiplier,
                                 T=wt / multiplier, method=method)
 

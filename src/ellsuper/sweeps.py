@@ -24,6 +24,7 @@ from .pipelines import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
     _factorials,
+    _read_points,
     _recursion_pass,
     _tree_pass,
     _warn_outside_range,
@@ -32,12 +33,12 @@ from .pipelines import (
 )
 
 
-def _disagreement(d: int, a: AspectRatio, path, values: dict) -> MethodDisagreement:
-    """The error for pipelines that differ at (d, a), with a full operand dump."""
+def _disagreement(d: int, a: AspectRatio, values: dict) -> MethodDisagreement:
+    """The error for pipelines that differ at (d, a), dumping the whole prefix G_0..G_{3d-1}."""
     dump = {
         "d": d,
         "a": str(a),
-        "path_prefix": [list(pt) for pt in path],
+        "path_prefix": [list(pt) for pt in path_signature(a, d)],
         "values": {name: str(v) for name, v in values.items()},
     }
     return MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
@@ -68,8 +69,7 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
     before any clock starts.
     """
     _warn_outside_range(a)
-    path = path_signature(a, d_max)
-    points = path[2::3]
+    points = _read_points(a, d_max)
     fact = _factorials(d_max)
     recursion_rows: list = []
     tree_rows: list = []
@@ -94,9 +94,9 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
             values[method] = step(d)
             clocks[method] += time.perf_counter() - start
         if len(set(values.values())) != 1:
-            raise _disagreement(d, a, path[:3 * d], values)
+            raise _disagreement(d, a, values)
         wt = values["recursion"]
-        multiplier = mult(a, path[3 * d - 1])
+        multiplier = mult(a, points[d - 1])
         reports.append({
             "d": d,
             "a": str(a),
@@ -139,16 +139,17 @@ def scan_monotonicity(d: int) -> dict:
     cross-validated between the recursion and the tree sum, raising
     :class:`MethodDisagreement` as ``cross_validate`` does.  A second point
     inside the same interval (the mediant with the next breakpoint), with its
-    own path and its own recursion value, guards the breakpoint analysis: the
-    report is marked inconsistent if the two ever differ.  A non-monotone
+    own path points and its own recursion value, guards the breakpoint
+    analysis: the report is marked inconsistent if the two ever differ.  A non-monotone
     profile is reported, never raised; it is exploratory output.
 
     The ratios are evaluated in one ascending sweep (each start, its
-    midpoint, the next start, ..., then ``inf``), each path built once, and
-    every engine resumes from the previous ratio's rows.  That is exact: the
-    degree-n rows of both engines read only the points G_2, G_5, .., G_{3n-1},
-    so rows up to the longest common prefix of two ratios' points are the
-    same for both, and only the degrees past it are recomputed.
+    midpoint, the next start, ..., then ``inf``), each ratio's d read points
+    built once, and every engine resumes from the previous ratio's rows.
+    That is exact: the degree-n rows of both engines read only the points
+    G_2, G_5, .., G_{3n-1}, so rows up to the longest common prefix of two
+    ratios' points are the same for both, and only the degrees past it are
+    recomputed.
     """
     if d < 1:
         raise ValueError(f"scan_monotonicity requires d >= 1, got {d}")
@@ -159,9 +160,9 @@ def scan_monotonicity(d: int) -> dict:
     tree_rows: list = []  # interval starts only
 
     def evaluate(a: AspectRatio):
-        path = path_signature(a, d)
-        wt = _recursion_pass(path[2::3], fact, recursion_rows)
-        return path, wt, wt / mult(a, path[-1])
+        points = _read_points(a, d)
+        wt = _recursion_pass(points, fact, recursion_rows)
+        return points, wt, wt / mult(a, points[-1])
 
     rows = []
     nondecreasing = True
@@ -169,10 +170,10 @@ def scan_monotonicity(d: int) -> dict:
     previous: Fraction | None = None
     for idx, rep in enumerate(reps):
         a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
-        path, wt, value = evaluate(a)
-        tree = _tree_pass(path[2::3], fact, tree_rows)
+        points, wt, value = evaluate(a)
+        tree = _tree_pass(points, fact, tree_rows)
         if tree != wt:
-            raise _disagreement(d, a, path, {"recursion": wt, "tree": tree})
+            raise _disagreement(d, a, {"recursion": wt, "tree": tree})
         if idx + 1 < len(reps):
             nxt = reps[idx + 1]
             mid = Fraction(rep.numerator + nxt.numerator, rep.denominator + nxt.denominator)

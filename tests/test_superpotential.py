@@ -396,9 +396,13 @@ def test_cross_validate_checks_every_lower_degree(monkeypatch):
         return value + 1 if len(points) == 3 else value
 
     monkeypatch.setattr(sweeps, "_tree_pass", faulty)
+    a = AspectRatio.plus_delta(52, 7)
     with pytest.raises(MethodDisagreement) as caught:
-        cross_validate(5, AspectRatio.plus_delta(52, 7))
-    assert json.loads(str(caught.value).split(": ", 1)[1])["d"] == 3
+        cross_validate(5, a)
+    dump = json.loads(str(caught.value).split(": ", 1)[1])
+    assert dump["d"] == 3
+    # the engines read only G_2, G_5, G_8; the dump still carries all of G_0..G_8
+    assert dump["path_prefix"] == [list(pt) for pt in path_signature(a, 3)]
 
 
 def test_cross_validate_resolves_each_engine_before_its_clock():
@@ -533,8 +537,11 @@ def test_scan_midpoints_catch_a_missing_breakpoint(monkeypatch):
 
 def test_scan_cross_checks_the_tree_sum(monkeypatch):
     monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(1, 7))
-    with pytest.raises(MethodDisagreement, match="path_prefix"):
+    with pytest.raises(MethodDisagreement, match="path_prefix") as caught:
         scan_monotonicity(4)
+    dump = json.loads(str(caught.value).split(": ", 1)[1])
+    assert (dump["d"], dump["a"]) == (4, "1+delta")
+    assert dump["path_prefix"] == [list(pt) for pt in path_signature(AspectRatio.plus_delta(1), 4)]
 
 
 def test_scan_profile_through_degree_20():
