@@ -18,9 +18,8 @@ _PUBLIC = {
     "pipelines": ("DEFAULT_LINF_BOUND", "MethodDisagreement", "SuperpotentialResult",
                   "path_signature", "recursion_wtT", "superpotential", "tree_wtT"),
     "sweeps": ("cross_validate", "integrality_scan", "scan_breakpoints", "scan_monotonicity"),
-    "linf": ("BasedSpace", "LinfError", "LinfMorphism", "compose", "descendant_space",
-             "ellipsoid_morphism", "ellipsoid_space", "identity_morphism", "invert",
-             "linf_superpotential"),
+    "linf": ("LinfError", "LinfMorphism", "compose", "ellipsoid_morphism", "identity_morphism",
+             "invert", "linf_superpotential"),
     "trees": ("LEAF", "Tree", "VertexInfo", "compositions", "enumerate_ordered_trees",
               "enumerate_trees", "factorial", "ordered_count", "ordered_internal_count",
               "ordered_leaves", "partitions", "set_partitions", "vertex_data"),

@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 from .lattice import AspectRatio, gamma_path
 from .pipelines import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine,
-                        superpotential)
+                        _warn_outside_range, superpotential)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -141,6 +141,7 @@ def _cmd_compute(args) -> dict:
 def _cmd_validate(args) -> dict:
     from .sweeps import _validation_sweep
 
+    _warn_outside_range(args.a)
     results = _validation_sweep(args.d_max, args.a, args.linf_bound)
     if args.no_timing:
         for report in results:

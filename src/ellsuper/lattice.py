@@ -19,8 +19,6 @@ The infinite ratio sends all mass to the first coordinate: ``Gamma_k = (k, 0)``.
 import math
 from fractions import Fraction
 
-LatticePoint = tuple[int, ...]
-
 
 class AspectRatio:
     """Ellipsoid aspect ratio: either infinite or the perturbed ``p/q + delta``.
@@ -97,35 +95,25 @@ class AspectRatio:
     def is_infinite(self) -> bool:
         return self.p is None
 
-    @property
-    def value(self) -> Fraction:
-        """The rational part p/q (the perturbation is carried separately)."""
-        if self.p is None:
-            raise ValueError("infinite aspect ratio has no rational value")
-        return Fraction(self.p, self.q)
-
     def __str__(self) -> str:
         if self.p is None:
             return "inf"
         return f"{self.p}+delta" if self.q == 1 else f"{self.p}/{self.q}+delta"
 
 
-def point_add(*points: LatticePoint) -> LatticePoint:
-    """Componentwise sum of lattice points of equal dimension."""
-    if not points:
-        raise ValueError("point_add needs at least one point")
-    n = len(points[0])
-    if any(len(pt) != n for pt in points):
-        raise ValueError("mismatched lattice point dimensions")
-    return tuple(sum(coords) for coords in zip(*points))
+def point_add(*points: tuple[int, int]) -> tuple[int, int]:
+    """Componentwise sum of lattice points in the plane; a non-pair raises ValueError."""
+    i = j = 0
+    for x, y in points:
+        i += x
+        j += y
+    return (i, j)
 
 
-def pair_factorial(point: LatticePoint) -> int:
-    """(i, j)! = i!·j!, the product of the coordinate factorials."""
-    out = 1
-    for x in point:
-        out *= math.factorial(x)
-    return out
+def pair_factorial(point: tuple[int, int]) -> int:
+    """(i, j)! = i!·j!; a non-pair raises ValueError."""
+    i, j = point
+    return math.factorial(i) * math.factorial(j)
 
 
 def gamma_point(a: AspectRatio, k: int) -> tuple[int, int]:
@@ -149,7 +137,7 @@ def gamma_path(a: AspectRatio, k_max: int) -> list[tuple[int, int]]:
     return [gamma_point(a, k) for k in range(k_max + 1)]
 
 
-def mult(a: AspectRatio, point: LatticePoint) -> int:
+def mult(a: AspectRatio, point: tuple[int, int]) -> int:
     """Multiplicity of a path point: i if i > a*j, else j."""
     if len(point) != 2:
         raise ValueError(f"mult is defined for pairs, got {point}")

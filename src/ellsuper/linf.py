@@ -2,8 +2,13 @@
 
 A graded vector space concentrated in even degrees admits no nonzero
 L-infinity brackets (parity kills them all), so an algebra here is just a
-based graded space and a morphism ``V -> W`` is a sequence of degree-zero
-symmetric multilinear maps, one per arity ``k >= 1``.  Assembled into
+space with basis ``e_1, e_2, ..`` in the standard grading ``deg e_i = -2 - 2i``,
+named by a string, and a morphism ``V -> W`` is a sequence of degree-zero
+symmetric multilinear maps, one per arity ``k >= 1``.  Degree zero pins
+every output: inputs ``e_{i_1}, .., e_{i_k}`` carry degree
+``sum(-2 - 2i_m) = -2k - 2(i_1 + .. + i_k)``, which is ``-2 - 2j`` exactly
+for ``j = i_1 + .. + i_k + k - 1``, so an entry on the multiset ``key`` may
+land only on the index ``sum(key) + len(key) - 1``.  Assembled into
 coalgebra maps, morphisms compose by splitting the inputs into unordered
 blocks:
 
@@ -23,7 +28,7 @@ than over the trees (see :func:`invert`).
 Tables are stored sparsely per multiset of input basis indices; coefficients
 are exact rationals (any exact scalar with ring operations works, e.g. sympy
 expressions in the symbolic tests).  Every stored entry is checked to be
-degree-homogeneous of degree zero.
+degree-homogeneous of degree zero, i.e. to land on that one index.
 
 The bundled instance attaches to an ellipsoid aspect ratio ``a`` the morphism
 with entries ``(o_{i_1},..,o_{i_k}) -> q_{i_1+..+i_k+k-1} / (G_{i_1}+..+G_{i_k})!``
@@ -42,36 +47,6 @@ from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
 
 class LinfError(ValueError):
     """Ill-formed morphism data or an operation outside a declared truncation."""
-
-
-def standard_degree(i: int) -> int:
-    """Degree -2-2i carried by the i-th generator of the bundled spaces."""
-    return -2 - 2 * i
-
-
-class BasedSpace:
-    """Graded vector space with basis indexed by 1, 2, 3, ... in even degrees."""
-
-    def __init__(self, name: str, degree=standard_degree):
-        self.name = name
-        self._degree = degree
-
-    def degree(self, i: int) -> int:
-        if i < 1:
-            raise LinfError(f"basis indices start at 1, got {i}")
-        d = self._degree(i)
-        if d % 2:
-            raise LinfError(f"{self.name} has odd degree {d} at index {i}; only even gradings are supported")
-        return d
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BasedSpace) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-    def __repr__(self) -> str:
-        return f"BasedSpace({self.name!r})"
 
 
 def _recip(c):
@@ -108,7 +83,7 @@ class LinfMorphism:
     between threads.
     """
 
-    def __init__(self, source: BasedSpace, target: BasedSpace, *, max_index: int,
+    def __init__(self, source: str, target: str, *, max_index: int,
                  max_arity: int, rule=None, entries=None, name: str = ""):
         if max_index < 1 or max_arity < 1:
             raise LinfError("truncation bounds must be at least 1")
@@ -116,7 +91,7 @@ class LinfMorphism:
         self.target = target
         self.max_index = max_index
         self.max_arity = max_arity
-        self.name = name or f"{source.name}->{target.name}"
+        self.name = name or f"{source}->{target}"
         self._rule = rule
         self._entries: dict[tuple[int, ...], dict] = {}
         if entries:
@@ -138,12 +113,13 @@ class LinfMorphism:
             raise LinfError(f"{self.name}: index {key[-1]} exceeds declared bound {self.max_index}")
 
     def _check_entry(self, key: tuple[int, ...], vec: dict) -> None:
-        deg_in = sum(self.source.degree(i) for i in key)
+        # the one index of degree zero; see the module docstring
+        expected = sum(key) + len(key) - 1
         for j in vec:
-            if self.target.degree(j) != deg_in:
+            if j != expected:
                 raise LinfError(
                     f"{self.name}: entry {key} -> {j} is not degree-homogeneous "
-                    f"({deg_in} vs {self.target.degree(j)})"
+                    f"(expected index {expected})"
                 )
 
     def entry(self, indices) -> dict:
@@ -181,8 +157,8 @@ class LinfMorphism:
             bucket[",".join(map(str, key))] = {str(j): str(c) for j, c in sorted(vec.items())}
         return {
             "name": self.name,
-            "source": self.source.name,
-            "target": self.target.name,
+            "source": self.source,
+            "target": self.target,
             "max_index": self.max_index,
             "max_arity": self.max_arity,
             "arities": arities,
@@ -192,7 +168,7 @@ class LinfMorphism:
         return f"LinfMorphism({self.name}, idx<={self.max_index}, k<={self.max_arity})"
 
 
-def identity_morphism(space: BasedSpace, *, max_index: int, max_arity: int) -> LinfMorphism:
+def identity_morphism(space: str, *, max_index: int, max_arity: int) -> LinfMorphism:
     """Arity-one identity; all higher arities vanish."""
 
     def rule(key: tuple[int, ...]) -> dict:
@@ -201,7 +177,7 @@ def identity_morphism(space: BasedSpace, *, max_index: int, max_arity: int) -> L
         return {}
 
     return LinfMorphism(space, space, max_index=max_index, max_arity=max_arity,
-                        rule=rule, name=f"id[{space.name}]")
+                        rule=rule, name=f"id[{space}]")
 
 
 def _splits(key: tuple[int, ...], memo: dict) -> dict:
@@ -238,12 +214,12 @@ def _splits(key: tuple[int, ...], memo: dict) -> dict:
     return out
 
 
-def compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorphism:
+def compose(psi: LinfMorphism, phi: LinfMorphism) -> LinfMorphism:
     """Composite morphism; inputs split into unordered blocks, phi inside psi."""
     if phi.target != psi.source:
         raise LinfError(
-            f"space mismatch in composition: {phi.name} lands in {phi.target.name} "
-            f"but {psi.name} starts from {psi.source.name}"
+            f"space mismatch in composition: {phi.name} lands in {phi.target} "
+            f"but {psi.name} starts from {psi.source}"
         )
     max_index = min(psi.max_index, phi.max_index)
     max_arity = min(psi.max_arity, phi.max_arity)
@@ -256,7 +232,7 @@ def compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorp
         return out
 
     return LinfMorphism(phi.source, psi.target, max_index=max_index, max_arity=max_arity,
-                        rule=rule, name=name or f"{psi.name} o {phi.name}")
+                        rule=rule, name=f"{psi.name} o {phi.name}")
 
 
 def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
@@ -318,16 +294,6 @@ def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
     return psi
 
 
-def ellipsoid_space(a: AspectRatio) -> BasedSpace:
-    """Source space attached to an aspect ratio, generators o_1, o_2, ..."""
-    return BasedSpace(f"C[{a}]")
-
-
-def descendant_space() -> BasedSpace:
-    """Common target space, generators q_1, q_2, ..."""
-    return BasedSpace("C[q]")
-
-
 def ellipsoid_morphism(a: AspectRatio, *, max_index: int, max_arity: int) -> LinfMorphism:
     """The arity-k entries 1/(G_{i_1}+..+G_{i_k})! landing on q_{i_1+..+i_k+k-1}.
 
@@ -343,8 +309,7 @@ def ellipsoid_morphism(a: AspectRatio, *, max_index: int, max_arity: int) -> Lin
         total = point_add(*(path[i] for i in key))
         return {sum(key) + len(key) - 1: Fraction(1, pair_factorial(total))}
 
-    return LinfMorphism(ellipsoid_space(a), descendant_space(),
-                        max_index=max_index, max_arity=max_arity,
+    return LinfMorphism(f"C[{a}]", "C[q]", max_index=max_index, max_arity=max_arity,
                         rule=rule, name=f"eps[{a}]")
 
 

@@ -55,6 +55,7 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
     """
     if d < 1:
         raise ValueError(f"cross_validate requires d >= 1, got {d}")
+    _warn_outside_range(a)
     return _validation_sweep(d, a, linf_bound)[-1]
 
 
@@ -66,9 +67,9 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
     ``min(d_max, linf_bound)``, against every degree.  Each ``ms`` entry is
     its pipeline's time from the start of the sweep to that degree, which
     is what a run at that degree alone costs; the linf module is loaded
-    before any clock starts.
+    before any clock starts.  Its callers warn below 1, so the warning
+    names their caller's line.
     """
-    _warn_outside_range(a)
     points = _read_points(a, d_max)
     fact = _factorials(d_max)
     recursion_rows: list = []
@@ -195,7 +196,7 @@ def scan_monotonicity(d: int) -> dict:
     infinity_T = evaluate(AspectRatio.infinite())[2]
     if previous is not None and infinity_T < previous:
         nondecreasing = False
-    if rows and Fraction(rows[-1]["T"]) != infinity_T:
+    if previous is not None and previous != infinity_T:
         consistent = False  # the last interval extends to the infinite ratio
     return {
         "d": d,

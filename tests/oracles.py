@@ -427,12 +427,12 @@ def tree_sum_invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorp
                         rule=rule, name=f"inv({phi.name})")
 
 
-def per_partition_compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "") -> LinfMorphism:
+def per_partition_compose(psi: LinfMorphism, phi: LinfMorphism) -> LinfMorphism:
     """Composite morphism; inputs split into unordered blocks, phi inside psi."""
     if phi.target != psi.source:
         raise LinfError(
-            f"space mismatch in composition: {phi.name} lands in {phi.target.name} "
-            f"but {psi.name} starts from {psi.source.name}"
+            f"space mismatch in composition: {phi.name} lands in {phi.target} "
+            f"but {psi.name} starts from {psi.source}"
         )
     max_index = min(psi.max_index, phi.max_index)
     max_arity = min(psi.max_arity, phi.max_arity)
@@ -445,7 +445,7 @@ def per_partition_compose(psi: LinfMorphism, phi: LinfMorphism, *, name: str = "
         return out
 
     return LinfMorphism(phi.source, psi.target, max_index=max_index, max_arity=max_arity,
-                        rule=rule, name=name or f"{psi.name} o {phi.name}")
+                        rule=rule, name=f"{psi.name} o {phi.name}")
 
 
 def set_partition_splits(key: tuple[int, ...]) -> Counter:

@@ -16,7 +16,6 @@ import sympy
 
 from ellsuper import (
     AspectRatio,
-    BasedSpace,
     LinfMorphism,
     compose,
     ellipsoid_morphism,
@@ -170,7 +169,7 @@ def test_criterion_6_round_trip_and_symbolic_expansions():
             return {sum(key) + 2: h[key]}
         return {}
 
-    phi = LinfMorphism(BasedSpace("V"), BasedSpace("W"), max_index=max_index,
+    phi = LinfMorphism("V", "W", max_index=max_index,
                        max_arity=3, rule=rule, name="generic-symbolic")
     psi = invert(phi)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ellsuper import (
     AspectRatio,
-    BasedSpace,
     LinfError,
     LinfMorphism,
     compose,
@@ -32,8 +31,8 @@ A32 = AspectRatio.plus_delta(3, 2)
 def generic_morphism(max_index=9, max_arity=3, seed=7):
     """Invertible morphism with diagonal arity-1 part and random higher tables."""
     rng = random.Random(seed)
-    v = BasedSpace("V")
-    w = BasedSpace("W")
+    v = "V"
+    w = "W"
     diag = {i: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for i in range(1, max_index + 1)}
     table2 = {}
     table3 = {}
@@ -73,21 +72,18 @@ def test_ellipsoid_higher_arity_denominators():
 
 
 def test_degree_homogeneity_enforced():
-    v = BasedSpace("V")
-    w = BasedSpace("W")
-    with pytest.raises(LinfError):
+    v = "V"
+    w = "W"
+    with pytest.raises(LinfError, match=r"\(1,\) -> 2 .*expected index 1\b"):
         LinfMorphism(v, w, max_index=5, max_arity=2, entries={(1,): {2: Fraction(1)}})
     # the only degree-0 target index for inputs (i, j) is i+j+1
     LinfMorphism(v, w, max_index=5, max_arity=2, entries={(1, 2): {4: Fraction(1)}})
-    with pytest.raises(LinfError):
+    with pytest.raises(LinfError, match=r"\(1, 2\) -> 5 .*expected index 4\b"):
         LinfMorphism(v, w, max_index=5, max_arity=2, entries={(1, 2): {5: Fraction(1)}})
-
-
-def test_odd_degrees_refused():
-    odd = BasedSpace("odd", degree=lambda i: -1 - 2 * i)
-    with pytest.raises(LinfError):
-        LinfMorphism(odd, odd, max_index=3, max_arity=1,
-                     entries={(1,): {1: Fraction(1)}})
+    # a lazy rule is checked on first read, and an index below 1 is never of degree zero
+    lazy = LinfMorphism(v, w, max_index=5, max_arity=2, rule=lambda key: {0: Fraction(1)})
+    with pytest.raises(LinfError, match=r"expected index 3\b"):
+        lazy.entry((3,))
 
 
 def test_truncation_bounds_enforced():
@@ -101,7 +97,7 @@ def test_truncation_bounds_enforced():
 
 
 def test_identity_morphism():
-    v = BasedSpace("V")
+    v = "V"
     ident = identity_morphism(v, max_index=6, max_arity=4)
     assert ident.entry((3,)) == {3: Fraction(1)}
     assert ident.entry((1, 2)) == {}
@@ -129,7 +125,7 @@ def test_compose_arity_two_expansion():
     # (Psi o Phi)^2(x, y) = Psi^1(Phi^2(x, y)) + Psi^2(Phi^1 x, Phi^1 y)
     phi, diag, table2, _ = generic_morphism()
     psi, pdiag, ptable2, _ = generic_morphism(seed=11)
-    psi = LinfMorphism(phi.target, BasedSpace("U"), max_index=phi.max_index,
+    psi = LinfMorphism(phi.target, "U", max_index=phi.max_index,
                        max_arity=3, rule=psi._rule, name="psi")
     comp = compose(psi, phi)
     for key in [(1, 1), (1, 2), (2, 3)]:
@@ -150,8 +146,8 @@ def test_compose_space_mismatch():
 
 
 def test_invert_requires_bijective_arity_one():
-    v = BasedSpace("V")
-    w = BasedSpace("W")
+    v = "V"
+    w = "W"
     zero_first = LinfMorphism(v, w, max_index=3, max_arity=1,
                               rule=lambda key: {} if key == (1,) else {key[0]: Fraction(1)})
     with pytest.raises(LinfError):
@@ -320,7 +316,7 @@ def test_multiset_splits_pin_six_equal_inputs():
 def test_grouped_compose_matches_per_partition_oracle_generic():
     phi, _, _, _ = generic_morphism(max_index=14, max_arity=5)
     psi, _, _, _ = generic_morphism(max_index=14, max_arity=5, seed=11)
-    psi = LinfMorphism(phi.target, BasedSpace("U"), max_index=14, max_arity=5,
+    psi = LinfMorphism(phi.target, "U", max_index=14, max_arity=5,
                        rule=psi._rule, name="psi")
     assert _assert_composites_agree(psi, phi, 5) > 100
 

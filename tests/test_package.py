@@ -46,6 +46,14 @@ def test_public_names_resolve():
     assert missing == []
 
 
+@pytest.mark.parametrize("name", ["BasedSpace", "ellipsoid_space", "descendant_space"])
+def test_linf_spaces_are_plain_names(name):
+    # an L-infinity space is a string in the one even grading; no space type is public
+    assert name not in ellsuper.__all__
+    with pytest.raises(AttributeError):
+        getattr(ellsuper, name)
+
+
 def test_cli_import_and_compute_load_no_oracle():
     assert not {name for name in _modules_after("import ellsuper") if name.startswith("ellsuper.")}
     assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH

@@ -332,6 +332,14 @@ def test_warning_below_one():
         superpotential(1, AspectRatio.plus_delta(3, 2))  # above 1: no warning
 
 
+@pytest.mark.parametrize("run", [superpotential, cross_validate], ids=lambda f: f.__name__)
+def test_warning_below_one_names_the_caller(run):
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        run(2, AspectRatio(1, 2))
+    assert len(rec) == 1 and rec[0].filename == __file__
+
+
 def test_path_prefix_invariance():
     # ratios beyond 3d-1 share the all-first-coordinate prefix with infinity
     for d in (2, 4, 6):
