@@ -16,7 +16,7 @@ def run() -> int:
     """Freeze the import-time heap, then run the command line on ``sys.argv``.
 
     Everything alive once the CLI is imported (the interpreter's ``site``
-    objects, ``json``, ``fractions`` and this package's modules) lives until
+    objects, ``json`` and this package's modules) lives until
     exit; ``argparse`` is not among them, since it loads only for help and
     usage errors.  ``gc.freeze()`` moves it to the permanent generation,
     which no collection scans, so neither the full collections at interpreter

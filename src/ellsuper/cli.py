@@ -38,8 +38,8 @@ import time
 from types import SimpleNamespace
 
 from .lattice import AspectRatio, gamma_path
-from .pipelines import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine,
-                        _warn_outside_range, superpotential)
+from .pipelines import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine, _text,
+                        _value, _warn_outside_range)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,16 +120,17 @@ def _cmd_trees(args) -> dict:
 
 def _cmd_compute(args) -> dict:
     _engine(args.method)  # loads the engine's module before the clock starts
+    _warn_outside_range(args.a, stacklevel=2)
     start = time.perf_counter()
-    res = superpotential(args.d, args.a, args.method, linf_bound=args.linf_bound)
+    wt, multiplier, t = _value(args.d, args.a, args.method, args.linf_bound)
     elapsed = round((time.perf_counter() - start) * 1e3, 3)
     out = {
-        "d": res.d,
-        "a": str(res.a),
-        "wtT": str(res.wtT),
-        "mult": res.multiplier,
-        "T": str(res.T),
-        "method": res.method,
+        "d": args.d,
+        "a": str(args.a),
+        "wtT": _text(wt),
+        "mult": multiplier,
+        "T": _text(t),
+        "method": args.method,
     }
     if _below_one(args.a):
         out["warning"] = "aspect ratio below 1: outside the intended range a > 1"
@@ -141,7 +142,7 @@ def _cmd_compute(args) -> dict:
 def _cmd_validate(args) -> dict:
     from .sweeps import _validation_sweep
 
-    _warn_outside_range(args.a)
+    _warn_outside_range(args.a, stacklevel=2)
     results = _validation_sweep(args.d_max, args.a, args.linf_bound)
     if args.no_timing:
         for report in results:

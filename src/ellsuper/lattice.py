@@ -17,7 +17,6 @@ The infinite ratio sends all mass to the first coordinate: ``Gamma_k = (k, 0)``.
 """
 
 import math
-from fractions import Fraction
 
 
 class AspectRatio:
@@ -73,16 +72,29 @@ class AspectRatio:
     def parse(text: str) -> "AspectRatio":
         """Parse ``"inf"``, ``"p/q"``, ``"p"``, a decimal, or the rendered ``"p/q+delta"``.
 
-        Exponent forms are refused: ``Fraction("1e9999999")`` is a
-        ten-million-digit integer, built before any bound could apply.
+        Positive ``p`` and ``p/q`` in plain ASCII digits are read with
+        ``int()``; every other text goes to ``Fraction``, which then decides
+        alone whether it is accepted and with what message.  Exponent forms
+        are refused: ``Fraction("1e9999999")`` is a ten-million-digit
+        integer, built before any bound could apply.
         """
         s = text.strip().lower()
         if s in ("inf", "infinity", "oo"):
             return AspectRatio.infinite()
         if s.endswith("+delta"):
             s = s[: -len("+delta")]
+        num, slash, den = s.partition("/")
+        if s.isascii() and num.isdigit() and (den.isdigit() or not slash):
+            try:
+                p, q = int(num), int(den or 1)
+            except ValueError:  # past the int() digit limit, which Fraction reports
+                p = q = 0
+            if p > 0 and q > 0:
+                return AspectRatio(p, q)
         if "e" in s:
             raise ValueError(f"cannot parse aspect ratio {text!r}")
+        from fractions import Fraction
+
         try:
             frac = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:

@@ -20,8 +20,9 @@ exactly:
   polynomial time.  The pass runs on integers: each ``f_n`` is a dict of
   integer numerators over one denominator per degree, each wtT_s a reduced
   integer pair, and every sum of a degree is brought to a single common
-  denominator first, so nothing is normalized per term and the only
-  ``Fraction`` built is the returned value.  The same pass with a
+  denominator first, so nothing is normalized per term.  The pass returns
+  wtT_d as that reduced pair, and a ``Fraction`` is built only by the
+  public functions that return one.  The same pass with a
   ``Fraction`` per coefficient, the multiset sum over partitions of d and
   the sum over ordered splits with a 1/k! factor give the same values; all
   three are kept in ``tests/oracles.py`` as cross-checks.
@@ -42,9 +43,20 @@ exactly:
   ``exp(sum_s S_s x^s y^{G_{3s-1}})``, ``y^P -> 1/P!``, over >= 2 factors,
   with the all-leaves root (the one movable type) swapping its -1 for the
   movable factor.  It is the recursion's online series exponential, on
-  integers too, written separately, and observed to be the recursion
-  rescaled: row l of the tree pass equals row l of the recursion over
-  ``(G_2!)^l`` (``S_l (G_2!)^l = wtT_l`` and ``forest_l (G_2!)^l = f_l``).
+  integers too, written separately, and it is the recursion rescaled.
+
+  Lemma: with ``c = G_2!``, row l of the tree pass is row l of the
+  recursion over ``c^l``: ``wtT_l = c^l S_l`` and ``f_l = c^l forest_l``.
+  By induction on l.  At l = 1, ``wtT_1 = c``, ``S_1 = 1``,
+  ``f_1 = c y^{G_2}`` and ``forest_1 = y^{G_2}``.  If the identity holds
+  below l, each term ``k wtT_k f_{l-k}`` of the degree-l splits carries
+  ``c^k c^(l-k) = c^l`` times the tree pass's term ``k S_k forest_{l-k}``,
+  so the splits part ``acc_l`` of f_l is ``c^l kids_l``, the multisets of
+  >= 2 trees.  With ``L(y^P) = 1/P!``, ``wtT_l = G_{3l-1}! ((l!)^-3 -
+  L(acc_l))`` and ``S_l = G_{3l-1}! ((l!)^-3 c^-l - L(kids_l))``, so
+  ``wtT_l = c^l S_l``; adding the one-part terms ``wtT_l y^{G_{3l-1}}``
+  and ``S_l y^{G_{3l-1}}`` gives ``f_l = c^l forest_l``.
+
   The two share one derivation, so their agreement catches coding slips,
   not an error in that derivation.  The witnesses independent in
   derivation are linf (up to ``linf_bound``; checked to d = 17), the
@@ -76,7 +88,6 @@ and the scans) live in :mod:`.sweeps`.
 import math
 import warnings
 from collections import namedtuple
-from fractions import Fraction
 
 from .lattice import AspectRatio, gamma_path, gamma_point, mult
 
@@ -132,12 +143,13 @@ def _resume(rows: list, points) -> None:
     del rows[keep:]
 
 
-def _recursion_pass(points, fact: list[int], rows: list) -> Fraction:
+def _recursion_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
     """wtT_d, d = len(points), extending ``rows`` from their longest valid prefix.
 
     ``points[n - 1]`` is G_{3n-1} and ``fact`` comes from :func:`_factorials`.
     Row n - 1 is ``(G_{3n-1}, num, den, series, denom)``: wtT_n = num / den,
     reduced, and f_n = series / denom, series mapping lattice point -> integer.
+    Returns wtT_d as the canonical pair ``(num, den)`` of :func:`_value`.
     """
     _resume(rows, points)
     for n in range(len(rows) + 1, len(points) + 1):
@@ -170,23 +182,26 @@ def _recursion_pass(points, fact: list[int], rows: list) -> Fraction:
         f_n[point] = f_n.get(point, 0) + num * (denom // den)
         g = math.gcd(denom, *f_n.values())
         rows.append((point, num, den, {key: c // g for key, c in f_n.items()}, denom // g))
-    return Fraction(rows[-1][1], rows[-1][2])
+    return rows[-1][1], rows[-1][2]
 
 
-def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
+def recursion_wtT(d: int, a: AspectRatio) -> "Fraction":
     """wtT by the split recursion, as one online pass of the series exponential."""
     if d < 1:
         raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
-    return _recursion_pass(_read_points(a, d), _factorials(d), [])
+    from fractions import Fraction
+
+    return Fraction(*_recursion_pass(_read_points(a, d), _factorials(d), []))
 
 
-def _tree_pass(points, fact: list[int], rows: list) -> Fraction:
+def _tree_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
     """The tree sum at d = len(points), extending ``rows`` from their longest valid prefix.
 
     ``points`` and ``fact`` are as for :func:`_recursion_pass`.  Row l - 1 is
     ``(G_{3l-1}, num, den, forest, denom)``: S_l = num / den, reduced, and
     forest / denom, the multisets of trees with l leaves in all collected
     by the lattice point their roots' points sum to (lattice point -> integer).
+    Returns ``(G_2!)^d S_d``, which is wtT_d, as a canonical pair.
     """
     _resume(rows, points)
     gi, gj = points[0]
@@ -226,10 +241,12 @@ def _tree_pass(points, fact: list[int], rows: list) -> Fraction:
         forest[points[ell - 1]] = forest.get(points[ell - 1], 0) + num * (denom // den)
         g = math.gcd(denom, *forest.values())
         rows.append((points[ell - 1], num, den, {key: c // g for key, c in forest.items()}, denom // g))
-    return Fraction(g2f ** len(points) * rows[-1][1], rows[-1][2])
+    num, den = g2f ** len(points) * rows[-1][1], rows[-1][2]
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
-def tree_wtT(d: int, a: AspectRatio) -> Fraction:
+def tree_wtT(d: int, a: AspectRatio) -> "Fraction":
     """wtT by the closed sum over rooted trees with d unordered leaves.
 
     Evaluated by leaf count: ``S_l`` is the sum over trees with l leaves
@@ -240,7 +257,9 @@ def tree_wtT(d: int, a: AspectRatio) -> Fraction:
     """
     if d < 1:
         raise ValueError(f"tree_wtT requires d >= 1, got {d}")
-    return _tree_pass(_read_points(a, d), _factorials(d), [])
+    from fractions import Fraction
+
+    return Fraction(*_tree_pass(_read_points(a, d), _factorials(d), []))
 
 
 def _below_one(a: AspectRatio) -> bool:
@@ -249,10 +268,15 @@ def _below_one(a: AspectRatio) -> bool:
     return not a.is_infinite and a.p < a.q
 
 
-def _warn_outside_range(a: AspectRatio) -> None:
+def _warn_outside_range(a: AspectRatio, stacklevel: int = 3) -> None:
+    """Warn if ``a`` is below 1.
+
+    The default names the line that called the public function calling
+    this; a CLI handler passes 2, which names its own line.
+    """
     if _below_one(a):
         warnings.warn(f"aspect ratio {a} is below 1: outside the intended range a > 1",
-                      stacklevel=3)
+                      stacklevel=stacklevel)
 
 
 def _engine(method: str):
@@ -268,19 +292,52 @@ def _engine(method: str):
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
+def _text(pair: tuple[int, int]) -> str:
+    """A canonical pair as ``str(Fraction)`` renders it: ``num``, or ``num/den``."""
+    num, den = pair
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _over(pair: tuple[int, int], m: int) -> tuple[int, int]:
+    """The canonical pair of ``pair / m``, for an integer m > 0."""
+    num, den = pair
+    g = math.gcd(num, m)
+    return num // g, den * (m // g)
+
+
+_PASSES = {"recursion": _recursion_pass, "tree": _tree_pass}
+
+
+def _value(d: int, a: AspectRatio, method: str = "recursion", linf_bound: int = DEFAULT_LINF_BOUND):
+    """``(wtT, mult, T)`` at (d, a) by ``method``, with wtT and T canonical pairs.
+
+    A canonical pair is ``(num, den)`` with gcd 1 and den > 0; zero is
+    ``(0, 1)``.  The caller checks d >= 1 and warns below 1.  Only linf's
+    result is a ``Fraction``, read off by its numerator and denominator.
+    """
+    if method == "linf" and d > linf_bound:
+        raise ValueError(
+            f"method 'linf' is an oracle intended for d <= {linf_bound}; "
+            f"use 'recursion' for d={d}, or pass a larger linf_bound"
+        )
+    run = _PASSES.get(method)
+    if run is not None:
+        wt = run(_read_points(a, d), _factorials(d), [])
+    else:
+        value = _engine(method)(d, a)
+        wt = (value.numerator, value.denominator)
+    multiplier = mult(a, gamma_point(a, 3 * d - 1))
+    return wt, multiplier, _over(wt, multiplier)
+
+
 def superpotential(d: int, a: AspectRatio, method: str = "recursion",
                    linf_bound: int = DEFAULT_LINF_BOUND) -> SuperpotentialResult:
     """Full record: wtT by the chosen method, the multiplier, and T = wtT / mult."""
     if d < 1:
         raise ValueError(f"superpotential requires d >= 1, got {d}")
     _warn_outside_range(a)
-    if method == "linf" and d > linf_bound:
-        raise ValueError(
-            f"method 'linf' is an oracle intended for d <= {linf_bound}; "
-            f"use 'recursion' for d={d}, or pass a larger linf_bound"
-        )
-    wt = _engine(method)(d, a)
-    multiplier = mult(a, gamma_point(a, 3 * d - 1))
-    return SuperpotentialResult(d=d, a=a, wtT=wt, multiplier=multiplier,
-                                T=wt / multiplier, method=method)
+    wt, multiplier, t = _value(d, a, method, linf_bound)
+    from fractions import Fraction
 
+    return SuperpotentialResult(d=d, a=a, wtT=Fraction(*wt), multiplier=multiplier,
+                                T=Fraction(*t), method=method)

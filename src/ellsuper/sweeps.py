@@ -6,6 +6,11 @@ intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
 at the boundary fractions ``p + q = 3d``.  The command line loads this module
 only for ``validate``, ``scan`` and ``integrality``.
 
+Every value stays a canonical integer pair ``(num, den)`` (see
+``pipelines._value``) up to the report, which renders it as ``str(Fraction)``
+would; pairs compare by cross-multiplication, and this module never loads
+``fractions`` unless linf runs or a public function returns a ``Fraction``.
+
 The scan sweeps all its ratios in ascending order through one list of
 per-degree rows per engine.  The degree-n row of either engine reads only
 the points ``G_2, G_5, .., G_{3n-1}``, and each pass keeps the rows up to
@@ -17,29 +22,33 @@ one.
 import json
 import math
 import time
-from fractions import Fraction
 
 from .lattice import AspectRatio, mult
 from .pipelines import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
     _factorials,
+    _over,
     _read_points,
     _recursion_pass,
+    _text,
     _tree_pass,
+    _value,
     _warn_outside_range,
     path_signature,
-    superpotential,
 )
 
 
 def _disagreement(d: int, a: AspectRatio, values: dict) -> MethodDisagreement:
-    """The error for pipelines that differ at (d, a), dumping the whole prefix G_0..G_{3d-1}."""
+    """The error for pipelines that differ at (d, a), dumping the whole prefix G_0..G_{3d-1}.
+
+    ``values`` maps each pipeline to its canonical pair.
+    """
     dump = {
         "d": d,
         "a": str(a),
         "path_prefix": [list(pt) for pt in path_signature(a, d)],
-        "values": {name: str(v) for name, v in values.items()},
+        "values": {name: _text(v) for name, v in values.items()},
     }
     return MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
 
@@ -82,12 +91,12 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
     if linf_top >= 1:
         from .linf import _linf_pass
 
-        linf_values = _linf_pass(linf_top, a)
+        linf_values = ((v.numerator, v.denominator) for v in _linf_pass(linf_top, a))
         steps["linf"] = lambda d: next(linf_values)
     clocks = dict.fromkeys(steps, 0.0)
     reports = []
     for d in range(1, d_max + 1):
-        values: dict[str, Fraction] = {}
+        values: dict[str, tuple[int, int]] = {}
         for method, step in steps.items():
             if method == "linf" and d > linf_top:
                 continue
@@ -101,9 +110,9 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
         reports.append({
             "d": d,
             "a": str(a),
-            "wtT": str(wt),
+            "wtT": _text(wt),
             "mult": multiplier,
-            "T": str(wt / multiplier),
+            "T": _text(_over(wt, multiplier)),
             "methods": sorted(values),
             "agree": True,
             "ms": {method: round(clocks[method] * 1e3, 3) for method in values},
@@ -111,7 +120,27 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
     return reports
 
 
-def scan_breakpoints(d: int) -> list[Fraction]:
+def _breakpoint_pairs(d: int):
+    """Yield the breakpoints of :func:`scan_breakpoints` as pairs (p, q), ascending.
+
+    p/q rises with p/(p + q), and gcd(p, p + q) = gcd(p, q), so the reduced
+    p/q > 1 with p + q <= n = 3d are the Farey fractions h/k of order n
+    strictly between 1/2 and 1, with p = h and q = k - h.  They come in
+    order from the successor rule: after the neighbors a/b < h/k in the
+    Farey sequence of order n comes (m h - a)/(m k - b), m = (n + b) // k.
+    The first after 1/2 is (k + 1)/2 over the largest odd k <= n.
+    """
+    n = 3 * d
+    a, b = 1, 2
+    k = n if n % 2 else n - 1
+    h = (k + 1) // 2
+    while h < k:
+        yield h, k - h
+        m = (n + b) // k
+        a, b, h, k = h, k, m * h - a, m * k - b
+
+
+def scan_breakpoints(d: int) -> "list[Fraction]":
     """Reduced fractions p/q > 1 with p + q <= 3d, sorted ascending.
 
     These are the only ratios at which the path prefix G_0..G_{3d-1} can
@@ -123,13 +152,14 @@ def scan_breakpoints(d: int) -> list[Fraction]:
     """
     if d < 1:
         raise ValueError(f"scan_breakpoints requires d >= 1, got {d}")
-    out = set()
-    for total in range(3, 3 * d + 1):
-        for q in range(1, total):
-            p = total - q
-            if p > q and math.gcd(p, q) == 1:
-                out.add(Fraction(p, q))
-    return sorted(out)
+    from fractions import Fraction
+
+    return [Fraction(p, q) for p, q in _breakpoint_pairs(d)]
+
+
+def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """x < y for canonical pairs, by cross-multiplication."""
+    return x[0] * y[1] < y[0] * x[1]
 
 
 def scan_monotonicity(d: int) -> dict:
@@ -154,8 +184,7 @@ def scan_monotonicity(d: int) -> dict:
     """
     if d < 1:
         raise ValueError(f"scan_monotonicity requires d >= 1, got {d}")
-    bps = scan_breakpoints(d)
-    reps = [Fraction(1)] + bps
+    reps = [(1, 1), *_breakpoint_pairs(d)]
     fact = _factorials(d)
     recursion_rows: list = []
     tree_rows: list = []  # interval starts only
@@ -163,45 +192,44 @@ def scan_monotonicity(d: int) -> dict:
     def evaluate(a: AspectRatio):
         points = _read_points(a, d)
         wt = _recursion_pass(points, fact, recursion_rows)
-        return points, wt, wt / mult(a, points[-1])
+        return points, wt, _over(wt, mult(a, points[-1]))
 
     rows = []
     nondecreasing = True
     consistent = True
-    previous: Fraction | None = None
+    previous = None
     for idx, rep in enumerate(reps):
-        a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
+        a = AspectRatio.plus_delta(*rep)
         points, wt, value = evaluate(a)
         tree = _tree_pass(points, fact, tree_rows)
         if tree != wt:
             raise _disagreement(d, a, {"recursion": wt, "tree": tree})
         if idx + 1 < len(reps):
-            nxt = reps[idx + 1]
-            mid = Fraction(rep.numerator + nxt.numerator, rep.denominator + nxt.denominator)
+            mid = AspectRatio.plus_delta(rep[0] + reps[idx + 1][0], rep[1] + reps[idx + 1][1])
         else:
-            mid = rep + 1
-        mid_value = evaluate(AspectRatio.plus_delta(mid.numerator, mid.denominator))[2]
+            mid = AspectRatio.plus_delta(rep[0] + rep[1], rep[1])
+        mid_value = evaluate(mid)[2]
         if mid_value != value:
             consistent = False
-        if previous is not None and value < previous:
+        if previous is not None and _below(value, previous):
             nondecreasing = False
         previous = value
         rows.append({
-            "interval_start": str(rep),
+            "interval_start": _text(rep),
             "a": str(a),
-            "T": str(value),
-            "midpoint": str(mid),
-            "midpoint_T": str(mid_value),
+            "T": _text(value),
+            "midpoint": _text((mid.p, mid.q)),
+            "midpoint_T": _text(mid_value),
         })
     infinity_T = evaluate(AspectRatio.infinite())[2]
-    if previous is not None and infinity_T < previous:
+    if previous is not None and _below(infinity_T, previous):
         nondecreasing = False
     if previous is not None and previous != infinity_T:
         consistent = False  # the last interval extends to the infinite ratio
     return {
         "d": d,
         "profile": rows,
-        "infinity_T": str(infinity_T),
+        "infinity_T": _text(infinity_T),
         "nondecreasing": nondecreasing,
         "consistent": consistent,
     }
@@ -223,15 +251,15 @@ def integrality_scan(d: int) -> dict:
         if p <= q or math.gcd(p, q) != 1:
             continue
         a = AspectRatio.plus_delta(p, q)
-        res = superpotential(d, a)
+        t = _value(d, a)[2]
         rows.append({
             "p": p,
             "q": q,
             "a": str(a),
-            "T": str(res.T),
-            "integer": res.T.denominator == 1,
-            "nonnegative": res.T >= 0,
-            "vanishes": res.T == 0,
+            "T": _text(t),
+            "integer": t[1] == 1,
+            "nonnegative": t[0] >= 0,
+            "vanishes": t[0] == 0,
             "adjunction_bound": (p - 1) * (q - 1) <= (d - 1) * (d - 2),
         })
     return {

@@ -40,6 +40,11 @@ partitions by binomials.
 every ordered tree, memoizing subtrees by their decorated canonical form,
 where the library groups the same sum at the root and recurses on set
 partitions of the inputs.
+
+``brute_scan_breakpoints`` collects the reduced p/q > 1 with p + q <= 3d by
+testing every pair, where the library walks the Farey sequence.
+``fraction_parse`` reads an aspect ratio through ``Fraction`` alone, where
+the library reads plain ASCII ``p`` and ``p/q`` with ``int()``.
 """
 
 import math
@@ -49,6 +54,7 @@ from functools import lru_cache
 from itertools import groupby, product
 
 from ellsuper import (
+    AspectRatio,
     LinfError,
     LinfMorphism,
     compositions,
@@ -454,3 +460,32 @@ def set_partition_splits(key: tuple[int, ...]) -> Counter:
         tuple(sorted(tuple(key[p] for p in block) for block in blocks))
         for blocks in set_partitions(range(len(key)))
     )
+
+
+def brute_scan_breakpoints(d: int) -> list[Fraction]:
+    """The reduced fractions p/q > 1 with p + q <= 3d, by testing every pair, sorted."""
+    out = set()
+    for total in range(3, 3 * d + 1):
+        for q in range(1, total):
+            p = total - q
+            if p > q and math.gcd(p, q) == 1:
+                out.add(Fraction(p, q))
+    return sorted(out)
+
+
+def fraction_parse(text: str) -> AspectRatio:
+    """``AspectRatio.parse`` with every finite ratio read by ``Fraction``, messages included."""
+    s = text.strip().lower()
+    if s in ("inf", "infinity", "oo"):
+        return AspectRatio.infinite()
+    if s.endswith("+delta"):
+        s = s[: -len("+delta")]
+    if "e" in s:
+        raise ValueError(f"cannot parse aspect ratio {text!r}")
+    try:
+        frac = Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse aspect ratio {text!r}") from exc
+    if frac <= 0:
+        raise ValueError(f"aspect ratio must be positive, got {text!r}")
+    return AspectRatio(frac.numerator, frac.denominator)

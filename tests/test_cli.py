@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import inspect
 import io
 import json
 import subprocess
@@ -94,6 +95,20 @@ def test_compute_warns_below_one(capsys):
     assert "warning" in json.loads(out)
 
 
+@pytest.mark.parametrize("argv", [("compute", "--d", "2", "--a", "1/2", "--no-timing"),
+                                  ("validate", "--d-max", "2", "--a", "1/2", "--no-timing")],
+                         ids=lambda argv: argv[0])
+def test_warning_below_one_names_a_line_of_the_handler(capsys, argv):
+    import warnings
+
+    lines, first = inspect.getsourcelines(cli._SUBCOMMANDS[argv[0]][1])
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert len(rec) == 1 and rec[0].filename == cli.__file__
+    assert first <= rec[0].lineno < first + len(lines), (rec[0].lineno, first, len(lines))
+
+
 def test_gamma_fixture(capsys):
     code, out, _ = run_cli(capsys, "gamma", "--a", "3/2", "--k", "7")
     assert code == EXIT_OK
@@ -149,7 +164,7 @@ def test_validate_agreement(capsys):
 
 
 def test_validate_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(999))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: (999, 1))
     code, _, err = run_cli(capsys, "validate", "--d-max", "2", "--a", "inf")
     assert code == EXIT_VALIDATION
     assert "cross-validation failure" in err
@@ -166,7 +181,7 @@ def test_scan_report(capsys):
 
 
 def test_scan_disagreement_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(999))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: (999, 1))
     code, out, err = run_cli(capsys, "scan", "--d", "3")
     assert code == EXIT_VALIDATION
     assert out == ""

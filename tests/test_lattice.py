@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellsuper import (
@@ -14,7 +14,7 @@ from ellsuper import (
     pair_factorial,
     point_add,
 )
-from oracles import brute_gamma_point
+from oracles import brute_gamma_point, fraction_parse
 
 PATH_3_2 = [(0, 0), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
 
@@ -22,6 +22,29 @@ ratios = st.tuples(st.integers(1, 300), st.integers(1, 120))
 # adds p, q up to 10**9, both at least 10**6 so that p/q stays between 1/1000 and
 # 1000 rather than making every G_k with k <= 300 read (k, 0) or (0, k)
 wide_ratios = st.one_of(ratios, st.tuples(st.integers(10**6, 10**9), st.integers(10**6, 10**9)))
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# plain ASCII p and p/q take the int() route; every other text, decimals, signs,
+# underscores and the non-ASCII digit among them, goes through Fraction
+@given(text=st.text(alphabet="0123456789/._+-\u0663", max_size=12))
+@example("007/2")
+@example("0/5")
+@example("5/0")
+@example("3/")
+@example("/2")
+@example("")
+@example("7" * 5000)
+@example("\u0663/\u0662")
+@settings(max_examples=300, deadline=None)
+def test_parse_reads_every_text_as_fraction_does(text):
+    assert _parse_outcome(AspectRatio.parse, text) == _parse_outcome(fraction_parse, text)
 
 
 def test_parse_and_render():

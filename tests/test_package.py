@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -10,22 +11,24 @@ import pytest
 
 import ellsuper
 import ellsuper.pipelines
+from ellsuper import AspectRatio, superpotential
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # neither `import ellsuper.cli` nor a plain `compute` needs the oracles, the
 # sweep drivers, the csv/text renderers, or these costly standard
 # modules (dataclasses imports inspect; argparse imports gettext, which loads
-# locale); no module of the package imports __future__, since every
-# annotation it writes evaluates on Python 3.10
+# locale; fractions imports decimal and numbers); no module of the package
+# imports __future__, since every annotation it writes evaluates on Python 3.10
 NOT_ON_COMPUTE_PATH = {
     "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
+    "fractions", "decimal", "numbers",
     "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render",
 }
 
 
-def _modules_after(code: str) -> set[str]:
-    """The modules loaded after ``code`` runs in a fresh ``python -S``.
+def _probe(code: str) -> tuple[set[str], str]:
+    """The modules loaded after ``code`` runs in a fresh ``python -S``, and what it printed.
 
     ``-S`` keeps ``site`` and whatever it preloads out, so the set depends on
     the package alone.
@@ -34,11 +37,19 @@ def _modules_after(code: str) -> set[str]:
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    return set(proc.stderr.split()), proc.stdout
+
+
+def _modules_after(code: str) -> set[str]:
+    return _probe(code)[0]
+
+
+def _run_cli(*argv: str, code: int = 0) -> tuple[set[str], str]:
+    return _probe(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == {code}")
 
 
 def _modules_after_cli(*argv: str, code: int = 0) -> set[str]:
-    return _modules_after(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == {code}")
+    return _run_cli(*argv, code=code)[0]
 
 
 def test_public_names_resolve():
@@ -57,8 +68,28 @@ def test_linf_spaces_are_plain_names(name):
 def test_cli_import_and_compute_load_no_oracle():
     assert not {name for name in _modules_after("import ellsuper") if name.startswith("ellsuper.")}
     assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH
-    loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--no-timing")
-    assert not loaded & NOT_ON_COMPUTE_PATH
+    for method in ("recursion", "tree"):
+        loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--method", method, "--no-timing")
+        assert not loaded & NOT_ON_COMPUTE_PATH, method
+
+
+@pytest.mark.parametrize("argv", [("scan", "--d", "4"), ("integrality", "--d", "4"),
+                                  ("validate", "--d-max", "3", "--linf-bound", "0", "--no-timing")],
+                         ids=lambda argv: argv[0])
+def test_sweeps_without_linf_load_no_fractions(argv):
+    # exact values stay integer pairs up to the output; only linf builds Fractions
+    assert not _modules_after_cli(*argv) & (NOT_ON_COMPUTE_PATH - {"ellsuper.sweeps"})
+
+
+@pytest.mark.parametrize("argv, method", [(("--a", "inf", "--method", "linf"), "linf"),
+                                          (("--a", "7.5"), "recursion")], ids=["linf", "decimal"])
+def test_linf_and_decimal_ratios_answer_through_fractions(argv, method):
+    loaded, out = _run_cli("compute", "--d", "4", *argv, "--no-timing")
+    assert "fractions" in loaded
+    a = AspectRatio.parse(argv[1])
+    res = superpotential(4, a)  # the recursion, as the reference
+    assert json.loads(out) == {"d": 4, "a": str(a), "wtT": str(res.wtT), "mult": res.multiplier,
+                               "T": str(res.T), "method": method}
 
 
 @pytest.mark.parametrize("argv, code", [(("compute", "--help"), 0), (("compute", "--d", "0", "--a", "inf"), 1)],

@@ -32,6 +32,7 @@ from ellsuper import (
 from oracles import (
     ASSORTED_FRACTIONS,
     _multiset_recursion_from_path,
+    brute_scan_breakpoints,
     exact_mult,
     exact_path,
     fraction_series_recursion_wtT,
@@ -130,13 +131,14 @@ def test_series_tree_pass_matches_partition_sum_oracle():
     for a in [INF] + [AspectRatio.plus_delta(p, q) for p, q in ASSORTED_FRACTIONS]:
         points, rows = path_signature(a, 16)[2::3], []
         for d in range(1, 17):
-            assert sp._tree_pass(points[:d], fact, rows) == partition_tree_wtT(d, a), (d, str(a))
+            assert Fraction(*sp._tree_pass(points[:d], fact, rows)) == partition_tree_wtT(d, a), (d, str(a))
 
 
 def test_tree_pass_rows_are_recursion_rows_rescaled():
-    # observed data, not a theorem: row l of the tree pass times (G_2!)^l is row l
-    # of the recursion, for the value and for the whole series; the two passes
-    # share one derivation, so a divergence points at the row where it starts
+    # a check of the lemma in the pipelines docstring: row l of the tree pass
+    # times (G_2!)^l is row l of the recursion, for the value and for the whole
+    # series; the two passes share one derivation, so a divergence is a coding
+    # slip in one of them, and it points at the row where it starts
     d = 30
     fact = sp._factorials(d)
     for a in [AspectRatio.plus_delta(p, q) for p, q in ((3, 2), (52, 7), (29, 4), (7, 1))] + [INF]:
@@ -390,7 +392,7 @@ def test_cross_validate_runs_the_tree_sum_beyond_linf():
 
 
 def test_cross_validate_detects_disagreement(monkeypatch):
-    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(1, 7))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: (1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix"):
         cross_validate(2, INF, linf_bound=0)
 
@@ -400,8 +402,8 @@ def test_cross_validate_checks_every_lower_degree(monkeypatch):
     tree_pass = sweeps._tree_pass
 
     def faulty(points, fact, rows):
-        value = tree_pass(points, fact, rows)
-        return value + 1 if len(points) == 3 else value
+        num, den = tree_pass(points, fact, rows)
+        return (num + den, den) if len(points) == 3 else (num, den)
 
     monkeypatch.setattr(sweeps, "_tree_pass", faulty)
     a = AspectRatio.plus_delta(52, 7)
@@ -445,6 +447,12 @@ def test_validation_sweep_matches_lone_runs(a):
             alone = cross_validate(d, a, linf_bound=8)
             assert alone.pop("ms").keys() == row.pop("ms").keys()
             assert alone == row
+
+
+def test_scan_breakpoints_walk_the_farey_sequence():
+    # the Farey successor rule gives exactly the brute-force set, in ascending order
+    for d in range(1, 41):
+        assert scan_breakpoints(d) == brute_scan_breakpoints(d), d
 
 
 def test_scan_breakpoints_small():
@@ -527,24 +535,24 @@ def test_resumed_passes_match_fresh_calls_in_any_order(data, d):
     recursion_rows, tree_rows = [], []
     for a in order:
         points = path_signature(a, d)[2::3]
-        assert sp._recursion_pass(points, fact, recursion_rows) == recursion_wtT(d, a), (d, str(a))
-        assert sp._tree_pass(points, fact, tree_rows) == tree_wtT(d, a), (d, str(a))
+        assert Fraction(*sp._recursion_pass(points, fact, recursion_rows)) == recursion_wtT(d, a), (d, str(a))
+        assert Fraction(*sp._tree_pass(points, fact, tree_rows)) == tree_wtT(d, a), (d, str(a))
 
 
 def test_scan_midpoints_catch_a_missing_breakpoint(monkeypatch):
     # with one breakpoint of d = 5 left out, its two intervals merge; the
     # midpoint check must notice wherever the value changes across it
-    full = scan_breakpoints(5)
+    full = list(sweeps._breakpoint_pairs(5))
     caught = set()
     for dropped in full:
-        monkeypatch.setattr(sweeps, "scan_breakpoints", lambda d: [b for b in full if b != dropped])
+        monkeypatch.setattr(sweeps, "_breakpoint_pairs", lambda d: [b for b in full if b != dropped])
         if not scan_monotonicity(5)["consistent"]:
-            caught.add(dropped)
+            caught.add(Fraction(*dropped))
     assert caught == {5, 6, 8, 11, 13}
 
 
 def test_scan_cross_checks_the_tree_sum(monkeypatch):
-    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: Fraction(1, 7))
+    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: (1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix") as caught:
         scan_monotonicity(4)
     dump = json.loads(str(caught.value).split(": ", 1)[1])
@@ -608,6 +616,22 @@ def test_degree_14_monotonicity_drop():
     for (p, q), wt in (((36, 5), "392"), ((29, 4), "340")):
         report = cross_validate(14, AspectRatio.plus_delta(p, q), linf_bound=14)
         assert (report["methods"], report["wtT"], report["mult"]) == (["linf", "recursion", "tree"], wt, 5)
+
+
+# Expected from exceptional-class theory and observed here, not cited as a
+# theorem (ROADMAP item M): the classes with p + q = 3d and pq = d^2 + 1 are the
+# outer corners of McDuff-Schlenk's Fibonacci staircase, and an exceptional class
+# is expected to count once, so T(d, p/q + delta) = 1 with wtT = mult = p.
+STAIRCASE_CLASSES = [(1, 2, 1), (2, 5, 1), (5, 13, 2), (13, 34, 5), (34, 89, 13)]
+
+
+@pytest.mark.parametrize("method", ["recursion", "tree"])
+def test_fibonacci_staircase_classes_count_once(method):
+    for d, p, q in STAIRCASE_CLASSES:
+        assert p + q == 3 * d and p * q == d * d + 1
+        res = superpotential(d, AspectRatio.plus_delta(p, q), method)
+        assert (res.wtT, res.multiplier, res.T) == (p, p, 1), \
+            f"d = {d}, a = {p}/{q}+delta, {method}: wtT = {res.wtT}, mult = {res.multiplier}, T = {res.T}"
 
 
 def test_scan_rows_have_integer_wtT_at_degree_20():
