@@ -15,8 +15,8 @@ inversion) produce the same values and cross-validate each other.
 # stay public only because the benchmark's trace resolves them by name.
 _PUBLIC = {
     "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult", "pair_factorial", "point_add"),
-    "pipelines": ("DEFAULT_LINF_BOUND", "MethodDisagreement", "SuperpotentialResult",
-                  "path_signature", "recursion_wtT", "superpotential", "tree_wtT"),
+    "engine": ("DEFAULT_LINF_BOUND", "MethodDisagreement"),
+    "pipelines": ("SuperpotentialResult", "path_signature", "recursion_wtT", "superpotential", "tree_wtT"),
     "sweeps": ("cross_validate", "integrality_scan", "scan_breakpoints", "scan_monotonicity"),
     "linf": ("LinfError", "LinfMorphism", "compose", "ellipsoid_morphism", "identity_morphism",
              "invert", "linf_superpotential"),

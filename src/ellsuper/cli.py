@@ -11,9 +11,12 @@ engine; ``compute --method tree|linf`` selects another pipeline instead.
 it at every d (``validate`` also linf, up to ``--linf-bound``) and demand
 exact agreement.
 
-A job compiles only the code its subcommand runs: ``validate``, ``scan`` and
-``integrality`` import :mod:`.sweeps` in their handlers, ``trees`` imports
-:mod:`.trees`, and ``--format csv|text`` imports :mod:`.render`.
+A job compiles only the code its subcommand runs: this module imports the
+recursion's module, :mod:`.engine`, which loads the tree oracle's
+:mod:`.pipelines` only for ``--method tree`` and :mod:`.linf` only for
+``--method linf``; ``validate``, ``scan`` and ``integrality`` import
+:mod:`.sweeps` in their handlers, ``trees`` imports :mod:`.trees`, and
+``--format csv|text`` imports :mod:`.render`.
 
 Each subcommand is described once, in the table :data:`_SUBCOMMANDS` (name,
 help, handler and options).  :func:`build_parser` makes the argparse parser
@@ -38,8 +41,8 @@ import time
 from types import SimpleNamespace
 
 from .lattice import AspectRatio, gamma_path
-from .pipelines import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine, _text,
-                        _value, _warn_outside_range)
+from .engine import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine, _text, _value,
+                     _warn_outside_range)
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -4,28 +4,9 @@
 multiplicity of the path point at index 3d-1.  Three pipelines compute it
 exactly:
 
-* ``recursion_wtT``, the production engine: the recursion
-
-      wtT_d = (G_{3d-1})! * ( (d!)^-3
-              - sum over multisets {d_1,..,d_k} with d_1+..+d_k = d, k >= 2, of
-                wtT_{d_1} .. wtT_{d_k} / (m_1! m_2! .. * (G_{3d_1-1}+..+G_{3d_k-1})!) )
-
-  where ``G_k`` is the lattice path point of ``a``, ``(.)!`` the pair
-  factorial and ``m_j`` the multiplicity of each distinct part.  The inner
-  sum is the degree-d coefficient of ``exp(sum_s wtT_s x^s y^{G_{3s-1}})``
-  with every monomial ``y^P`` replaced by ``1/P!`` once collected by lattice
-  point P.  It is evaluated online, degree by degree, from the power-series
-  recurrence ``n f_n = sum_k k g_k f_{n-k}``: wtT_n enters ``f_n`` only
-  through the one-part term ``g_n``, so one pass yields wtT_1 .. wtT_d in
-  polynomial time.  The pass runs on integers: each ``f_n`` is a dict of
-  integer numerators over one denominator per degree, each wtT_s a reduced
-  integer pair, and every sum of a degree is brought to a single common
-  denominator first, so nothing is normalized per term.  The pass returns
-  wtT_d as that reduced pair, and a ``Fraction`` is built only by the
-  public functions that return one.  The same pass with a
-  ``Fraction`` per coefficient, the multiset sum over partitions of d and
-  the sum over ordered splits with a 1/k! factor give the same values; all
-  three are kept in ``tests/oracles.py`` as cross-checks.
+* the split recursion, the production engine, in :mod:`.engine` (its
+  derivation is stated there).  ``recursion_wtT`` runs it and returns a
+  ``Fraction``.
 
 * ``tree_wtT``: the closed sum over rooted trees with d unordered leaves,
 
@@ -35,15 +16,17 @@ exactly:
                 of G_{3l(v')-1})!
               * prod over movable v of ( (l(v)!)^-2 (l(v)*G_2)! / (G_2!)^l(v) - 1 )
 
-  with ``l(v)`` the leaf number; leaf children contribute ``G_2`` to the sums
-  and ``l(v)*G_2`` is a scalar multiple of the lattice point.  No tree is
-  built: an unmovable root's factor ``-G_{3l-1}! / P!`` reads its children
-  only through the point P their points sum to, so the sum ``S_l`` over
-  trees with l leaves is ``-G_{3l-1}!`` times the degree-l part of
-  ``exp(sum_s S_s x^s y^{G_{3s-1}})``, ``y^P -> 1/P!``, over >= 2 factors,
-  with the all-leaves root (the one movable type) swapping its -1 for the
-  movable factor.  It is the recursion's online series exponential, on
-  integers too, written separately, and it is the recursion rescaled.
+  with ``G_k`` the lattice path point of ``a``, ``(.)!`` the pair
+  factorial and ``l(v)`` the leaf number; leaf children contribute ``G_2``
+  to the sums and ``l(v)*G_2`` is a scalar multiple of the lattice point.
+  No tree is built: an unmovable root's factor ``-G_{3l-1}! / P!`` reads
+  its children only through the point P their points sum to, so the sum
+  ``S_l`` over trees with l leaves is ``-G_{3l-1}!`` times the degree-l
+  part of ``exp(sum_s S_s x^s y^{G_{3s-1}})``, ``y^P -> 1/P!``, over >= 2
+  factors, with the all-leaves root (the one movable type) swapping its -1
+  for the movable factor.  It is the recursion's online series
+  exponential, on integers too, written separately, and it is the
+  recursion rescaled.
 
   Lemma: with ``c = G_2!``, row l of the tree pass is row l of the
   recursion over ``c^l``: ``wtT_l = c^l S_l`` and ``f_l = c^l forest_l``.
@@ -71,6 +54,12 @@ bounded oracle, refused by ``superpotential`` beyond ``linf_bound``.  The
 other test oracles, among them the tree sum over partitions of l and over
 every tree one at a time, live in ``tests/oracles.py``.
 
+This module holds the tree oracle and the library functions that return
+``Fraction``s.  A default ``compute`` job runs neither, so it does not load
+this module; ``compute --method tree``, ``validate``, ``scan`` and
+``integrality`` do.  It reads the engine's pass, its row bookkeeping and
+its dispatch from :mod:`.engine`, and keeps them importable from here.
+
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.  Finer: the degree-n state of either
 engine (wtT_n and f_n in the recursion, S_n and its series part in the tree
@@ -86,17 +75,12 @@ and the scans) live in :mod:`.sweeps`.
 """
 
 import math
-import warnings
 from collections import namedtuple
 
-from .lattice import AspectRatio, gamma_path, gamma_point, mult
-
-METHODS = ("recursion", "tree", "linf")
-DEFAULT_LINF_BOUND = 8  # the inversion route is an oracle; its cost grows with the multiset partitions
-
-
-class MethodDisagreement(RuntimeError):
-    """Two pipelines produced different exact values; the message carries a full dump."""
+# the engine's names, once all defined here, stay importable from this module
+from .engine import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine, _factorials,
+                     _over, _read_points, _recursion_pass, _resume, _text, _value, _warn_outside_range)
+from .lattice import AspectRatio, gamma_path
 
 
 class SuperpotentialResult(namedtuple("SuperpotentialResult", "d a wtT multiplier T method")):
@@ -108,81 +92,6 @@ class SuperpotentialResult(namedtuple("SuperpotentialResult", "d a wtT multiplie
 def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
     """The path prefix G_0..G_{3d-1} that wtT(d, .) depends on."""
     return tuple(gamma_path(a, 3 * d - 1))
-
-
-def _read_points(a: AspectRatio, d: int) -> list[tuple[int, int]]:
-    """The points G_2, G_5, .., G_{3d-1}, all that the engines read of ``a`` up to degree d."""
-    return [gamma_point(a, 3 * n - 1) for n in range(1, d + 1)]
-
-
-def _factorials(d: int) -> list[int]:
-    """The factorials 0! .. (3d-1)!, one table per call of an engine or a scan.
-
-    Every lattice point either engine meets at degree d has coordinates below
-    3d: G_k's are at most k, and a split of n <= d sums points G_{3k-1} to at
-    most 3n - 2 in total.
-    """
-    out = [1]
-    for m in range(1, 3 * d):
-        out.append(out[-1] * m)
-    return out
-
-
-def _resume(rows: list, points) -> None:
-    """Cut ``rows`` back to the longest prefix still valid for ``points``.
-
-    Row n - 1 of an engine holds its degree-n state, a function of
-    ``points[:n]`` alone, and carries ``points[n - 1]`` as its first entry;
-    the rows up to the first point that differs are kept, the rest dropped.
-    """
-    keep = 0
-    for row, point in zip(rows, points):
-        if row[0] != point:
-            break
-        keep += 1
-    del rows[keep:]
-
-
-def _recursion_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
-    """wtT_d, d = len(points), extending ``rows`` from their longest valid prefix.
-
-    ``points[n - 1]`` is G_{3n-1} and ``fact`` comes from :func:`_factorials`.
-    Row n - 1 is ``(G_{3n-1}, num, den, series, denom)``: wtT_n = num / den,
-    reduced, and f_n = series / denom, series mapping lattice point -> integer.
-    Returns wtT_d as the canonical pair ``(num, den)`` of :func:`_value`.
-    """
-    _resume(rows, points)
-    for n in range(len(rows) + 1, len(points) + 1):
-        # f_n - g_n = (1/n) sum_{k<n} k g_k f_{n-k}: the splits of n into >= 2 parts,
-        # collected as acc / (n * common) with every product scaled to one denominator
-        common = math.lcm(*(rows[k - 1][2] * rows[n - k - 1][4] for k in range(1, n)))
-        acc: dict = {}
-        for k in range(1, n):
-            (gi, gj), num_k, den_k = rows[k - 1][:3]
-            _, _, _, series, denom = rows[n - k - 1]
-            weight = k * num_k * (common // (den_k * denom))
-            for (i, j), coeff in series.items():
-                key = (i + gi, j + gj)
-                acc[key] = acc.get(key, 0) + weight * coeff
-        scale = n * common
-        # the inner sum, sum_P acc[P] / (scale * P!), over scale * i_max! * j_max!
-        top_i = fact[max((i for i, _ in acc), default=0)]
-        top_j = fact[max((j for _, j in acc), default=0)]
-        inner_num = sum(c * (top_i // fact[i]) * (top_j // fact[j]) for (i, j), c in acc.items())
-        inner_den = scale * top_i * top_j
-        point = points[n - 1]
-        cube = fact[n] ** 3
-        num = fact[point[0]] * fact[point[1]] * (inner_den - cube * inner_num)
-        den = cube * inner_den
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-        # fold in the one-part term g_n over lcm(scale, den), then reduce once
-        denom = math.lcm(scale, den)
-        f_n = {key: c * (denom // scale) for key, c in acc.items()}
-        f_n[point] = f_n.get(point, 0) + num * (denom // den)
-        g = math.gcd(denom, *f_n.values())
-        rows.append((point, num, den, {key: c // g for key, c in f_n.items()}, denom // g))
-    return rows[-1][1], rows[-1][2]
 
 
 def recursion_wtT(d: int, a: AspectRatio) -> "Fraction":
@@ -260,74 +169,6 @@ def tree_wtT(d: int, a: AspectRatio) -> "Fraction":
     from fractions import Fraction
 
     return Fraction(*_tree_pass(_read_points(a, d), _factorials(d), []))
-
-
-def _below_one(a: AspectRatio) -> bool:
-    # All headline evaluations assume a > 1; a = p/q + delta stays above 1
-    # exactly when p >= q.
-    return not a.is_infinite and a.p < a.q
-
-
-def _warn_outside_range(a: AspectRatio, stacklevel: int = 3) -> None:
-    """Warn if ``a`` is below 1.
-
-    The default names the line that called the public function calling
-    this; a CLI handler passes 2, which names its own line.
-    """
-    if _below_one(a):
-        warnings.warn(f"aspect ratio {a} is below 1: outside the intended range a > 1",
-                      stacklevel=stacklevel)
-
-
-def _engine(method: str):
-    """The function computing wtT(d, a) by ``method``; the linf oracle loads on first use."""
-    if method == "recursion":
-        return recursion_wtT
-    if method == "tree":
-        return tree_wtT
-    if method == "linf":
-        from .linf import linf_superpotential
-
-        return linf_superpotential
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-
-
-def _text(pair: tuple[int, int]) -> str:
-    """A canonical pair as ``str(Fraction)`` renders it: ``num``, or ``num/den``."""
-    num, den = pair
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
-def _over(pair: tuple[int, int], m: int) -> tuple[int, int]:
-    """The canonical pair of ``pair / m``, for an integer m > 0."""
-    num, den = pair
-    g = math.gcd(num, m)
-    return num // g, den * (m // g)
-
-
-_PASSES = {"recursion": _recursion_pass, "tree": _tree_pass}
-
-
-def _value(d: int, a: AspectRatio, method: str = "recursion", linf_bound: int = DEFAULT_LINF_BOUND):
-    """``(wtT, mult, T)`` at (d, a) by ``method``, with wtT and T canonical pairs.
-
-    A canonical pair is ``(num, den)`` with gcd 1 and den > 0; zero is
-    ``(0, 1)``.  The caller checks d >= 1 and warns below 1.  Only linf's
-    result is a ``Fraction``, read off by its numerator and denominator.
-    """
-    if method == "linf" and d > linf_bound:
-        raise ValueError(
-            f"method 'linf' is an oracle intended for d <= {linf_bound}; "
-            f"use 'recursion' for d={d}, or pass a larger linf_bound"
-        )
-    run = _PASSES.get(method)
-    if run is not None:
-        wt = run(_read_points(a, d), _factorials(d), [])
-    else:
-        value = _engine(method)(d, a)
-        wt = (value.numerator, value.denominator)
-    multiplier = mult(a, gamma_point(a, 3 * d - 1))
-    return wt, multiplier, _over(wt, multiplier)
 
 
 def superpotential(d: int, a: AspectRatio, method: str = "recursion",

@@ -1,4 +1,4 @@
-"""Sweeps that drive the engines of :mod:`.pipelines` over degrees and ratios.
+"""Sweeps that drive the recursion and the tree sum over degrees and ratios.
 
 ``cross_validate`` runs every applicable pipeline at one ``a`` and every
 degree up to d, and demands exact agreement; ``scan_monotonicity`` profiles T(d, .) over the
@@ -7,7 +7,7 @@ at the boundary fractions ``p + q = 3d``.  The command line loads this module
 only for ``validate``, ``scan`` and ``integrality``.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
-``pipelines._value``) up to the report, which renders it as ``str(Fraction)``
+``engine._value``) up to the report, which renders it as ``str(Fraction)``
 would; pairs compare by cross-multiplication, and this module never loads
 ``fractions`` unless linf runs or a public function returns a ``Fraction``.
 
@@ -24,7 +24,7 @@ import math
 import time
 
 from .lattice import AspectRatio, mult
-from .pipelines import (
+from .engine import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
     _factorials,
@@ -32,11 +32,10 @@ from .pipelines import (
     _read_points,
     _recursion_pass,
     _text,
-    _tree_pass,
     _value,
     _warn_outside_range,
-    path_signature,
 )
+from .pipelines import _tree_pass, path_signature
 
 
 def _disagreement(d: int, a: AspectRatio, values: dict) -> MethodDisagreement:

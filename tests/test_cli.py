@@ -75,13 +75,14 @@ def test_compute_stable_apart_from_timing(capsys):
     assert outs[0] == outs[1]
 
 
-def test_compute_resolves_the_engine_before_the_clock(capsys, monkeypatch):
+@pytest.mark.parametrize("method", ["tree", "linf"])
+def test_compute_resolves_the_engine_before_the_clock(capsys, monkeypatch, method):
     # the ms field times the computation, not the import of the engine's module
     calls = []
     engine = cli._engine
     monkeypatch.setattr(cli, "_engine", lambda method: calls.append("engine") or engine(method))
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: calls.append("clock") or 0.0))
-    assert run_cli(capsys, "compute", "--d", "3", "--a", "inf", "--method", "linf")[0] == EXIT_OK
+    assert run_cli(capsys, "compute", "--d", "3", "--a", "inf", "--method", method)[0] == EXIT_OK
     assert calls == ["engine", "clock", "clock"]
 
 

@@ -73,6 +73,23 @@ def test_cli_import_and_compute_load_no_oracle():
         assert not loaded & NOT_ON_COMPUTE_PATH, method
 
 
+@pytest.mark.parametrize("argv, loads_pipelines", [
+    (None, False),
+    (("gamma", "--a", "52/7", "--k", "29"), False),
+    (("compute", "--d", "10", "--a", "52/7", "--no-timing"), False),
+    (("compute", "--d", "10", "--a", "52/7", "--method", "tree", "--no-timing"), True),
+    (("scan", "--d", "3"), True),
+    (("validate", "--d-max", "3", "--no-timing"), True),
+], ids=["import", "gamma", "recursion", "tree", "scan", "validate"])
+def test_only_the_oracles_and_sweeps_load_the_pipelines(argv, loads_pipelines):
+    # the recursion lives in `engine`; the tree oracle and the Fraction-returning
+    # library functions live in `pipelines`, which a default `compute` never compiles
+    loaded = _modules_after("import ellsuper.cli") if argv is None else _modules_after_cli(*argv)
+    assert ("ellsuper.pipelines" in loaded) == loads_pipelines
+    if "tree" in (argv or ()):
+        assert not loaded & {"ellsuper.linf", "ellsuper.sweeps", "fractions"}
+
+
 @pytest.mark.parametrize("argv", [("scan", "--d", "4"), ("integrality", "--d", "4"),
                                   ("validate", "--d-max", "3", "--linf-bound", "0", "--no-timing")],
                          ids=lambda argv: argv[0])
@@ -169,5 +186,10 @@ def test_trees_owns_the_enumerators():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo):
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    # twice, with equal output: a demo prints nothing that depends on the run
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
