@@ -13,10 +13,11 @@ exact agreement.
 
 A job compiles only the code its subcommand runs: this module imports the
 recursion's module, :mod:`.engine`, which loads the tree oracle's
-:mod:`.pipelines` only for ``--method tree`` and :mod:`.linf` only for
+:mod:`.treesum` only for ``--method tree`` and :mod:`.linf` only for
 ``--method linf``; ``validate``, ``scan`` and ``integrality`` import
 :mod:`.sweeps` in their handlers, ``trees`` imports :mod:`.trees`, and
-``--format csv|text`` imports :mod:`.render`.
+``--format csv|text`` imports :mod:`.render`.  No subcommand loads the
+library functions of :mod:`.pipelines`.
 
 Each subcommand is described once, in the table :data:`_SUBCOMMANDS` (name,
 help, handler and options).  :func:`build_parser` makes the argparse parser

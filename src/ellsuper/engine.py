@@ -27,9 +27,10 @@ in ``tests/oracles.py`` as cross-checks.
 
 This is what ``compute`` (by default), ``integrality`` and ``scan`` run,
 and the only engine a default ``compute`` job loads.  The oracles that
-validate it, the tree sum and the library functions that return
-``Fraction``s live in :mod:`.pipelines`, linf inversion in :mod:`.linf`;
-:func:`_engine` loads either module on first use.
+validate it live in their own modules: the tree sum in :mod:`.treesum`,
+linf inversion in :mod:`.linf`; :func:`_engine` loads either on first use.
+The library functions that return ``Fraction``s live in :mod:`.pipelines`,
+which no command-line job loads.
 
 All dependence on ``a`` enters through the points ``G_2, G_5, ..,
 G_{3d-1}`` that :func:`_read_points` lists: the degree-n row of the pass
@@ -148,14 +149,15 @@ def _engine(method: str):
     """What computes wtT by ``method``; the tree and linf oracles load on first use.
 
     For ``recursion`` and ``tree`` that is a pass, called as
-    ``(points, fact, rows)`` and returning a canonical pair; for ``linf``
+    ``(points, fact, rows)`` and returning a canonical pair; the tree pass
+    comes from :mod:`.treesum`, which reads only this module.  For ``linf``
     it is ``linf_superpotential``, called as ``(d, a)`` and returning a
     ``Fraction``.
     """
     if method == "recursion":
         return _recursion_pass
     if method == "tree":
-        from .pipelines import _tree_pass
+        from .treesum import _tree_pass
 
         return _tree_pass
     if method == "linf":

@@ -72,7 +72,7 @@ from ellsuper import (
     vertex_data,
 )
 from ellsuper.linf import _recip, _vec_acc
-from ellsuper.pipelines import _factorials, _resume
+from ellsuper.engine import _factorials, _resume
 
 
 def brute_gamma_point(p: int, q: int, k: int) -> tuple[int, int]:
@@ -192,7 +192,7 @@ def partition_tree_wtT(d, a):
 def _partition_tree_pass(points, fact: list[int], rows: list) -> Fraction:
     """The tree sum at d = len(points), extending ``rows`` from their longest valid prefix.
 
-    ``points`` and ``fact`` are as for ``ellsuper.pipelines._tree_pass``.
+    ``points`` and ``fact`` are as for ``ellsuper.treesum._tree_pass``.
     Row l - 1 is ``(G_{3l-1}, S_l)``, where ``S_l`` is the sum over trees with l leaves of
     their vertex factors' product over |Aut(T)|, and ``S_1 = 1``.
     """

@@ -16,14 +16,15 @@ from ellsuper import AspectRatio, superpotential
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # neither `import ellsuper.cli` nor a plain `compute` needs the oracles, the
-# sweep drivers, the csv/text renderers, or these costly standard
-# modules (dataclasses imports inspect; argparse imports gettext, which loads
-# locale; fractions imports decimal and numbers); no module of the package
+# sweep drivers, the Fraction-returning library functions, the csv/text
+# renderers, or these costly standard modules (dataclasses imports inspect;
+# argparse imports gettext, which loads locale; fractions imports decimal and
+# numbers); no module of the package
 # imports __future__, since every annotation it writes evaluates on Python 3.10
 NOT_ON_COMPUTE_PATH = {
     "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
     "fractions", "decimal", "numbers",
-    "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render",
+    "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render", "ellsuper.pipelines",
 }
 
 
@@ -73,19 +74,22 @@ def test_cli_import_and_compute_load_no_oracle():
         assert not loaded & NOT_ON_COMPUTE_PATH, method
 
 
-@pytest.mark.parametrize("argv, loads_pipelines", [
+@pytest.mark.parametrize("argv, loads_treesum", [
     (None, False),
     (("gamma", "--a", "52/7", "--k", "29"), False),
     (("compute", "--d", "10", "--a", "52/7", "--no-timing"), False),
     (("compute", "--d", "10", "--a", "52/7", "--method", "tree", "--no-timing"), True),
     (("scan", "--d", "3"), True),
+    (("integrality", "--d", "3"), True),
     (("validate", "--d-max", "3", "--no-timing"), True),
-], ids=["import", "gamma", "recursion", "tree", "scan", "validate"])
-def test_only_the_oracles_and_sweeps_load_the_pipelines(argv, loads_pipelines):
-    # the recursion lives in `engine`; the tree oracle and the Fraction-returning
-    # library functions live in `pipelines`, which a default `compute` never compiles
+], ids=["import", "gamma", "recursion", "tree", "scan", "integrality", "validate"])
+def test_only_the_oracles_and_sweeps_load_the_pipelines(argv, loads_treesum):
+    # no subcommand loads `pipelines`, the Fraction-returning library functions;
+    # only the test oracles and a sweep's disagreement dump do.  The tree oracle
+    # has its own module, `treesum`, which `compute --method tree` and the sweeps load
     loaded = _modules_after("import ellsuper.cli") if argv is None else _modules_after_cli(*argv)
-    assert ("ellsuper.pipelines" in loaded) == loads_pipelines
+    assert "ellsuper.pipelines" not in loaded
+    assert ("ellsuper.treesum" in loaded) == loads_treesum
     if "tree" in (argv or ()):
         assert not loaded & {"ellsuper.linf", "ellsuper.sweeps", "fractions"}
 

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ellsuper.pipelines as sp
+import ellsuper.engine as engine
 import ellsuper.sweeps as sweeps
+import ellsuper.treesum as treesum
 from ellsuper import (
     AspectRatio,
     MethodDisagreement,
@@ -127,25 +128,25 @@ def test_methods_agree_across_ratios():
 
 def test_series_tree_pass_matches_partition_sum_oracle():
     # one row list per ratio, so each degree also resumes the one before
-    fact = sp._factorials(16)
+    fact = engine._factorials(16)
     for a in [INF] + [AspectRatio.plus_delta(p, q) for p, q in ASSORTED_FRACTIONS]:
         points, rows = path_signature(a, 16)[2::3], []
         for d in range(1, 17):
-            assert Fraction(*sp._tree_pass(points[:d], fact, rows)) == partition_tree_wtT(d, a), (d, str(a))
+            assert Fraction(*treesum._tree_pass(points[:d], fact, rows)) == partition_tree_wtT(d, a), (d, str(a))
 
 
 def test_tree_pass_rows_are_recursion_rows_rescaled():
-    # a check of the lemma in the pipelines docstring: row l of the tree pass
+    # a check of the lemma in the treesum docstring: row l of the tree pass
     # times (G_2!)^l is row l of the recursion, for the value and for the whole
     # series; the two passes share one derivation, so a divergence is a coding
     # slip in one of them, and it points at the row where it starts
     d = 30
-    fact = sp._factorials(d)
+    fact = engine._factorials(d)
     for a in [AspectRatio.plus_delta(p, q) for p, q in ((3, 2), (52, 7), (29, 4), (7, 1))] + [INF]:
         points = path_signature(a, d)[2::3]
         recursion_rows, tree_rows = [], []
-        sp._recursion_pass(points, fact, recursion_rows)
-        sp._tree_pass(points, fact, tree_rows)
+        engine._recursion_pass(points, fact, recursion_rows)
+        treesum._tree_pass(points, fact, tree_rows)
         g2f = fact[points[0][0]] * fact[points[0][1]]
         for ell, (rec, tree) in enumerate(zip(recursion_rows, tree_rows, strict=True), start=1):
             scale = g2f ** ell
@@ -531,12 +532,12 @@ def test_resumed_passes_match_fresh_calls_in_any_order(data, d):
     # inf included; each result must equal a fresh call at that ratio
     drawn = data.draw(st.lists(aspect_ratios, min_size=1, max_size=6))
     order = data.draw(st.permutations(drawn + drawn[: len(drawn) // 2 + 1] + [INF]))
-    fact = sp._factorials(d)
+    fact = engine._factorials(d)
     recursion_rows, tree_rows = [], []
     for a in order:
         points = path_signature(a, d)[2::3]
-        assert Fraction(*sp._recursion_pass(points, fact, recursion_rows)) == recursion_wtT(d, a), (d, str(a))
-        assert Fraction(*sp._tree_pass(points, fact, tree_rows)) == tree_wtT(d, a), (d, str(a))
+        assert Fraction(*engine._recursion_pass(points, fact, recursion_rows)) == recursion_wtT(d, a), (d, str(a))
+        assert Fraction(*treesum._tree_pass(points, fact, tree_rows)) == tree_wtT(d, a), (d, str(a))
 
 
 def test_scan_midpoints_catch_a_missing_breakpoint(monkeypatch):
@@ -558,6 +559,31 @@ def test_scan_cross_checks_the_tree_sum(monkeypatch):
     dump = json.loads(str(caught.value).split(": ", 1)[1])
     assert (dump["d"], dump["a"]) == (4, "1+delta")
     assert dump["path_prefix"] == [list(pt) for pt in path_signature(AspectRatio.plus_delta(1), 4)]
+
+
+def test_scan_runs_the_passes_once_per_distinct_prefix(monkeypatch):
+    # d = 7 has 70 interval starts and 141 ratios but only 27 distinct read-point
+    # prefixes; the recursion runs once more, at inf, whose points equal the last start's
+    calls = dict.fromkeys(("_recursion_pass", "_tree_pass"), 0)
+    for name in calls:
+        def counted(points, fact, rows, run=getattr(sweeps, name), name=name):
+            calls[name] += 1
+            return run(points, fact, rows)
+
+        monkeypatch.setattr(sweeps, name, counted)
+    scan_monotonicity(7)
+    assert calls == {"_recursion_pass": 28, "_tree_pass": 27}
+
+
+def test_scan_values_match_values_computed_alone():
+    # every ratio whose points repeat reuses the last wtT; each T must still equal
+    # a value computed at that ratio alone, with its own multiplicity
+    for d in range(1, 10):
+        report = scan_monotonicity(d)
+        for row in report["profile"]:
+            for ratio, t in ((row["interval_start"], row["T"]), (row["midpoint"], row["midpoint_T"])):
+                assert Fraction(t) == superpotential(d, AspectRatio.parse(ratio)).T, (d, ratio)
+        assert Fraction(report["infinity_T"]) == superpotential(d, INF).T, d
 
 
 def test_scan_profile_through_degree_20():
@@ -638,12 +664,12 @@ def test_scan_rows_have_integer_wtT_at_degree_20():
     # observed data, not a theorem: wtT has denominator 1 at every degree of
     # every scan representative at d = 20 (11020 rows); a failure is a finding
     d = 20
-    fact = sp._factorials(d)
+    fact = engine._factorials(d)
     rows: list = []
     checked = 0
     for rep in [Fraction(1)] + scan_breakpoints(d):
         a = AspectRatio.plus_delta(rep.numerator, rep.denominator)
-        sp._recursion_pass(path_signature(a, d)[2::3], fact, rows)
+        engine._recursion_pass(path_signature(a, d)[2::3], fact, rows)
         for n, (_, num, den, _, _) in enumerate(rows, start=1):
             assert den == 1, f"d = {d}, interval start {rep}, degree {n}: wtT = {num}/{den}"
         checked += len(rows)
