@@ -27,7 +27,9 @@ argparse.  :func:`main` tries the plain parser first and hands anything else
 to argparse, so help, abbreviations, ``--x=y`` forms and every usage error
 read as before, and a plain job never imports argparse.
 
-Exit codes: 0 success, 1 usage error, 2 cross-validation failure.
+Exit codes: 0 success, 1 usage error, 2 cross-validation failure.  A ratio
+below 1 is still computed; ``compute`` and ``validate`` note it in one
+``ellsuper: warning:`` line on stderr.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
 infinitesimal perturbation); ``inf`` is the infinite ratio.  Rationals are
@@ -42,8 +44,7 @@ import time
 from types import SimpleNamespace
 
 from .lattice import AspectRatio, gamma_path
-from .engine import (DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine, _text, _value,
-                     _warn_outside_range)
+from .engine import DEFAULT_LINF_BOUND, METHODS, MethodDisagreement, _below_one, _engine, _text, _value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,22 +110,21 @@ def _cmd_trees(args) -> dict:
         rows.append({
             "key": tree.to_string(),
             "aut": tree.aut_order,
-            "vertices": [
-                {
-                    "leaf_number": v.leaf_number,
-                    "valency": v.valency,
-                    "movable": v.movable,
-                    "child_leaf_numbers": list(v.child_leaf_numbers),
-                }
-                for v in vertex_data(tree)
-            ],
+            "vertices": [v._asdict() for v in vertex_data(tree)],
         })
     return {"d": args.d, "count": len(rows), "trees": rows}
 
 
+def _notice_below_one(a: AspectRatio) -> None:
+    """Print one notice line to stderr if ``a`` is below 1."""
+    if _below_one(a):
+        print(f"ellsuper: warning: aspect ratio {a} is below 1: outside the intended range a > 1",
+              file=sys.stderr)
+
+
 def _cmd_compute(args) -> dict:
     _engine(args.method)  # loads the engine's module before the clock starts
-    _warn_outside_range(args.a, stacklevel=2)
+    _notice_below_one(args.a)
     start = time.perf_counter()
     wt, multiplier, t = _value(args.d, args.a, args.method, args.linf_bound)
     elapsed = round((time.perf_counter() - start) * 1e3, 3)
@@ -146,7 +146,7 @@ def _cmd_compute(args) -> dict:
 def _cmd_validate(args) -> dict:
     from .sweeps import _validation_sweep
 
-    _warn_outside_range(args.a, stacklevel=2)
+    _notice_below_one(args.a)
     results = _validation_sweep(args.d_max, args.a, args.linf_bound)
     if args.no_timing:
         for report in results:

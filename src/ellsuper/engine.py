@@ -134,15 +134,10 @@ def _below_one(a: AspectRatio) -> bool:
     return not a.is_infinite and a.p < a.q
 
 
-def _warn_outside_range(a: AspectRatio, stacklevel: int = 3) -> None:
-    """Warn if ``a`` is below 1.
-
-    The default names the line that called the public function calling
-    this; a CLI handler passes 2, which names its own line.
-    """
+def _warn_outside_range(a: AspectRatio) -> None:
+    """Warn if ``a`` is below 1, naming the line that called the public function calling this."""
     if _below_one(a):
-        warnings.warn(f"aspect ratio {a} is below 1: outside the intended range a > 1",
-                      stacklevel=stacklevel)
+        warnings.warn(f"aspect ratio {a} is below 1: outside the intended range a > 1", stacklevel=3)
 
 
 def _engine(method: str):

@@ -36,15 +36,15 @@ prefix is built only for a :class:`MethodDisagreement` dump.  Each engine is
 therefore a private pass that extends a caller-owned list of per-degree
 rows, each row tagged with the point it read last, and keeps the rows up
 to the first point that differs from the ratio it was last run at.
-``recursion_wtT`` and ``tree_wtT`` run it once on an empty list; the
-drivers that run the engines over many degrees or ratios (cross-validation
-and the scans) live in :mod:`.sweeps`.
+``recursion_wtT`` and ``tree_wtT`` run it once on an empty list, through
+``engine._value`` as ``compute`` does; the drivers that run the engines
+over many degrees or ratios (cross-validation and the scans) live in
+:mod:`.sweeps`.
 """
 
 from collections import namedtuple
 
-from .engine import (DEFAULT_LINF_BOUND, _factorials, _read_points, _recursion_pass, _value,
-                     _warn_outside_range)
+from .engine import DEFAULT_LINF_BOUND, _value, _warn_outside_range
 from .lattice import AspectRatio, gamma_path
 
 
@@ -65,7 +65,7 @@ def recursion_wtT(d: int, a: AspectRatio) -> "Fraction":
         raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
     from fractions import Fraction
 
-    return Fraction(*_recursion_pass(_read_points(a, d), _factorials(d), []))
+    return Fraction(*_value(d, a)[0])
 
 
 def tree_wtT(d: int, a: AspectRatio) -> "Fraction":
@@ -81,9 +81,7 @@ def tree_wtT(d: int, a: AspectRatio) -> "Fraction":
         raise ValueError(f"tree_wtT requires d >= 1, got {d}")
     from fractions import Fraction
 
-    from .treesum import _tree_pass
-
-    return Fraction(*_tree_pass(_read_points(a, d), _factorials(d), []))
+    return Fraction(*_value(d, a, "tree")[0])
 
 
 def superpotential(d: int, a: AspectRatio, method: str = "recursion",

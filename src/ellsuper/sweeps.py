@@ -5,8 +5,9 @@ degree up to d, and demands exact agreement; ``scan_monotonicity`` profiles T(d,
 intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
 at the boundary fractions ``p + q = 3d``.  The command line loads this module
 only for ``validate``, ``scan`` and ``integrality``.  It reads the recursion
-from :mod:`.engine` and the tree pass from :mod:`.treesum`; the library
-functions of :mod:`.pipelines` load only for a disagreement dump.
+from :mod:`.engine`; the two drivers that run the tree pass beside it import
+it from :mod:`.treesum` when called, so ``integrality`` never loads it, and
+the library functions of :mod:`.pipelines` load only for a disagreement dump.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
 ``engine._value``) up to the report, which renders it as ``str(Fraction)``
@@ -15,8 +16,9 @@ would; pairs compare by cross-multiplication, and this module never loads
 
 The scan sweeps all its ratios in ascending order through one list of
 per-degree rows per engine.  The degree-n row of either engine reads only
-the points ``G_2, G_5, .., G_{3n-1}``, so the scan runs the passes once per
-distinct prefix of those points and reuses the value elsewhere.  Each pass
+the points ``G_2, G_5, .., G_{3n-1}``, so the scan runs both passes, and
+checks them against each other, whenever a ratio's points differ from the
+last ones checked, and reuses that checked value otherwise.  Each pass
 keeps the rows up to the first point that differs from the ratio it was
 last run at, so it recomputes only the degrees past their common prefix.
 """
@@ -37,7 +39,6 @@ from .engine import (
     _value,
     _warn_outside_range,
 )
-from .treesum import _tree_pass
 
 
 def _disagreement(d: int, a: AspectRatio, values: dict) -> MethodDisagreement:
@@ -79,9 +80,11 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
     ``min(d_max, linf_bound)``, against every degree.  Each ``ms`` entry is
     its pipeline's time from the start of the sweep to that degree, which
     is what a run at that degree alone costs; the linf module is loaded
-    before any clock starts.  Its callers warn below 1, so the warning
-    names their caller's line.
+    before any clock starts.  Its callers say so below 1: ``cross_validate``
+    warns, naming its caller's line, and ``validate`` prints a notice.
     """
+    from .treesum import _tree_pass
+
     points = _read_points(a, d_max)
     fact = _factorials(d_max)
     recursion_rows: list = []
@@ -178,61 +181,64 @@ def scan_monotonicity(d: int) -> dict:
     profile is reported, never raised; it is exploratory output.
 
     The ratios are evaluated in one ascending sweep (each start, its
-    midpoint, the next start, ..., then ``inf``), each ratio's d read points
-    built once.  Both passes read only those points, so they run once per
-    distinct prefix: at a start whose points differ from the previous
-    start's, and at a midpoint (the recursion alone) whose points differ
-    from its start's; every other ratio reuses the last wtT and divides it
-    by its own multiplicity.  At d = 7 that is 27 of the 70 starts and none
-    of the midpoints.  Each pass resumes from its previous run's rows, which
-    is exact too: rows up to the longest common prefix of two ratios' points
-    are the same, and only the degrees past it are recomputed.
+    midpoint, the next start, ..., then ``inf``) by one rule: a ratio whose
+    d read points differ from the last ones checked runs both passes and
+    demands they agree; any other ratio reuses the last checked wtT.
+    Either way the value is divided by the ratio's own multiplicity.  So
+    every prefix the scan reads is cross-checked, starts, midpoints and
+    ``inf`` alike, and each pass runs once per change of prefix: 27 times
+    each over the 141 ratios at d = 7, 192 times each over 1103 at d = 20.
+    Each pass resumes from its previous run's rows, which is exact too:
+    rows up to the longest common prefix of two ratios' points are the
+    same, and only the degrees past it are recomputed.
     """
     if d < 1:
         raise ValueError(f"scan_monotonicity requires d >= 1, got {d}")
+    from .treesum import _tree_pass
+
     reps = [(1, 1), *_breakpoint_pairs(d)]
     fact = _factorials(d)
     recursion_rows: list = []
-    tree_rows: list = []  # interval starts only
+    tree_rows: list = []
+    checked = wt = None  # the last cross-checked read points and their wtT
 
-    def evaluate(a: AspectRatio, points=None, wt=None):
-        """``(read points, wtT, T)`` at ``a``; ``wt`` is reused if the read points are ``points``."""
-        own = _read_points(a, d)
-        if own != points:
-            wt = _recursion_pass(own, fact, recursion_rows)
-        return own, wt, _over(wt, mult(a, own[-1]))
+    def value(a: AspectRatio) -> tuple[int, int]:
+        """T at ``a``, cross-checking the passes if its read points are not the last checked ones."""
+        nonlocal checked, wt
+        points = _read_points(a, d)
+        if points != checked:
+            wt = _recursion_pass(points, fact, recursion_rows)
+            tree = _tree_pass(points, fact, tree_rows)
+            if tree != wt:
+                raise _disagreement(d, a, {"recursion": wt, "tree": tree})
+            checked = points
+        return _over(wt, mult(a, points[-1]))
 
     rows = []
     nondecreasing = True
     consistent = True
     previous = None
-    points = wt = None
     for idx, rep in enumerate(reps):
         a = AspectRatio.plus_delta(*rep)
-        prior = points
-        points, wt, value = evaluate(a, points, wt)
-        if points != prior:  # a new prefix, so cross-check it
-            tree = _tree_pass(points, fact, tree_rows)
-            if tree != wt:
-                raise _disagreement(d, a, {"recursion": wt, "tree": tree})
+        t = value(a)
         if idx + 1 < len(reps):
             mid = AspectRatio.plus_delta(rep[0] + reps[idx + 1][0], rep[1] + reps[idx + 1][1])
         else:
             mid = AspectRatio.plus_delta(rep[0] + rep[1], rep[1])
-        mid_value = evaluate(mid, points, wt)[2]
-        if mid_value != value:
+        mid_t = value(mid)
+        if mid_t != t:
             consistent = False
-        if previous is not None and _below(value, previous):
+        if previous is not None and _below(t, previous):
             nondecreasing = False
-        previous = value
+        previous = t
         rows.append({
             "interval_start": _text(rep),
             "a": str(a),
-            "T": _text(value),
+            "T": _text(t),
             "midpoint": _text((mid.p, mid.q)),
-            "midpoint_T": _text(mid_value),
+            "midpoint_T": _text(mid_t),
         })
-    infinity_T = evaluate(AspectRatio.infinite())[2]
+    infinity_T = value(AspectRatio.infinite())
     if previous is not None and _below(infinity_T, previous):
         nondecreasing = False
     if previous is not None and previous != infinity_T:

@@ -60,8 +60,6 @@ def _tree_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
     _resume(rows, points)
     gi, gj = points[0]
     g2f = fact[gi] * fact[gj]
-    if not rows:
-        rows.append((points[0], 1, 1, {points[0]: 1}, 1))
     for ell in range(len(rows) + 1, len(points) + 1):
         # a root's children, the multisets of >= 2 trees with ell leaves in all:
         # (1/ell) sum_s s S_s y^{G_{3s-1}} forest_{ell-s}, over one denominator

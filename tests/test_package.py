@@ -80,13 +80,14 @@ def test_cli_import_and_compute_load_no_oracle():
     (("compute", "--d", "10", "--a", "52/7", "--no-timing"), False),
     (("compute", "--d", "10", "--a", "52/7", "--method", "tree", "--no-timing"), True),
     (("scan", "--d", "3"), True),
-    (("integrality", "--d", "3"), True),
+    (("integrality", "--d", "3"), False),
     (("validate", "--d-max", "3", "--no-timing"), True),
 ], ids=["import", "gamma", "recursion", "tree", "scan", "integrality", "validate"])
 def test_only_the_oracles_and_sweeps_load_the_pipelines(argv, loads_treesum):
     # no subcommand loads `pipelines`, the Fraction-returning library functions;
     # only the test oracles and a sweep's disagreement dump do.  The tree oracle
-    # has its own module, `treesum`, which `compute --method tree` and the sweeps load
+    # has its own module, `treesum`, which `compute --method tree`, `scan` and
+    # `validate` load; `integrality` runs only the recursion and does not
     loaded = _modules_after("import ellsuper.cli") if argv is None else _modules_after_cli(*argv)
     assert "ellsuper.pipelines" not in loaded
     assert ("ellsuper.treesum" in loaded) == loads_treesum

@@ -393,20 +393,20 @@ def test_cross_validate_runs_the_tree_sum_beyond_linf():
 
 
 def test_cross_validate_detects_disagreement(monkeypatch):
-    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: (1, 7))
+    monkeypatch.setattr(treesum, "_tree_pass", lambda points, fact, rows: (1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix"):
         cross_validate(2, INF, linf_bound=0)
 
 
 def test_cross_validate_checks_every_lower_degree(monkeypatch):
     # a fault planted at d = 3 surfaces in cross_validate(5), with d = 3 in the dump
-    tree_pass = sweeps._tree_pass
+    tree_pass = treesum._tree_pass
 
     def faulty(points, fact, rows):
         num, den = tree_pass(points, fact, rows)
         return (num + den, den) if len(points) == 3 else (num, den)
 
-    monkeypatch.setattr(sweeps, "_tree_pass", faulty)
+    monkeypatch.setattr(treesum, "_tree_pass", faulty)
     a = AspectRatio.plus_delta(52, 7)
     with pytest.raises(MethodDisagreement) as caught:
         cross_validate(5, a)
@@ -553,7 +553,7 @@ def test_scan_midpoints_catch_a_missing_breakpoint(monkeypatch):
 
 
 def test_scan_cross_checks_the_tree_sum(monkeypatch):
-    monkeypatch.setattr(sweeps, "_tree_pass", lambda points, fact, rows: (1, 7))
+    monkeypatch.setattr(treesum, "_tree_pass", lambda points, fact, rows: (1, 7))
     with pytest.raises(MethodDisagreement, match="path_prefix") as caught:
         scan_monotonicity(4)
     dump = json.loads(str(caught.value).split(": ", 1)[1])
@@ -561,18 +561,36 @@ def test_scan_cross_checks_the_tree_sum(monkeypatch):
     assert dump["path_prefix"] == [list(pt) for pt in path_signature(AspectRatio.plus_delta(1), 4)]
 
 
-def test_scan_runs_the_passes_once_per_distinct_prefix(monkeypatch):
-    # d = 7 has 70 interval starts and 141 ratios but only 27 distinct read-point
-    # prefixes; the recursion runs once more, at inf, whose points equal the last start's
-    calls = dict.fromkeys(("_recursion_pass", "_tree_pass"), 0)
-    for name in calls:
-        def counted(points, fact, rows, run=getattr(sweeps, name), name=name):
-            calls[name] += 1
+def _record_pass_calls(monkeypatch) -> dict:
+    """Patch both passes to log the read points of each call, by pass name."""
+    calls = {"_recursion_pass": [], "_tree_pass": []}
+    for module, name in ((sweeps, "_recursion_pass"), (treesum, "_tree_pass")):
+        def recorded(points, fact, rows, run=getattr(module, name), log=calls[name]):
+            log.append(tuple(points))
             return run(points, fact, rows)
 
-        monkeypatch.setattr(sweeps, name, counted)
+        monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_scan_runs_the_passes_once_per_distinct_prefix(monkeypatch):
+    # d = 7 has 70 interval starts and 141 ratios but only 27 distinct read-point
+    # prefixes; inf's points equal the last start's, so nothing runs there
+    calls = _record_pass_calls(monkeypatch)
     scan_monotonicity(7)
-    assert calls == {"_recursion_pass": 28, "_tree_pass": 27}
+    assert {name: len(log) for name, log in calls.items()} == {"_recursion_pass": 27, "_tree_pass": 27}
+
+
+def test_scan_cross_checks_every_prefix_it_reads(monkeypatch):
+    # with one breakpoint of d = 5 left out, a midpoint may read a prefix no
+    # start reads; the tree pass must check it too
+    full = list(sweeps._breakpoint_pairs(5))
+    for dropped in full:
+        monkeypatch.setattr(sweeps, "_breakpoint_pairs", lambda d: [b for b in full if b != dropped])
+        calls = _record_pass_calls(monkeypatch)
+        scan_monotonicity(5)
+        assert set(calls["_recursion_pass"]) <= set(calls["_tree_pass"]), Fraction(*dropped)
+        monkeypatch.undo()
 
 
 def test_scan_values_match_values_computed_alone():
