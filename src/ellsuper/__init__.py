@@ -14,9 +14,10 @@ inversion) produce the same values and cross-validate each other.
 # the modules it runs.  `factorial` (math.factorial itself) and `compositions`
 # stay public only because the benchmark's trace resolves them by name.
 _PUBLIC = {
-    "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult", "pair_factorial", "point_add"),
+    "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult", "pair_factorial", "path_signature",
+                "point_add"),
     "engine": ("DEFAULT_LINF_BOUND", "MethodDisagreement"),
-    "pipelines": ("SuperpotentialResult", "path_signature", "recursion_wtT", "superpotential", "tree_wtT"),
+    "pipelines": ("SuperpotentialResult", "recursion_wtT", "superpotential", "tree_wtT"),
     "sweeps": ("cross_validate", "integrality_scan", "scan_breakpoints", "scan_monotonicity"),
     "linf": ("LinfError", "LinfMorphism", "compose", "ellipsoid_morphism", "identity_morphism",
              "invert", "linf_superpotential"),

@@ -186,7 +186,7 @@ def _value(d: int, a: AspectRatio, method: str = "recursion", linf_bound: int = 
         if d > linf_bound:
             raise ValueError(
                 f"method 'linf' is an oracle intended for d <= {linf_bound}; "
-                f"use 'recursion' for d={d}, or pass a larger linf_bound"
+                f"use 'recursion' for d={d}, or pass a larger linf_bound (--linf-bound)"
             )
         value = _engine(method)(d, a)
         wt = (value.numerator, value.denominator)

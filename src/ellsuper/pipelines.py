@@ -21,11 +21,11 @@ bounded oracle, refused by ``superpotential`` beyond ``linf_bound``.  The
 other test oracles, among them the tree sum over partitions of l and over
 every tree one at a time, live in ``tests/oracles.py``.
 
-This module holds the library functions that return ``Fraction``s and
-``path_signature``.  No command-line job loads it: ``compute`` reads the
-passes through ``engine._engine``, the sweeps import them from their own
-modules, and a :class:`MethodDisagreement` dump imports ``path_signature``
-only when it is raised.
+This module holds only the library functions that return ``Fraction``s.
+No command-line job loads it, failure dumps included: ``compute`` reads
+the passes through ``engine._engine``, the sweeps import them from their
+own modules, and a :class:`MethodDisagreement` dump reads its path prefix
+from ``lattice.path_signature``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.  Finer: the degree-n state of either
@@ -45,18 +45,13 @@ over many degrees or ratios (cross-validation and the scans) live in
 from collections import namedtuple
 
 from .engine import DEFAULT_LINF_BOUND, _value, _warn_outside_range
-from .lattice import AspectRatio, gamma_path
+from .lattice import AspectRatio
 
 
 class SuperpotentialResult(namedtuple("SuperpotentialResult", "d a wtT multiplier T method")):
     """One value: wtT(d, a) by ``method``, its multiplier, and T = wtT / multiplier."""
 
     __slots__ = ()
-
-
-def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
-    """The path prefix G_0..G_{3d-1} that wtT(d, .) depends on."""
-    return tuple(gamma_path(a, 3 * d - 1))
 
 
 def recursion_wtT(d: int, a: AspectRatio) -> "Fraction":

@@ -6,8 +6,10 @@ intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
 at the boundary fractions ``p + q = 3d``.  The command line loads this module
 only for ``validate``, ``scan`` and ``integrality``.  It reads the recursion
 from :mod:`.engine`; the two drivers that run the tree pass beside it import
-it from :mod:`.treesum` when called, so ``integrality`` never loads it, and
-the library functions of :mod:`.pipelines` load only for a disagreement dump.
+it from :mod:`.treesum` when called, so ``integrality`` never loads it.
+Both drivers that cross-check demand agreement through one rule,
+``_agreed``, whose failure dump reads ``lattice.path_signature``; no
+command-line job loads :mod:`.pipelines`, failure dumps included.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
 ``engine._value``) up to the report, which renders it as ``str(Fraction)``
@@ -27,7 +29,7 @@ import json
 import math
 import time
 
-from .lattice import AspectRatio, mult
+from .lattice import AspectRatio, mult, path_signature
 from .engine import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
@@ -41,20 +43,23 @@ from .engine import (
 )
 
 
-def _disagreement(d: int, a: AspectRatio, values: dict) -> MethodDisagreement:
-    """The error for pipelines that differ at (d, a), dumping the whole prefix G_0..G_{3d-1}.
+def _agreed(d: int, a: AspectRatio, values: dict) -> tuple[int, int]:
+    """The one canonical pair that every pipeline in ``values`` gave at (d, a).
 
-    ``values`` maps each pipeline to its canonical pair.
+    ``values`` maps each pipeline to its canonical pair.  If any two differ,
+    raises :class:`MethodDisagreement`, dumping the values and the whole
+    prefix G_0..G_{3d-1}.
     """
-    from .pipelines import path_signature
-
+    agreed = set(values.values())
+    if len(agreed) == 1:
+        return agreed.pop()
     dump = {
         "d": d,
         "a": str(a),
         "path_prefix": [list(pt) for pt in path_signature(a, d)],
         "values": {name: _text(v) for name, v in values.items()},
     }
-    return MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
+    raise MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
 
 
 def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND) -> dict:
@@ -109,9 +114,7 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
             start = time.perf_counter()
             values[method] = step(d)
             clocks[method] += time.perf_counter() - start
-        if len(set(values.values())) != 1:
-            raise _disagreement(d, a, values)
-        wt = values["recursion"]
+        wt = _agreed(d, a, values)
         multiplier = mult(a, points[d - 1])
         reports.append({
             "d": d,
@@ -177,8 +180,12 @@ def scan_monotonicity(d: int) -> dict:
     :class:`MethodDisagreement` as ``cross_validate`` does.  A second point
     inside the same interval (the mediant with the next breakpoint), with its
     own path points and its own multiplicity, guards the breakpoint
-    analysis: the report is marked inconsistent if the two ever differ.  A non-monotone
-    profile is reported, never raised; it is exploratory output.
+    analysis.  Both verdicts are read off the values, in sweep order:
+    ``nondecreasing`` if no value drops from one interval start to the next
+    and from the last start to ``inf``, and ``consistent`` if every midpoint
+    equals its start and the last start equals ``inf``, since the last
+    interval extends to the infinite ratio.  A non-monotone profile is
+    reported, never raised; it is exploratory output.
 
     The ratios are evaluated in one ascending sweep (each start, its
     midpoint, the next start, ..., then ``inf``) by one rule: a ratio whose
@@ -207,46 +214,32 @@ def scan_monotonicity(d: int) -> dict:
         nonlocal checked, wt
         points = _read_points(a, d)
         if points != checked:
-            wt = _recursion_pass(points, fact, recursion_rows)
-            tree = _tree_pass(points, fact, tree_rows)
-            if tree != wt:
-                raise _disagreement(d, a, {"recursion": wt, "tree": tree})
+            wt = _agreed(d, a, {"recursion": _recursion_pass(points, fact, recursion_rows),
+                                "tree": _tree_pass(points, fact, tree_rows)})
             checked = points
         return _over(wt, mult(a, points[-1]))
 
-    rows = []
-    nondecreasing = True
-    consistent = True
-    previous = None
-    for idx, rep in enumerate(reps):
-        a = AspectRatio.plus_delta(*rep)
-        t = value(a)
-        if idx + 1 < len(reps):
-            mid = AspectRatio.plus_delta(rep[0] + reps[idx + 1][0], rep[1] + reps[idx + 1][1])
-        else:
-            mid = AspectRatio.plus_delta(rep[0] + rep[1], rep[1])
-        mid_t = value(mid)
-        if mid_t != t:
-            consistent = False
-        if previous is not None and _below(t, previous):
-            nondecreasing = False
-        previous = t
-        rows.append({
-            "interval_start": _text(rep),
-            "a": str(a),
-            "T": _text(t),
-            "midpoint": _text((mid.p, mid.q)),
-            "midpoint_T": _text(mid_t),
-        })
-    infinity_T = value(AspectRatio.infinite())
-    if previous is not None and _below(infinity_T, previous):
-        nondecreasing = False
-    if previous is not None and previous != infinity_T:
-        consistent = False  # the last interval extends to the infinite ratio
+    # each start, then its midpoint: the mediant with the next start, or for the
+    # last interval, which runs to inf, the start plus 1; inf last
+    ratios = []
+    for (p, q), (p2, q2) in zip(reps, [*reps[1:], (reps[-1][1], 0)]):
+        ratios += AspectRatio.plus_delta(p, q), AspectRatio.plus_delta(p + p2, q + q2)
+    ratios.append(AspectRatio.infinite())
+    ts = [value(a) for a in ratios]
+    starts = ts[::2]  # the interval starts, then inf
+    nondecreasing = not any(_below(t, prev) for prev, t in zip(starts, starts[1:]))
+    consistent = ts[1::2] == ts[:-1:2] and ts[-3] == ts[-1]
+    rows = [{
+        "interval_start": _text(rep),
+        "a": str(a),
+        "T": _text(t),
+        "midpoint": _text((mid.p, mid.q)),
+        "midpoint_T": _text(mid_t),
+    } for rep, a, t, mid, mid_t in zip(reps, ratios[::2], starts, ratios[1::2], ts[1::2])]
     return {
         "d": d,
         "profile": rows,
-        "infinity_T": _text(infinity_T),
+        "infinity_T": _text(ts[-1]),
         "nondecreasing": nondecreasing,
         "consistent": consistent,
     }

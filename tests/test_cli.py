@@ -128,6 +128,31 @@ def test_trees_text_table(capsys):
     assert auts == [2, 4, 6, 8, 24]
 
 
+@pytest.mark.parametrize("argv, out, err", [
+    (("scan", "--d", "2"), [
+        "T profile for d = 2 (interval start -> value):",
+        "  a > 1: T = 0",
+        "  a > 3/2: T = 0",
+        "  a > 2: T = 1/4",
+        "  a > 3: T = 1/4",
+        "  a > 4: T = 1",
+        "  a > 5: T = 1",
+        "  a = inf: T = 1",
+        "nondecreasing: True  consistent: True",
+    ], ""),
+    (("gamma", "--a", "52/7", "--k", "5"), [
+        "path for a = 52/7+delta:",
+        "  (0,0) (1,0) (2,0) (3,0) (4,0) (5,0)",
+    ], ""),
+    (("compute", "--d", "3", "--a", "1/2", "--no-timing"), [
+        "T_3^1/2+delta = 0  (wtT = 0, mult = 3, method = recursion)",
+        "warning: aspect ratio below 1: outside the intended range a > 1",
+    ], "ellsuper: warning: aspect ratio 1/2+delta is below 1: outside the intended range a > 1\n"),
+], ids=["scan", "gamma", "compute"])
+def test_text_renderings_are_pinned(capsys, argv, out, err):
+    assert run_cli(capsys, *argv, "--format", "text") == (EXIT_OK, "\n".join(out) + "\n", err)
+
+
 def test_trees_json(capsys):
     code, out, _ = run_cli(capsys, "trees", "--d", "3")
     payload = json.loads(out)
@@ -312,6 +337,7 @@ def test_linf_bound_respected(capsys):
     code, _, err = run_cli(capsys, "compute", "--d", "9", "--a", "inf", "--method", "linf")
     assert code == EXIT_USAGE
     assert "linf" in err and "d <= 8" in err
+    assert err.endswith("or pass a larger linf_bound (--linf-bound)\n")  # names the CLI option
     code, out, _ = run_cli(capsys, "compute", "--d", "8", "--a", "inf", "--method", "linf", "--no-timing")
     assert code == EXIT_OK
     assert json.loads(out)["T"] == "264057"

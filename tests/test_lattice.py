@@ -108,6 +108,20 @@ def test_infinite_aspect_ratio_is_one_value():
         AspectRatio(None, 2)
 
 
+@pytest.mark.parametrize("p, q", [(0, 1), (3, 0)])
+def test_aspect_ratio_refuses_a_nonpositive_part(p, q):
+    with pytest.raises(ValueError, match=f"positive p, q; got {p}/{q}"):
+        AspectRatio(p, q)
+
+
+def test_gamma_refuses_a_negative_index():
+    a = AspectRatio.plus_delta(3, 2)
+    with pytest.raises(ValueError, match="k >= 0, got -1"):
+        gamma_point(a, -1)
+    with pytest.raises(ValueError, match="k_max >= 0, got -1"):
+        gamma_path(a, -1)
+
+
 def test_point_helpers():
     assert point_add((1, 2), (3, 4)) == (4, 6)
     assert pair_factorial((3, 2)) == 12

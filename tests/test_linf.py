@@ -87,7 +87,12 @@ def test_degree_homogeneity_enforced():
 
 
 def test_truncation_bounds_enforced():
+    for bounds in ({"max_index": 0, "max_arity": 1}, {"max_index": 1, "max_arity": 0}):
+        with pytest.raises(LinfError, match="truncation bounds must be at least 1"):
+            LinfMorphism("V", "W", **bounds)
     eps = ellipsoid_morphism(INF, max_index=5, max_arity=2)
+    with pytest.raises(LinfError, match=r"basis indices start at 1, got \(0,\)"):
+        eps.entry((0,))
     with pytest.raises(LinfError):
         eps.entry((6,))
     with pytest.raises(LinfError):
@@ -150,8 +155,21 @@ def test_invert_requires_bijective_arity_one():
     w = "W"
     zero_first = LinfMorphism(v, w, max_index=3, max_arity=1,
                               rule=lambda key: {} if key == (1,) else {key[0]: Fraction(1)})
-    with pytest.raises(LinfError):
+    with pytest.raises(LinfError, match="scaled basis bijection at index 1"):
         invert(zero_first)
+    # an arity-one entry off its own index is refused by the degree-zero check
+    # before invert could read it as a permutation
+    swapped = LinfMorphism(v, w, max_index=3, max_arity=1,
+                           rule=lambda key: {1: Fraction(1)} if key == (2,) else {key[0]: Fraction(1)})
+    with pytest.raises(LinfError, match=r"expected index 2\b"):
+        invert(swapped)
+
+
+def test_invert_reads_integer_coefficients_exactly():
+    ints = LinfMorphism("V", "W", max_index=2, max_arity=1, entries={(1,): {1: 2}, (2,): {2: 3}})
+    inv = invert(ints)
+    assert inv.entry((1,)) == {1: Fraction(1, 2)} and inv.entry((2,)) == {2: Fraction(1, 3)}
+    assert all(type(c) is Fraction for key in ((1,), (2,)) for c in inv.entry(key).values())
 
 
 def test_invert_arity_one_of_ellipsoid():

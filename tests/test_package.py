@@ -85,14 +85,34 @@ def test_cli_import_and_compute_load_no_oracle():
 ], ids=["import", "gamma", "recursion", "tree", "scan", "integrality", "validate"])
 def test_only_the_oracles_and_sweeps_load_the_pipelines(argv, loads_treesum):
     # no subcommand loads `pipelines`, the Fraction-returning library functions;
-    # only the test oracles and a sweep's disagreement dump do.  The tree oracle
-    # has its own module, `treesum`, which `compute --method tree`, `scan` and
-    # `validate` load; `integrality` runs only the recursion and does not
+    # only the test oracles do (a sweep's disagreement dump reads its path prefix
+    # from `lattice`).  The tree oracle has its own module, `treesum`, which
+    # `compute --method tree`, `scan` and `validate` load; `integrality` runs
+    # only the recursion and does not
     loaded = _modules_after("import ellsuper.cli") if argv is None else _modules_after_cli(*argv)
     assert "ellsuper.pipelines" not in loaded
     assert ("ellsuper.treesum" in loaded) == loads_treesum
     if "tree" in (argv or ()):
         assert not loaded & {"ellsuper.linf", "ellsuper.sweeps", "fractions"}
+
+
+@pytest.mark.parametrize("argv", [("scan", "--d", "3"), ("validate", "--d-max", "3", "--no-timing")],
+                         ids=lambda argv: argv[0])
+def test_failure_dumps_load_no_pipelines(argv):
+    # a planted tree-pass fault: the sweep exits 2 with its dump, whose path
+    # prefix comes from `lattice`, without loading the Fraction-returning API
+    loaded, out = _probe(
+        "import contextlib, io\n"
+        "import ellsuper.treesum as treesum\n"
+        "treesum._tree_pass = lambda points, fact, rows: (999, 1)\n"
+        "from ellsuper.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    assert main({list(argv)!r}) == 2\n"
+        "print(err.getvalue(), end='')")
+    assert out.startswith("ellsuper: cross-validation failure: superpotential pipelines disagree: ")
+    assert '"path_prefix": [[0, 0], [1, 0]' in out and '"tree": "999"' in out
+    assert "ellsuper.pipelines" not in loaded
 
 
 @pytest.mark.parametrize("argv", [("scan", "--d", "4"), ("integrality", "--d", "4"),

@@ -561,6 +561,21 @@ def test_scan_cross_checks_the_tree_sum(monkeypatch):
     assert dump["path_prefix"] == [list(pt) for pt in path_signature(AspectRatio.plus_delta(1), 4)]
 
 
+@pytest.mark.parametrize("inf_mult, infinity_T, nondecreasing", [
+    (lambda m: 2 * m, "2", False),  # T at inf halves, below the last start's 4
+    (lambda m: 1, "32", True),  # T at inf is wtT itself, above it
+], ids=["drop", "rise"])
+def test_scan_verdicts_read_the_value_at_inf(monkeypatch, inf_mult, infinity_T, nondecreasing):
+    # only the value at inf changes, so only the verdicts that read it can move:
+    # the drop from the last start and the last start's consistency with inf
+    real = sweeps.mult
+    monkeypatch.setattr(sweeps, "mult", lambda a, pt: inf_mult(real(a, pt)) if a.is_infinite else real(a, pt))
+    report = scan_monotonicity(3)
+    assert report["profile"][-1]["T"] == "4"
+    assert report["infinity_T"] == infinity_T
+    assert (report["nondecreasing"], report["consistent"]) == (nondecreasing, False)
+
+
 def _record_pass_calls(monkeypatch) -> dict:
     """Patch both passes to log the read points of each call, by pass name."""
     calls = {"_recursion_pass": [], "_tree_pass": []}
