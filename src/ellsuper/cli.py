@@ -201,18 +201,14 @@ _SUBCOMMANDS = {
 
 
 def build_parser():
-    """The argparse parser of :data:`_SUBCOMMANDS`: help, abbreviations and every usage error."""
-    import argparse
+    """The argparse parser of :data:`_SUBCOMMANDS`: help, abbreviations and every usage error.
 
-    class _Parser(argparse.ArgumentParser):
-        # argparse exits with 2 on usage errors; the contract here reserves 2 for
-        # cross-validation failures, so remap.
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+    A usage error exits with argparse's own code 2; :func:`main` reports it as 1.
+    """
+    from argparse import ArgumentParser
 
-    parser = _Parser(prog="ellsuper", description="Exact superpotential counts for the projective plane.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = ArgumentParser(prog="ellsuper", description="Exact superpotential counts for the projective plane.")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, run, options) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in (_FORMAT, *options):
@@ -270,7 +266,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+            # argparse exits with 0 after help and 2 on usage errors; the contract
+            # here reserves 2 for cross-validation failures, so remap.
+            return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
         payload = args.run(args)

@@ -94,13 +94,10 @@ class LinfMorphism:
         self.name = name or f"{source}->{target}"
         self._rule = rule
         self._entries: dict[tuple[int, ...], dict] = {}
-        if entries:
-            for key, vec in entries.items():
-                key = tuple(sorted(key))
-                self._validate_key(key)
-                vec = _vec_trim(vec)
-                self._check_entry(key, vec)
-                self._entries[key] = vec
+        for key, vec in (entries or {}).items():
+            key = tuple(sorted(key))
+            self._validate_key(key)
+            self._store(key, vec)
 
     def _validate_key(self, key: tuple[int, ...]) -> None:
         if not key:
@@ -112,15 +109,18 @@ class LinfMorphism:
         if key[-1] > self.max_index:
             raise LinfError(f"{self.name}: index {key[-1]} exceeds declared bound {self.max_index}")
 
-    def _check_entry(self, key: tuple[int, ...], vec: dict) -> None:
-        # the one index of degree zero; see the module docstring
-        expected = sum(key) + len(key) - 1
+    def _store(self, key: tuple[int, ...], vec: dict) -> dict:
+        """Trim ``vec``, check that it lands on the one index of degree zero, and store it."""
+        vec = _vec_trim(vec)
+        expected = sum(key) + len(key) - 1  # see the module docstring
         for j in vec:
             if j != expected:
                 raise LinfError(
                     f"{self.name}: entry {key} -> {j} is not degree-homogeneous "
                     f"(expected index {expected})"
                 )
+        self._entries[key] = vec
+        return vec
 
     def entry(self, indices) -> dict:
         """Sparse value on a multiset of source basis indices (do not mutate)."""
@@ -129,10 +129,7 @@ class LinfMorphism:
         if cached is not None:
             return cached
         self._validate_key(key)
-        vec = _vec_trim(self._rule(key)) if self._rule is not None else {}
-        self._check_entry(key, vec)
-        self._entries[key] = vec
-        return vec
+        return self._store(key, self._rule(key) if self._rule is not None else {})
 
     def apply(self, vectors) -> dict:
         """Multilinear extension to a list of sparse input vectors."""
@@ -235,8 +232,8 @@ def compose(psi: LinfMorphism, phi: LinfMorphism) -> LinfMorphism:
                         rule=rule, name=f"{psi.name} o {phi.name}")
 
 
-def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
-    """Two-sided inverse of a morphism with invertible arity-one part.
+def invert(phi: LinfMorphism) -> LinfMorphism:
+    """Two-sided inverse of a morphism with invertible arity-one part, in ``phi``'s truncation.
 
     Each arity-one entry ``Phi^1(e_i)``, i = 1..max_index, must be a nonzero
     multiple ``c_i e_i`` of its own basis vector, the only index degree zero
@@ -256,7 +253,6 @@ def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
     its number of set partitions and built directly by :func:`_splits` (10
     terms instead of 202 for six equal inputs).
     """
-    arity = phi.max_arity if max_arity is None else max_arity
     inv1 = {}  # index i -> the reciprocal of phi^1's coefficient on e_i
     for i in range(1, phi.max_index + 1):
         vec = phi.entry((i,))  # degree zero: empty, or a multiple of e_i
@@ -283,7 +279,7 @@ def invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorphism:
             out[j] = -c * inv1[j]
         return out
 
-    psi = LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=arity,
+    psi = LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=phi.max_arity,
                        rule=rule, name=f"inv({phi.name})")
     return psi
 

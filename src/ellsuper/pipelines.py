@@ -43,6 +43,7 @@ over many degrees or ratios (cross-validation and the scans) live in
 """
 
 from collections import namedtuple
+from fractions import Fraction
 
 from .engine import DEFAULT_LINF_BOUND, _value, _warn_outside_range
 from .lattice import AspectRatio
@@ -54,16 +55,14 @@ class SuperpotentialResult(namedtuple("SuperpotentialResult", "d a wtT multiplie
     __slots__ = ()
 
 
-def recursion_wtT(d: int, a: AspectRatio) -> "Fraction":
+def recursion_wtT(d: int, a: AspectRatio) -> Fraction:
     """wtT by the split recursion, as one online pass of the series exponential."""
     if d < 1:
         raise ValueError(f"recursion_wtT requires d >= 1, got {d}")
-    from fractions import Fraction
-
     return Fraction(*_value(d, a)[0])
 
 
-def tree_wtT(d: int, a: AspectRatio) -> "Fraction":
+def tree_wtT(d: int, a: AspectRatio) -> Fraction:
     """wtT by the closed sum over rooted trees with d unordered leaves.
 
     Evaluated by leaf count: ``S_l`` is the sum over trees with l leaves
@@ -74,8 +73,6 @@ def tree_wtT(d: int, a: AspectRatio) -> "Fraction":
     """
     if d < 1:
         raise ValueError(f"tree_wtT requires d >= 1, got {d}")
-    from fractions import Fraction
-
     return Fraction(*_value(d, a, "tree")[0])
 
 
@@ -86,7 +83,5 @@ def superpotential(d: int, a: AspectRatio, method: str = "recursion",
         raise ValueError(f"superpotential requires d >= 1, got {d}")
     _warn_outside_range(a)
     wt, multiplier, t = _value(d, a, method, linf_bound)
-    from fractions import Fraction
-
     return SuperpotentialResult(d=d, a=a, wtT=Fraction(*wt), multiplier=multiplier,
                                 T=Fraction(*t), method=method)

@@ -245,9 +245,8 @@ def ordered_count(d: int) -> int:
     """Number of ordered-leaf classes, as the sum of d!/|Aut(T)| over unordered ones.
 
     Every term is the size of a leaf-relabeling orbit, so each division is
-    exact; a remainder is raised rather than truncated.
+    exact: with no bivalent vertex, each internal vertex is fixed by the set
+    of leaves above it, so Aut(T) acts faithfully on the d leaves and its
+    order divides d! (Lagrange).
     """
-    orbits = [divmod(factorial(d), t.aut_order) for t in enumerate_trees(d)]
-    if any(rest for _, rest in orbits):
-        raise ArithmeticError(f"non-integer ordered count for d={d}")
-    return sum(orbit for orbit, _ in orbits)
+    return sum(factorial(d) // t.aut_order for t in enumerate_trees(d))

@@ -247,6 +247,29 @@ def test_usage_errors(capsys):
     assert run_cli(capsys)[0] == EXIT_USAGE
 
 
+def test_argparse_usage_error_keeps_its_text_and_exits_1(capsys, monkeypatch):
+    # argparse itself exits with 2 here; main reports every usage error as 1
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line to the terminal width
+    assert run_cli(capsys, "compute", "--d", "0", "--a", "inf") == (EXIT_USAGE, "", (
+        "usage: ellsuper compute [-h] [--format {json,csv,text}] --d D --a A\n"
+        "                        [--method {recursion,tree,linf}]\n"
+        "                        [--linf-bound LINF_BOUND] [--no-timing]\n"
+        "ellsuper compute: error: argument --d: must be a positive integer, got 0\n"
+    ))
+    code, out, err = run_cli(capsys, "gamma", "--a", "3/2", "--k", "-1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("ellsuper gamma: error: argument --k: must be a nonnegative integer, got -1\n")
+
+
+def test_help_exits_0_with_empty_stderr(capsys):
+    code, out, err = run_cli(capsys, "compute", "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: ellsuper compute ")
+    with pytest.raises(SystemExit) as exc:  # the parser alone exits as argparse does
+        cli.build_parser().parse_args(["compute", "--d", "0", "--a", "inf"])
+    assert exc.value.code == 2
+
+
 # tokens that plain parsing leaves to argparse, among them abbreviations and options of no subcommand
 _ODD_TOKENS = ["--", "-", "-h", "--help", "--no-t", "--lin", "--form", "--d-m", "--jobs", "--k", "--d=3", "x"]
 _VALUES = {

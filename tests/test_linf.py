@@ -84,6 +84,11 @@ def test_degree_homogeneity_enforced():
     lazy = LinfMorphism(v, w, max_index=5, max_arity=2, rule=lambda key: {0: Fraction(1)})
     with pytest.raises(LinfError, match=r"expected index 3\b"):
         lazy.entry((3,))
+    # both paths drop a zero coefficient before the check, whatever index it sits on
+    listed = LinfMorphism(v, w, max_index=5, max_arity=2, entries={(2, 1): {5: Fraction(0)}})
+    assert listed.entry((1, 2)) == {}
+    zeros = LinfMorphism(v, w, max_index=5, max_arity=2, rule=lambda key: {0: Fraction(0), 4: 2})
+    assert zeros.entry((1, 2)) == {4: 2}
 
 
 def test_truncation_bounds_enforced():
@@ -99,6 +104,12 @@ def test_truncation_bounds_enforced():
         eps.entry((1, 1, 1))
     with pytest.raises(LinfError):
         eps.entry(())
+
+
+def test_morphism_repr_names_its_truncation():
+    eps = ellipsoid_morphism(INF, max_index=5, max_arity=2)
+    assert repr(eps) == "LinfMorphism(eps[inf], idx<=5, k<=2)"
+    assert repr(invert(eps)) == "LinfMorphism(inv(eps[inf]), idx<=5, k<=2)"  # phi's own truncation
 
 
 def test_identity_morphism():
@@ -260,6 +271,8 @@ def test_linf_superpotential_values():
     assert linf_superpotential(2, INF) == 5
     assert linf_superpotential(3, INF) == 32
     assert linf_superpotential(1, A32) == 1  # (1,1)! = 1
+    with pytest.raises(ValueError, match="linf_superpotential requires d >= 1, got 0"):
+        linf_superpotential(0, INF)
 
 
 def test_linf_superpotential_inner_modes_agree():
@@ -276,7 +289,7 @@ def test_linf_matches_recursion():
 
 def _assert_inverses_agree(phi, max_arity):
     # every key whose intermediate indices stay inside the truncation
-    fast = invert(phi, max_arity)
+    fast = invert(phi)
     slow = tree_sum_invert(phi, max_arity)
     checked = 0
     for k in range(1, max_arity + 1):

@@ -58,3 +58,11 @@ def test_partitions_counts():
         assert len(parts) == want
         assert all(sum(p) == n for p in parts)
         assert all(all(p[i] >= p[i + 1] for i in range(len(p) - 1)) for p in parts)
+
+
+def test_negative_totals_rejected():
+    # both are generators, so the check runs on the first item
+    with pytest.raises(ValueError, match="compositions requires total >= 0, got -1"):
+        next(compositions(-1))
+    with pytest.raises(ValueError, match="partitions requires total >= 0, got -1"):
+        next(partitions(-1))

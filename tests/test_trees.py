@@ -152,3 +152,4 @@ def test_enumerate_trees_rejects_zero():
 def test_to_string_round_trip_forms():
     forms = {t.to_string() for t in enumerate_trees(4)}
     assert forms == {"(****)", "(**(**))", "(*(***))", "(*(*(**)))", "((**)(**))"}
+    assert repr(Tree([LEAF, LEAF])) == "Tree[(**)]"
