@@ -19,8 +19,9 @@ _PUBLIC = {
     "engine": ("DEFAULT_LINF_BOUND", "MethodDisagreement"),
     "pipelines": ("SuperpotentialResult", "recursion_wtT", "superpotential", "tree_wtT"),
     "sweeps": ("cross_validate", "integrality_scan", "scan_breakpoints", "scan_monotonicity"),
-    "linf": ("LinfError", "LinfMorphism", "compose", "ellipsoid_morphism", "identity_morphism",
-             "invert", "linf_superpotential"),
+    "linf": ("linf_superpotential",),
+    "morphisms": ("LinfError", "LinfMorphism", "compose", "ellipsoid_morphism", "identity_morphism",
+                  "invert"),
     "trees": ("LEAF", "Tree", "VertexInfo", "compositions", "enumerate_ordered_trees",
               "enumerate_trees", "factorial", "ordered_count", "ordered_internal_count",
               "ordered_leaves", "partitions", "set_partitions", "vertex_data"),

@@ -34,8 +34,9 @@ gives ``f_l = c^l forest_l``.
 
 The two share one derivation, so their agreement catches coding slips, not
 an error in that derivation.  The witnesses independent in derivation are
-linf (up to ``linf_bound``; checked to d = 17), the per-tree sum
-(d <= 12) and the multiset recursion in ``tests/oracles.py``.
+linf (up to ``linf_bound``; CI checks it at every degree to d = 21), the
+per-tree sum (CI checks it at d = 14) and the multiset recursion in
+``tests/oracles.py``.
 
 ``scan`` and ``validate`` run this pass beside the recursion, and
 ``compute --method tree`` runs it alone, loading this module through

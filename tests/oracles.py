@@ -22,7 +22,10 @@ the library keeps integers over one denominator per degree;
 partitions of d with a 1/(m_1! m_2! ..) factor, where the library reads it
 off a power-series exponential;
 ``ordered_recursion_wtT`` and ``ordered_linf_superpotential`` sum over
-ordered compositions with a 1/k! factor; ``tree_wtT_infinity`` is the
+ordered compositions with a 1/k! factor; ``morphism_linf_pass`` pairs the
+generic engine's ``invert(ellipsoid_morphism(..))`` over the partitions of
+each degree, where the library inverts on one scalar per input multiset,
+grouped by its blocks' output indices; ``tree_wtT_infinity`` is the
 infinite-ratio tree sum written with plain integer factorials and central
 binomials instead of lattice points.
 
@@ -71,7 +74,7 @@ from ellsuper import (
     set_partitions,
     vertex_data,
 )
-from ellsuper.linf import _recip, _vec_acc
+from ellsuper.morphisms import _recip, _vec_acc
 from ellsuper.engine import _factorials, _resume
 
 
@@ -320,6 +323,25 @@ def ordered_linf_superpotential(d, a):
         vec = eta.entry(tuple(3 * ds - 1 for ds in comp))
         total += weight * vec.get(top, Fraction(0))
     return total
+
+
+def morphism_linf_pass(d_max, a):
+    """Yield wtT_1 .. wtT_{d_max} from the generic engine's inverse of the ellipsoid morphism.
+
+    Inverts once, truncated at index 3 d_max - 1 and arity d_max, and pairs
+    the sparse entries on ``o_{3d_1-1}, .., o_{3d_k-1}`` over the partitions
+    of each d with ``1/(m_1! .. (d_1!)^3 ..)``, ``m_j`` the multiplicities.
+    """
+    eta = invert(ellipsoid_morphism(a, max_index=3 * d_max - 1, max_arity=d_max))
+    for d in range(1, d_max + 1):
+        total = Fraction(0)
+        for part in partitions(d):
+            den = 1
+            for ds, grp in groupby(part):
+                m = len(tuple(grp))
+                den *= factorial(m) * factorial(ds) ** (3 * m)
+            total += eta.entry(tuple(3 * ds - 1 for ds in part)).get(3 * d - 1, Fraction(0)) / den
+        yield total
 
 
 def tree_wtT_infinity(d):

@@ -21,8 +21,15 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from ellsuper.linf import _splits
-from oracles import ordered_linf_superpotential, per_partition_compose, set_partition_splits, tree_sum_invert
+from ellsuper.linf import _linf_pass, _splits
+from oracles import (
+    ASSORTED_FRACTIONS,
+    morphism_linf_pass,
+    ordered_linf_superpotential,
+    per_partition_compose,
+    set_partition_splits,
+    tree_sum_invert,
+)
 
 INF = AspectRatio.infinite()
 A32 = AspectRatio.plus_delta(3, 2)
@@ -355,6 +362,14 @@ def test_grouped_compose_matches_per_partition_oracle_generic():
 def test_grouped_compose_matches_per_partition_oracle_round_trip():
     eps = ellipsoid_morphism(INF, max_index=14, max_arity=5)
     assert _assert_composites_agree(invert(eps), eps, 5) > 100
+
+
+@pytest.mark.parametrize("a", [INF] + [AspectRatio.plus_delta(p, q) for p, q in ASSORTED_FRACTIONS], ids=str)
+def test_scalar_pass_matches_the_generic_inverse(a):
+    # one scalar per input multiset gives the sparse engine's value at every degree
+    values = list(_linf_pass(8, a))
+    assert values == list(morphism_linf_pass(8, a))
+    assert all(type(v) is Fraction for v in values)
 
 
 def test_linf_matches_recursion_beyond_default_bound():

@@ -24,7 +24,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 NOT_ON_COMPUTE_PATH = {
     "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
     "fractions", "decimal", "numbers",
-    "ellsuper.linf", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render", "ellsuper.pipelines",
+    "ellsuper.linf", "ellsuper.morphisms", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render",
+    "ellsuper.pipelines",
 }
 
 
@@ -152,6 +153,17 @@ def test_subcommands_load_the_oracles_they_run():
 def test_linf_runs_without_trees(argv):
     loaded = _modules_after_cli(*argv)
     assert "ellsuper.linf" in loaded and "ellsuper.trees" not in loaded
+
+
+@pytest.mark.parametrize("argv", [("validate", "--d-max", "3"),
+                                  ("compute", "--d", "3", "--a", "inf", "--method", "linf")],
+                         ids=lambda argv: argv[0])
+def test_linf_runs_without_the_morphism_engine(argv):
+    # the witness inverts on scalars; no module the job loads defines the sparse engine
+    _, out = _probe(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == 0\n"
+                    "import sys\n"
+                    "print('engine:', *sorted(name for name, m in sys.modules.items() if 'LinfMorphism' in vars(m)))")
+    assert out.splitlines()[-1] == "engine:"
 
 
 @pytest.mark.parametrize("argv", [("validate", "--d-max", "2"), ("scan", "--d", "2"),
