@@ -19,9 +19,8 @@ _PUBLIC = {
     "engine": ("DEFAULT_LINF_BOUND", "MethodDisagreement"),
     "pipelines": ("SuperpotentialResult", "recursion_wtT", "superpotential", "tree_wtT"),
     "sweeps": ("cross_validate", "integrality_scan", "scan_breakpoints", "scan_monotonicity"),
-    "linf": ("linf_superpotential",),
-    "morphisms": ("LinfError", "LinfMorphism", "compose", "ellipsoid_morphism", "identity_morphism",
-                  "invert"),
+    "linf": ("LinfError", "LinfMorphism", "linf_superpotential"),
+    "morphisms": ("compose", "ellipsoid_morphism", "identity_morphism", "invert"),
     "trees": ("LEAF", "Tree", "VertexInfo", "compositions", "enumerate_ordered_trees",
               "enumerate_trees", "factorial", "ordered_count", "ordered_internal_count",
               "ordered_leaves", "partitions", "set_partitions", "vertex_data"),

@@ -1,4 +1,19 @@
-"""L-infinity inversion of the ellipsoid morphism, as a witness for wtT.
+"""L-infinity morphisms, and the inverse of the ellipsoid morphism as a witness for wtT.
+
+A graded vector space concentrated in even degrees admits no nonzero
+L-infinity brackets (parity kills them all), so an algebra here is just a
+space with basis ``e_1, e_2, ..`` in the standard grading ``deg e_i = -2 - 2i``,
+named by a string, and a morphism ``V -> W`` is a sequence of degree-zero
+symmetric multilinear maps, one per arity ``k >= 1``.  Degree zero pins
+every output: inputs ``e_{i_1}, .., e_{i_k}`` carry degree
+``sum(-2 - 2i_m) = -2k - 2(i_1 + .. + i_k)``, which is ``-2 - 2j`` exactly
+for ``j = i_1 + .. + i_k + k - 1``, so an entry on the multiset ``key`` may
+land only on the index ``j(key) = sum(key) + len(key) - 1``.
+:class:`LinfMorphism` stores a morphism sparsely per multiset of input
+basis indices; coefficients are exact rationals (any exact scalar with ring
+operations works, e.g. sympy expressions in the symbolic tests), and every
+stored entry is checked to land on that one index.  Composition, inversion
+and the ellipsoid morphism are in :mod:`.morphisms`.
 
 The ellipsoid morphism of an aspect ratio ``a`` (see
 :func:`.morphisms.ellipsoid_morphism`) sends the inputs
@@ -8,11 +23,9 @@ and ``(.)!`` the pair factorial.  Inverting it and pairing the inverse with
 the constants ``(d!)^-3`` yields the superpotential, independently of the
 recursion and the closed tree sum.
 
-Degree zero pins every entry of a morphism between evenly graded algebras
-to one output index: on the multiset of inputs ``key`` it is
-``j(key) = sum(key) + len(key) - 1``.  So an entry of the inverse ``Psi`` is
-one scalar ``psi(key)`` per input multiset, and the inverse's grouping at
-the root (see :func:`.morphisms.invert`) reads
+Every entry of the inverse ``Psi`` lands on ``j(key)``, so it is one scalar
+``psi(key)`` per input multiset, and the inverse's grouping at the root
+(see :func:`.morphisms.invert`) reads
 
     psi(key) = -(G_j)! * sum over multiset partitions P of key into >= 2 blocks of
                    count(P) * prod(psi(B) for B in P) / (sum of G_{j(B)} for B in P)!
@@ -28,10 +41,11 @@ already filed.  The ellipsoid is read once per output multiset.  Every
 integer while the entries are, and an entry whose value is an integer is
 kept as an ``int``.  This is exact whether or not the values are integers.
 
-The pass inverts the same morphism as the generic :func:`.morphisms.invert`,
-which stays the reference the tests compare it against.  The generic engine
-lives in :mod:`.morphisms`; this module holds the witness and the multiset
-partitions that both read.
+The witness keeps ``Psi`` in a :class:`LinfMorphism` whose rule is this
+scalar sum: each entry ``{j(key): psi(key)}`` is memoized and checked like
+any morphism's, and read through ``Psi.entry``.  It inverts the same
+morphism as the generic :func:`.morphisms.invert`, which stays the
+reference the tests compare it against.
 """
 
 from fractions import Fraction
@@ -39,6 +53,119 @@ from itertools import groupby, product
 from math import comb, factorial
 
 from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
+
+
+class LinfError(ValueError):
+    """Ill-formed morphism data or an operation outside a declared truncation."""
+
+
+def _vec_acc(acc: dict, vec: dict, scale=1) -> None:
+    for idx, c in vec.items():
+        c = c * scale if scale != 1 else c
+        if idx in acc:
+            acc[idx] = acc[idx] + c
+        else:
+            acc[idx] = c
+
+
+def _vec_trim(vec: dict) -> dict:
+    return {idx: c for idx, c in vec.items() if not c == 0}
+
+
+class LinfMorphism:
+    """Degree-zero morphism stored as per-arity sparse tables.
+
+    Entries are keyed by the sorted tuple of input basis indices and map to
+    sparse output vectors ``{index: coefficient}``.  A table may be backed by
+    a ``rule`` callable evaluated lazily and memoized; entries are validated
+    for degree-zero homogeneity when first materialized.  ``max_index`` and
+    ``max_arity`` declare the truncation inside which the morphism is used.
+
+    A morphism is single-threaded: the lazy memo ``_entries`` is a plain dict
+    filled on first access without a lock, so an instance must not be shared
+    between threads.
+    """
+
+    def __init__(self, source: str, target: str, *, max_index: int,
+                 max_arity: int, rule=None, entries=None, name: str = ""):
+        if max_index < 1 or max_arity < 1:
+            raise LinfError("truncation bounds must be at least 1")
+        self.source = source
+        self.target = target
+        self.max_index = max_index
+        self.max_arity = max_arity
+        self.name = name or f"{source}->{target}"
+        self._rule = rule
+        self._entries: dict[tuple[int, ...], dict] = {}
+        for key, vec in (entries or {}).items():
+            key = tuple(sorted(key))
+            self._validate_key(key)
+            self._store(key, vec)
+
+    def _validate_key(self, key: tuple[int, ...]) -> None:
+        if not key:
+            raise LinfError("arity-zero entries do not exist")
+        if len(key) > self.max_arity:
+            raise LinfError(f"{self.name}: arity {len(key)} exceeds declared bound {self.max_arity}")
+        if key[0] < 1:
+            raise LinfError(f"{self.name}: basis indices start at 1, got {key}")
+        if key[-1] > self.max_index:
+            raise LinfError(f"{self.name}: index {key[-1]} exceeds declared bound {self.max_index}")
+
+    def _store(self, key: tuple[int, ...], vec: dict) -> dict:
+        """Trim ``vec``, check that it lands on the one index of degree zero, and store it."""
+        vec = _vec_trim(vec)
+        expected = sum(key) + len(key) - 1  # see the module docstring
+        for j in vec:
+            if j != expected:
+                raise LinfError(
+                    f"{self.name}: entry {key} -> {j} is not degree-homogeneous "
+                    f"(expected index {expected})"
+                )
+        self._entries[key] = vec
+        return vec
+
+    def entry(self, indices) -> dict:
+        """Sparse value on a multiset of source basis indices (do not mutate)."""
+        key = tuple(sorted(indices))
+        cached = self._entries.get(key)
+        if cached is not None:
+            return cached
+        self._validate_key(key)
+        return self._store(key, self._rule(key) if self._rule is not None else {})
+
+    def apply(self, vectors) -> dict:
+        """Multilinear extension to a list of sparse input vectors."""
+        out: dict = {}
+        for combo in product(*(v.items() for v in vectors)):
+            coeff = None
+            key = []
+            for idx, c in combo:
+                key.append(idx)
+                coeff = c if coeff is None else coeff * c
+            if coeff is None or coeff == 0:
+                continue
+            _vec_acc(out, self.entry(key), coeff)
+        return _vec_trim(out)
+
+    def dump(self) -> dict:
+        """JSON-ready view of the materialized tables, rationals as strings."""
+        arities: dict[str, dict] = {}
+        for key in sorted(self._entries):
+            vec = self._entries[key]
+            bucket = arities.setdefault(str(len(key)), {})
+            bucket[",".join(map(str, key))] = {str(j): str(c) for j, c in sorted(vec.items())}
+        return {
+            "name": self.name,
+            "source": self.source,
+            "target": self.target,
+            "max_index": self.max_index,
+            "max_arity": self.max_arity,
+            "arities": arities,
+        }
+
+    def __repr__(self) -> str:
+        return f"LinfMorphism({self.name}, idx<={self.max_index}, k<={self.max_arity})"
 
 
 def _first_blocks(key: tuple[int, ...]):
@@ -59,32 +186,6 @@ def _first_blocks(key: tuple[int, ...]):
             ways *= comb(c, t)
         yield tuple(block), tuple(left), ways
 
-
-def _splits(key: tuple[int, ...], memo: dict) -> dict:
-    """The set partitions of the inputs ``key``, grouped by the sorted blocks they carry.
-
-    Maps each multiset partition (a sorted tuple of sorted blocks) to the
-    number of set partitions of the positions of ``key`` whose blocks carry
-    it.  Partitions with equal groups give equal terms in every sum over set
-    partitions of symmetric maps, so each is evaluated once, weighted by its
-    count.  The groups are built directly: each block holding the first
-    input (:func:`_first_blocks`) joins every group of the inputs left over,
-    read through ``memo`` (one dict per morphism, keyed like ``key``).
-    """
-    if not key:
-        return {(): 1}
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out: dict = {}
-    for block, left, ways in _first_blocks(key):
-        for blocks, count in _splits(left, memo).items():
-            group = tuple(sorted((block, *blocks)))
-            out[group] = out.get(group, 0) + ways * count
-    memo[key] = out
-    return out
-
-
 def _linf_pass(d_max: int, a: AspectRatio):
     """Yield wtT_1 .. wtT_{d_max} via one inverse of the ellipsoid morphism.
 
@@ -98,17 +199,17 @@ def _linf_pass(d_max: int, a: AspectRatio):
     where ``m_j`` is the multiplicity of each distinct part; every such
     entry lands on ``o_{3d-1}``.  An entry of the inverse does not depend on
     the truncation it is read in, so every degree's pairing reads the same
-    memo, and each value is a ``Fraction``.
+    inverse, and each value is a ``Fraction``.
     """
     path = gamma_path(a, 3 * d_max - 1)
-    inverse: dict = {}  # input multiset -> psi
     grouped: dict = {}  # input multiset -> {sorted output indices of a partition's blocks: weight}
     scaled: dict = {}  # sorted output indices -> j! / (sum of their G)!
 
     def psi(key: tuple[int, ...]):
-        value = inverse.get(key)
-        if value is not None:
-            return value
+        # the one coefficient of the inverse's entry on ``key``, at o_{j(key)}
+        return inverse.entry(key).get(sum(key) + len(key) - 1, 0)
+
+    def rule(key: tuple[int, ...]) -> dict:
         j = sum(key) + len(key) - 1
         splits: dict = {}
         for block, left, ways in _first_blocks(key):
@@ -134,9 +235,10 @@ def _linf_pass(d_max: int, a: AspectRatio):
                 value = value.numerator
         splits[(j,)] = value  # the partition into one block
         grouped[key] = splits
-        inverse[key] = value
-        return value
+        return {j: value}
 
+    inverse = LinfMorphism("C[q]", f"C[{a}]", max_index=3 * d_max - 1, max_arity=d_max,
+                           rule=rule, name=f"inv(eps[{a}])")
     parts = [[()]]  # parts[n]: the partitions of n, each a nonincreasing tuple
     for d in range(1, d_max + 1):
         parts.append([(p, *rest) for p in range(d, 0, -1) for rest in parts[d - p]

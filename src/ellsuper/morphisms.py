@@ -1,14 +1,8 @@
-"""Morphism engine for evenly graded L-infinity algebras over the rationals.
+"""Composition and inversion of L-infinity morphisms, and the ellipsoid morphism.
 
-A graded vector space concentrated in even degrees admits no nonzero
-L-infinity brackets (parity kills them all), so an algebra here is just a
-space with basis ``e_1, e_2, ..`` in the standard grading ``deg e_i = -2 - 2i``,
-named by a string, and a morphism ``V -> W`` is a sequence of degree-zero
-symmetric multilinear maps, one per arity ``k >= 1``.  Degree zero pins
-every output: inputs ``e_{i_1}, .., e_{i_k}`` carry degree
-``sum(-2 - 2i_m) = -2k - 2(i_1 + .. + i_k)``, which is ``-2 - 2j`` exactly
-for ``j = i_1 + .. + i_k + k - 1``, so an entry on the multiset ``key`` may
-land only on the index ``sum(key) + len(key) - 1``.  Assembled into
+The morphisms are :class:`.linf.LinfMorphism` tables between evenly graded
+algebras, whose entry on the multiset of inputs ``key`` may land only on
+the index ``sum(key) + len(key) - 1`` (see :mod:`.linf`).  Assembled into
 coalgebra maps, morphisms compose by splitting the inputs into unordered
 blocks:
 
@@ -24,12 +18,7 @@ vertices)``.  :func:`invert` evaluates this sum grouped at the root: the
 subtrees hanging from the root sum to lower-arity entries of ``Psi`` itself,
 so each entry is one pass over the multiset partitions of its inputs rather
 than over the trees (see :func:`invert`).  The partitions come from
-:func:`.linf._splits`.
-
-Tables are stored sparsely per multiset of input basis indices; coefficients
-are exact rationals (any exact scalar with ring operations works, e.g. sympy
-expressions in the symbolic tests).  Every stored entry is checked to be
-degree-homogeneous of degree zero, i.e. to land on that one index.
+:func:`_splits`.
 
 The bundled instance attaches to an ellipsoid aspect ratio ``a`` the morphism
 with entries ``(o_{i_1},..,o_{i_k}) -> q_{i_1+..+i_k+k-1} / (G_{i_1}+..+G_{i_k})!``
@@ -42,14 +31,9 @@ module.
 """
 
 from fractions import Fraction
-from itertools import product
 
 from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
-from .linf import _splits
-
-
-class LinfError(ValueError):
-    """Ill-formed morphism data or an operation outside a declared truncation."""
+from .linf import LinfError, LinfMorphism, _first_blocks, _vec_acc
 
 
 def _recip(c):
@@ -59,113 +43,29 @@ def _recip(c):
     return 1 / c
 
 
-def _vec_acc(acc: dict, vec: dict, scale=1) -> None:
-    for idx, c in vec.items():
-        c = c * scale if scale != 1 else c
-        if idx in acc:
-            acc[idx] = acc[idx] + c
-        else:
-            acc[idx] = c
+def _splits(key: tuple[int, ...], memo: dict) -> dict:
+    """The set partitions of the inputs ``key``, grouped by the sorted blocks they carry.
 
-
-def _vec_trim(vec: dict) -> dict:
-    return {idx: c for idx, c in vec.items() if not c == 0}
-
-
-class LinfMorphism:
-    """Degree-zero morphism stored as per-arity sparse tables.
-
-    Entries are keyed by the sorted tuple of input basis indices and map to
-    sparse output vectors ``{index: coefficient}``.  A table may be backed by
-    a ``rule`` callable evaluated lazily and memoized; entries are validated
-    for degree-zero homogeneity when first materialized.  ``max_index`` and
-    ``max_arity`` declare the truncation inside which the morphism is used.
-
-    A morphism is single-threaded: the lazy memo ``_entries`` is a plain dict
-    filled on first access without a lock, so an instance must not be shared
-    between threads.
+    Maps each multiset partition (a sorted tuple of sorted blocks) to the
+    number of set partitions of the positions of ``key`` whose blocks carry
+    it.  Partitions with equal groups give equal terms in every sum over set
+    partitions of symmetric maps, so each is evaluated once, weighted by its
+    count.  The groups are built directly: each block holding the first
+    input (:func:`.linf._first_blocks`) joins every group of the inputs left over,
+    read through ``memo`` (one dict per morphism, keyed like ``key``).
     """
-
-    def __init__(self, source: str, target: str, *, max_index: int,
-                 max_arity: int, rule=None, entries=None, name: str = ""):
-        if max_index < 1 or max_arity < 1:
-            raise LinfError("truncation bounds must be at least 1")
-        self.source = source
-        self.target = target
-        self.max_index = max_index
-        self.max_arity = max_arity
-        self.name = name or f"{source}->{target}"
-        self._rule = rule
-        self._entries: dict[tuple[int, ...], dict] = {}
-        for key, vec in (entries or {}).items():
-            key = tuple(sorted(key))
-            self._validate_key(key)
-            self._store(key, vec)
-
-    def _validate_key(self, key: tuple[int, ...]) -> None:
-        if not key:
-            raise LinfError("arity-zero entries do not exist")
-        if len(key) > self.max_arity:
-            raise LinfError(f"{self.name}: arity {len(key)} exceeds declared bound {self.max_arity}")
-        if key[0] < 1:
-            raise LinfError(f"{self.name}: basis indices start at 1, got {key}")
-        if key[-1] > self.max_index:
-            raise LinfError(f"{self.name}: index {key[-1]} exceeds declared bound {self.max_index}")
-
-    def _store(self, key: tuple[int, ...], vec: dict) -> dict:
-        """Trim ``vec``, check that it lands on the one index of degree zero, and store it."""
-        vec = _vec_trim(vec)
-        expected = sum(key) + len(key) - 1  # see the module docstring
-        for j in vec:
-            if j != expected:
-                raise LinfError(
-                    f"{self.name}: entry {key} -> {j} is not degree-homogeneous "
-                    f"(expected index {expected})"
-                )
-        self._entries[key] = vec
-        return vec
-
-    def entry(self, indices) -> dict:
-        """Sparse value on a multiset of source basis indices (do not mutate)."""
-        key = tuple(sorted(indices))
-        cached = self._entries.get(key)
-        if cached is not None:
-            return cached
-        self._validate_key(key)
-        return self._store(key, self._rule(key) if self._rule is not None else {})
-
-    def apply(self, vectors) -> dict:
-        """Multilinear extension to a list of sparse input vectors."""
-        out: dict = {}
-        for combo in product(*(v.items() for v in vectors)):
-            coeff = None
-            key = []
-            for idx, c in combo:
-                key.append(idx)
-                coeff = c if coeff is None else coeff * c
-            if coeff is None or coeff == 0:
-                continue
-            _vec_acc(out, self.entry(key), coeff)
-        return _vec_trim(out)
-
-    def dump(self) -> dict:
-        """JSON-ready view of the materialized tables, rationals as strings."""
-        arities: dict[str, dict] = {}
-        for key in sorted(self._entries):
-            vec = self._entries[key]
-            bucket = arities.setdefault(str(len(key)), {})
-            bucket[",".join(map(str, key))] = {str(j): str(c) for j, c in sorted(vec.items())}
-        return {
-            "name": self.name,
-            "source": self.source,
-            "target": self.target,
-            "max_index": self.max_index,
-            "max_arity": self.max_arity,
-            "arities": arities,
-        }
-
-    def __repr__(self) -> str:
-        return f"LinfMorphism({self.name}, idx<={self.max_index}, k<={self.max_arity})"
+    if not key:
+        return {(): 1}
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    out: dict = {}
+    for block, left, ways in _first_blocks(key):
+        for blocks, count in _splits(left, memo).items():
+            group = tuple(sorted((block, *blocks)))
+            out[group] = out.get(group, 0) + ways * count
+    memo[key] = out
+    return out
 
 
 def identity_morphism(space: str, *, max_index: int, max_arity: int) -> LinfMorphism:

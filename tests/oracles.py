@@ -74,7 +74,8 @@ from ellsuper import (
     set_partitions,
     vertex_data,
 )
-from ellsuper.morphisms import _recip, _vec_acc
+from ellsuper.linf import _vec_acc
+from ellsuper.morphisms import _recip
 from ellsuper.engine import _factorials, _resume
 
 

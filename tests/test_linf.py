@@ -21,7 +21,8 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from ellsuper.linf import _linf_pass, _splits
+from ellsuper.linf import _linf_pass
+from ellsuper.morphisms import _splits
 from oracles import (
     ASSORTED_FRACTIONS,
     morphism_linf_pass,
@@ -370,6 +371,16 @@ def test_scalar_pass_matches_the_generic_inverse(a):
     values = list(_linf_pass(8, a))
     assert values == list(morphism_linf_pass(8, a))
     assert all(type(v) is Fraction for v in values)
+
+
+def test_scalar_pass_keeps_its_inverse_in_a_morphism(monkeypatch):
+    # the witness reads every entry of its inverse through LinfMorphism.entry
+    read = []
+    entry = LinfMorphism.entry
+    monkeypatch.setattr(LinfMorphism, "entry", lambda self, key: read.append((self.name, key)) or entry(self, key))
+    assert linf_superpotential(4, INF) == 286
+    assert {name for name, _ in read} == {"inv(eps[inf])"}
+    assert {(2,), (2, 2, 2, 2), (2, 8), (11,)} <= {key for _, key in read}
 
 
 def test_linf_matches_recursion_beyond_default_bound():

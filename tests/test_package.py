@@ -158,12 +158,13 @@ def test_linf_runs_without_trees(argv):
 @pytest.mark.parametrize("argv", [("validate", "--d-max", "3"),
                                   ("compute", "--d", "3", "--a", "inf", "--method", "linf")],
                          ids=lambda argv: argv[0])
-def test_linf_runs_without_the_morphism_engine(argv):
-    # the witness inverts on scalars; no module the job loads defines the sparse engine
+def test_linf_runs_without_the_morphism_operations(argv):
+    # the witness inverts on scalars; no module the job loads composes or inverts morphisms
     _, out = _probe(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == 0\n"
                     "import sys\n"
-                    "print('engine:', *sorted(name for name, m in sys.modules.items() if 'LinfMorphism' in vars(m)))")
-    assert out.splitlines()[-1] == "engine:"
+                    "print('ops:', *sorted(name for name, m in sys.modules.items()\n"
+                    "                      if name.startswith('ellsuper') and {'compose', 'invert'} & vars(m).keys()))")
+    assert out.splitlines()[-1] == "ops:"
 
 
 @pytest.mark.parametrize("argv", [("validate", "--d-max", "2"), ("scan", "--d", "2"),
