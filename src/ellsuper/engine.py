@@ -146,8 +146,8 @@ def _engine(method: str):
     For ``recursion`` and ``tree`` that is a pass, called as
     ``(points, fact, rows)`` and returning a canonical pair; the tree pass
     comes from :mod:`.treesum`, which reads only this module.  For ``linf``
-    it is ``linf_superpotential``, called as ``(d, a)`` and returning a
-    ``Fraction``.
+    it is ``linf._linf_pass``, called as ``(d, a)`` and yielding the
+    canonical pairs at degrees 1 .. d.
     """
     if method == "recursion":
         return _recursion_pass
@@ -156,9 +156,9 @@ def _engine(method: str):
 
         return _tree_pass
     if method == "linf":
-        from .linf import linf_superpotential
+        from .linf import _linf_pass
 
-        return linf_superpotential
+        return _linf_pass
     raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
@@ -179,8 +179,8 @@ def _value(d: int, a: AspectRatio, method: str = "recursion", linf_bound: int = 
     """``(wtT, mult, T)`` at (d, a) by ``method``, with wtT and T canonical pairs.
 
     A canonical pair is ``(num, den)`` with gcd 1 and den > 0; zero is
-    ``(0, 1)``.  The caller checks d >= 1 and warns below 1.  Only linf's
-    result is a ``Fraction``, read off by its numerator and denominator.
+    ``(0, 1)``.  The caller checks d >= 1 and warns below 1.  The linf
+    pass yields every degree up to d, and its last value is wtT.
     """
     if method == "linf":
         if d > linf_bound:
@@ -188,8 +188,7 @@ def _value(d: int, a: AspectRatio, method: str = "recursion", linf_bound: int = 
                 f"method 'linf' is an oracle intended for d <= {linf_bound}; "
                 f"use 'recursion' for d={d}, or pass a larger linf_bound (--linf-bound)"
             )
-        value = _engine(method)(d, a)
-        wt = (value.numerator, value.denominator)
+        *_, wt = _engine(method)(d, a)
     else:
         wt = _engine(method)(_read_points(a, d), _factorials(d), [])
     multiplier = mult(a, gamma_point(a, 3 * d - 1))

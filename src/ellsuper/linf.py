@@ -8,12 +8,13 @@ symmetric multilinear maps, one per arity ``k >= 1``.  Degree zero pins
 every output: inputs ``e_{i_1}, .., e_{i_k}`` carry degree
 ``sum(-2 - 2i_m) = -2k - 2(i_1 + .. + i_k)``, which is ``-2 - 2j`` exactly
 for ``j = i_1 + .. + i_k + k - 1``, so an entry on the multiset ``key`` may
-land only on the index ``j(key) = sum(key) + len(key) - 1``.
-:class:`LinfMorphism` stores a morphism sparsely per multiset of input
-basis indices; coefficients are exact rationals (any exact scalar with ring
-operations works, e.g. sympy expressions in the symbolic tests), and every
-stored entry is checked to land on that one index.  Composition, inversion
-and the ellipsoid morphism are in :mod:`.morphisms`.
+land only on the index ``j(key) = sum(key) + len(key) - 1``, which
+:func:`_index` computes.  :class:`LinfMorphism` therefore stores a morphism
+as one scalar per multiset of input basis indices, the coefficient on
+``e_{j(key)}``, and an entry off that index cannot be written down.
+Coefficients are exact rationals (any exact scalar with ring operations
+works, e.g. sympy expressions in the symbolic tests).  Composition,
+inversion and the ellipsoid morphism are in :mod:`.morphisms`.
 
 The ellipsoid morphism of an aspect ratio ``a`` (see
 :func:`.morphisms.ellipsoid_morphism`) sends the inputs
@@ -42,10 +43,12 @@ integer while the entries are, and an entry whose value is an integer is
 kept as an ``int``.  This is exact whether or not the values are integers.
 
 The witness keeps ``Psi`` in a :class:`LinfMorphism` whose rule is this
-scalar sum: each entry ``{j(key): psi(key)}`` is memoized and checked like
-any morphism's, and read through ``Psi.entry``.  It inverts the same
-morphism as the generic :func:`.morphisms.invert`, which stays the
-reference the tests compare it against.
+scalar sum: ``Psi.entry(key)`` is ``psi(key)``, memoized like any
+morphism's entry.  It inverts the same morphism as the generic
+:func:`.morphisms.invert`, which stays the reference the tests compare it
+against.  The entries are rationals, so this module loads ``fractions``;
+the pass still yields each value as the canonical integer pair the other
+passes return, and only :func:`linf_superpotential` builds a ``Fraction``.
 """
 
 from fractions import Fraction
@@ -59,27 +62,23 @@ class LinfError(ValueError):
     """Ill-formed morphism data or an operation outside a declared truncation."""
 
 
-def _vec_acc(acc: dict, vec: dict, scale=1) -> None:
-    for idx, c in vec.items():
-        c = c * scale if scale != 1 else c
-        if idx in acc:
-            acc[idx] = acc[idx] + c
-        else:
-            acc[idx] = c
-
-
-def _vec_trim(vec: dict) -> dict:
-    return {idx: c for idx, c in vec.items() if not c == 0}
+def _index(key) -> int:
+    """The one output index degree zero allows for the inputs ``key`` (see the module docstring)."""
+    return sum(key) + len(key) - 1
 
 
 class LinfMorphism:
-    """Degree-zero morphism stored as per-arity sparse tables.
+    """Degree-zero morphism stored as one scalar per multiset of inputs.
 
-    Entries are keyed by the sorted tuple of input basis indices and map to
-    sparse output vectors ``{index: coefficient}``.  A table may be backed by
-    a ``rule`` callable evaluated lazily and memoized; entries are validated
-    for degree-zero homogeneity when first materialized.  ``max_index`` and
-    ``max_arity`` declare the truncation inside which the morphism is used.
+    Entries are keyed by the sorted tuple of input basis indices, and the
+    entry on ``key`` is the coefficient of the output on ``e_{_index(key)}``,
+    the only index degree zero allows, so no entry can land anywhere else.
+    A table may be backed by a ``rule`` callable, ``key -> scalar``,
+    evaluated lazily and memoized; an entry neither listed nor given by a
+    rule is 0.  ``max_index`` and ``max_arity`` declare the truncation
+    inside which the morphism is used: they bound the inputs of every entry
+    read.  :meth:`apply` is the multilinear extension to sparse vectors
+    ``{index: coefficient}``.
 
     A morphism is single-threaded: the lazy memo ``_entries`` is a plain dict
     filled on first access without a lock, so an instance must not be shared
@@ -96,11 +95,11 @@ class LinfMorphism:
         self.max_arity = max_arity
         self.name = name or f"{source}->{target}"
         self._rule = rule
-        self._entries: dict[tuple[int, ...], dict] = {}
-        for key, vec in (entries or {}).items():
+        self._entries: dict = {}
+        for key, c in (entries or {}).items():
             key = tuple(sorted(key))
             self._validate_key(key)
-            self._store(key, vec)
+            self._entries[key] = c
 
     def _validate_key(self, key: tuple[int, ...]) -> None:
         if not key:
@@ -112,30 +111,18 @@ class LinfMorphism:
         if key[-1] > self.max_index:
             raise LinfError(f"{self.name}: index {key[-1]} exceeds declared bound {self.max_index}")
 
-    def _store(self, key: tuple[int, ...], vec: dict) -> dict:
-        """Trim ``vec``, check that it lands on the one index of degree zero, and store it."""
-        vec = _vec_trim(vec)
-        expected = sum(key) + len(key) - 1  # see the module docstring
-        for j in vec:
-            if j != expected:
-                raise LinfError(
-                    f"{self.name}: entry {key} -> {j} is not degree-homogeneous "
-                    f"(expected index {expected})"
-                )
-        self._entries[key] = vec
-        return vec
-
-    def entry(self, indices) -> dict:
-        """Sparse value on a multiset of source basis indices (do not mutate)."""
+    def entry(self, indices):
+        """The coefficient on ``e_{_index(indices)}`` of the value on a multiset of source basis indices."""
         key = tuple(sorted(indices))
         cached = self._entries.get(key)
         if cached is not None:
             return cached
         self._validate_key(key)
-        return self._store(key, self._rule(key) if self._rule is not None else {})
+        value = self._entries[key] = self._rule(key) if self._rule is not None else 0
+        return value
 
     def apply(self, vectors) -> dict:
-        """Multilinear extension to a list of sparse input vectors."""
+        """Multilinear extension to a list of sparse input vectors; zero coefficients are dropped."""
         out: dict = {}
         for combo in product(*(v.items() for v in vectors)):
             coeff = None
@@ -145,16 +132,17 @@ class LinfMorphism:
                 coeff = c if coeff is None else coeff * c
             if coeff is None or coeff == 0:
                 continue
-            _vec_acc(out, self.entry(key), coeff)
-        return _vec_trim(out)
+            j = _index(key)
+            c = self.entry(key) * coeff
+            out[j] = out[j] + c if j in out else c
+        return {j: c for j, c in out.items() if not c == 0}
 
     def dump(self) -> dict:
         """JSON-ready view of the materialized tables, rationals as strings."""
         arities: dict[str, dict] = {}
         for key in sorted(self._entries):
-            vec = self._entries[key]
             bucket = arities.setdefault(str(len(key)), {})
-            bucket[",".join(map(str, key))] = {str(j): str(c) for j, c in sorted(vec.items())}
+            bucket[",".join(map(str, key))] = str(self._entries[key])
         return {
             "name": self.name,
             "source": self.source,
@@ -199,25 +187,22 @@ def _linf_pass(d_max: int, a: AspectRatio):
     where ``m_j`` is the multiplicity of each distinct part; every such
     entry lands on ``o_{3d-1}``.  An entry of the inverse does not depend on
     the truncation it is read in, so every degree's pairing reads the same
-    inverse, and each value is a ``Fraction``.
+    inverse.  Each value is a canonical pair ``(num, den)``, gcd 1 and
+    den > 0, as ``engine._value`` defines it.
     """
     path = gamma_path(a, 3 * d_max - 1)
     grouped: dict = {}  # input multiset -> {sorted output indices of a partition's blocks: weight}
     scaled: dict = {}  # sorted output indices -> j! / (sum of their G)!
 
-    def psi(key: tuple[int, ...]):
-        # the one coefficient of the inverse's entry on ``key``, at o_{j(key)}
-        return inverse.entry(key).get(sum(key) + len(key) - 1, 0)
-
-    def rule(key: tuple[int, ...]) -> dict:
-        j = sum(key) + len(key) - 1
+    def rule(key: tuple[int, ...]):
+        j = _index(key)
         splits: dict = {}
         for block, left, ways in _first_blocks(key):
             if not left:
                 continue
-            weight = ways * psi(block)
-            psi(left)  # files the partitions of the inputs left over
-            i = sum(block) + len(block) - 1
+            weight = ways * inverse.entry(block)
+            inverse.entry(left)  # files the partitions of the inputs left over
+            i = _index(block)
             for outs, w in grouped[left].items():
                 outs = tuple(sorted((i, *outs)))
                 splits[outs] = splits.get(outs, 0) + weight * w
@@ -235,7 +220,7 @@ def _linf_pass(d_max: int, a: AspectRatio):
                 value = value.numerator
         splits[(j,)] = value  # the partition into one block
         grouped[key] = splits
-        return {j: value}
+        return value
 
     inverse = LinfMorphism("C[q]", f"C[{a}]", max_index=3 * d_max - 1, max_arity=d_max,
                            rule=rule, name=f"inv(eps[{a}])")
@@ -249,8 +234,8 @@ def _linf_pass(d_max: int, a: AspectRatio):
             for ds, grp in groupby(part):
                 m = len(tuple(grp))
                 den *= factorial(m) * factorial(ds) ** (3 * m)
-            total += Fraction(psi(tuple(3 * ds - 1 for ds in reversed(part))), den)
-        yield total
+            total += Fraction(inverse.entry(tuple(3 * ds - 1 for ds in reversed(part))), den)
+        yield total.numerator, total.denominator
 
 
 def linf_superpotential(d: int, a: AspectRatio) -> Fraction:
@@ -263,4 +248,4 @@ def linf_superpotential(d: int, a: AspectRatio) -> Fraction:
     if d < 1:
         raise ValueError(f"linf_superpotential requires d >= 1, got {d}")
     *_, wt = _linf_pass(d, a)
-    return wt
+    return Fraction(*wt)

@@ -2,9 +2,9 @@
 
 The morphisms are :class:`.linf.LinfMorphism` tables between evenly graded
 algebras, whose entry on the multiset of inputs ``key`` may land only on
-the index ``sum(key) + len(key) - 1`` (see :mod:`.linf`).  Assembled into
-coalgebra maps, morphisms compose by splitting the inputs into unordered
-blocks:
+the one index ``j(key)`` that degree zero allows (:func:`.linf._index`), so
+each is one scalar.  Assembled into coalgebra maps, morphisms compose by
+splitting the inputs into unordered blocks:
 
     (Psi o Phi)^k(v_1..v_k) = sum over set partitions P of {1..k} of
                               Psi^{|P|}( Phi^{|B|}(v_B) : B in P )
@@ -18,7 +18,9 @@ vertices)``.  :func:`invert` evaluates this sum grouped at the root: the
 subtrees hanging from the root sum to lower-arity entries of ``Psi`` itself,
 so each entry is one pass over the multiset partitions of its inputs rather
 than over the trees (see :func:`invert`).  The partitions come from
-:func:`_splits`.
+:func:`_splits`.  On basis inputs both sums are sums of scalars: the term
+of a partition is the outer entry on the blocks' output indices ``j(B)``
+times the product of the inner entries on the blocks (:func:`_term`).
 
 The bundled instance attaches to an ellipsoid aspect ratio ``a`` the morphism
 with entries ``(o_{i_1},..,o_{i_k}) -> q_{i_1+..+i_k+k-1} / (G_{i_1}+..+G_{i_k})!``
@@ -33,7 +35,7 @@ module.
 from fractions import Fraction
 
 from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
-from .linf import LinfError, LinfMorphism, _first_blocks, _vec_acc
+from .linf import LinfError, LinfMorphism, _first_blocks, _index
 
 
 def _recip(c):
@@ -68,13 +70,29 @@ def _splits(key: tuple[int, ...], memo: dict) -> dict:
     return out
 
 
+def _term(outer: LinfMorphism, inner: LinfMorphism, blocks):
+    """``outer``'s entry on the output indices of ``blocks`` times ``inner``'s entries on them.
+
+    The inner entries are multiplied first, and a zero among them gives 0
+    without reading ``outer``, so an outer index past the truncation is
+    read only behind a nonzero term.
+    """
+    prod = 1
+    for block in blocks:
+        c = inner.entry(block)
+        if c == 0:
+            return 0
+        prod *= c
+    return outer.entry([_index(block) for block in blocks]) * prod
+
+
 def identity_morphism(space: str, *, max_index: int, max_arity: int) -> LinfMorphism:
     """Arity-one identity; all higher arities vanish."""
 
-    def rule(key: tuple[int, ...]) -> dict:
+    def rule(key: tuple[int, ...]):
         if len(key) == 1:
-            return {key[0]: Fraction(1)}
-        return {}
+            return Fraction(1)
+        return 0
 
     return LinfMorphism(space, space, max_index=max_index, max_arity=max_arity,
                         rule=rule, name=f"id[{space}]")
@@ -91,11 +109,8 @@ def compose(psi: LinfMorphism, phi: LinfMorphism) -> LinfMorphism:
     max_arity = min(psi.max_arity, phi.max_arity)
     memo: dict = {}
 
-    def rule(key: tuple[int, ...]) -> dict:
-        out: dict = {}
-        for blocks, count in _splits(key, memo).items():
-            _vec_acc(out, psi.apply([phi.entry(block) for block in blocks]), count)
-        return out
+    def rule(key: tuple[int, ...]):
+        return sum(_term(psi, phi, blocks) * count for blocks, count in _splits(key, memo).items())
 
     return LinfMorphism(phi.source, psi.target, max_index=max_index, max_arity=max_arity,
                         rule=rule, name=f"{psi.name} o {phi.name}")
@@ -106,7 +121,7 @@ def invert(phi: LinfMorphism) -> LinfMorphism:
 
     Each arity-one entry ``Phi^1(e_i)``, i = 1..max_index, must be a nonzero
     multiple ``c_i e_i`` of its own basis vector, the only index degree zero
-    allows; an empty entry raises :class:`LinfError`.  So ``Psi^1(e_i)`` is
+    allows; a zero entry raises :class:`LinfError`.  So ``Psi^1(e_i)`` is
     ``e_i / c_i``.  Higher arities are the signed tree sums described in the
     module docstring, evaluated lazily per input multiset by grouping the
     trees at their root: the root's children are trees on the blocks of a
@@ -120,33 +135,31 @@ def invert(phi: LinfMorphism) -> LinfMorphism:
     partitions whose blocks carry the same multisets of inputs give equal
     terms, so the sum runs over those multiset partitions, each weighted by
     its number of set partitions and built directly by :func:`_splits` (10
-    terms instead of 202 for six equal inputs).
+    terms instead of 202 for six equal inputs).  A nonzero sum whose index
+    lies past ``phi``'s truncation raises :class:`LinfError`.
     """
     inv1 = {}  # index i -> the reciprocal of phi^1's coefficient on e_i
     for i in range(1, phi.max_index + 1):
-        vec = phi.entry((i,))  # degree zero: empty, or a multiple of e_i
-        if not vec:
+        c = phi.entry((i,))
+        if c == 0:
             raise LinfError(f"{phi.name}: arity-1 part is not a scaled basis bijection at index {i}")
-        inv1[i] = _recip(vec[i])
+        inv1[i] = _recip(c)
     memo: dict = {}
 
-    def rule(key: tuple[int, ...]) -> dict:
+    def rule(key: tuple[int, ...]):
         if len(key) == 1:
-            return {key[0]: inv1[key[0]]}
-        total: dict = {}
-        for blocks, count in _splits(key, memo).items():
-            if len(blocks) < 2:
-                continue
-            _vec_acc(total, phi.apply([psi.entry(block) for block in blocks]), count)
-        out: dict = {}
-        for j, c in total.items():
-            if j not in inv1:
-                raise LinfError(
-                    f"{phi.name}: intermediate index {j} exceeds the truncation bound "
-                    f"{phi.max_index}; enlarge max_index"
-                )
-            out[j] = -c * inv1[j]
-        return out
+            return inv1[key[0]]
+        total = sum(_term(phi, psi, blocks) * count
+                    for blocks, count in _splits(key, memo).items() if len(blocks) >= 2)
+        if total == 0:
+            return 0
+        j = _index(key)
+        if j not in inv1:
+            raise LinfError(
+                f"{phi.name}: intermediate index {j} exceeds the truncation bound "
+                f"{phi.max_index}; enlarge max_index"
+            )
+        return -total * inv1[j]
 
     psi = LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=phi.max_arity,
                        rule=rule, name=f"inv({phi.name})")
@@ -164,9 +177,9 @@ def ellipsoid_morphism(a: AspectRatio, *, max_index: int, max_arity: int) -> Lin
 
     path = gamma_path(a, max_index)
 
-    def rule(key: tuple[int, ...]) -> dict:
+    def rule(key: tuple[int, ...]):
         total = point_add(*(path[i] for i in key))
-        return {sum(key) + len(key) - 1: Fraction(1, pair_factorial(total))}
+        return Fraction(1, pair_factorial(total))
 
     return LinfMorphism(f"C[{a}]", "C[q]", max_index=max_index, max_arity=max_arity,
                         rule=rule, name=f"eps[{a}]")

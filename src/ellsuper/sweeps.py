@@ -102,7 +102,7 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
     if linf_top >= 1:
         from .linf import _linf_pass
 
-        linf_values = ((v.numerator, v.denominator) for v in _linf_pass(linf_top, a))
+        linf_values = _linf_pass(linf_top, a)
         steps["linf"] = lambda d: next(linf_values)
     clocks = dict.fromkeys(steps, 0.0)
     reports = []

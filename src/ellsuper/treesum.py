@@ -34,7 +34,7 @@ gives ``f_l = c^l forest_l``.
 
 The two share one derivation, so their agreement catches coding slips, not
 an error in that derivation.  The witnesses independent in derivation are
-linf (up to ``linf_bound``; CI checks it at every degree to d = 21), the
+linf (up to ``linf_bound``; CI checks it at every degree to d = 22), the
 per-tree sum (CI checks it at d = 14) and the multiset recursion in
 ``tests/oracles.py``.
 

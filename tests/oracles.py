@@ -74,7 +74,6 @@ from ellsuper import (
     set_partitions,
     vertex_data,
 )
-from ellsuper.linf import _vec_acc
 from ellsuper.morphisms import _recip
 from ellsuper.engine import _factorials, _resume
 
@@ -321,7 +320,7 @@ def ordered_linf_superpotential(d, a):
         weight = Fraction(1, factorial(len(comp)))
         for ds in comp:
             weight /= factorial(ds) ** 3
-        vec = eta.entry(tuple(3 * ds - 1 for ds in comp))
+        vec = basis_value(eta, [3 * ds - 1 for ds in comp])
         total += weight * vec.get(top, Fraction(0))
     return total
 
@@ -330,7 +329,7 @@ def morphism_linf_pass(d_max, a):
     """Yield wtT_1 .. wtT_{d_max} from the generic engine's inverse of the ellipsoid morphism.
 
     Inverts once, truncated at index 3 d_max - 1 and arity d_max, and pairs
-    the sparse entries on ``o_{3d_1-1}, .., o_{3d_k-1}`` over the partitions
+    the sparse values on ``o_{3d_1-1}, .., o_{3d_k-1}`` over the partitions
     of each d with ``1/(m_1! .. (d_1!)^3 ..)``, ``m_j`` the multiplicities.
     """
     eta = invert(ellipsoid_morphism(a, max_index=3 * d_max - 1, max_arity=d_max))
@@ -341,7 +340,7 @@ def morphism_linf_pass(d_max, a):
             for ds, grp in groupby(part):
                 m = len(tuple(grp))
                 den *= factorial(m) * factorial(ds) ** (3 * m)
-            total += eta.entry(tuple(3 * ds - 1 for ds in part)).get(3 * d - 1, Fraction(0)) / den
+            total += basis_value(eta, [3 * ds - 1 for ds in part]).get(3 * d - 1, Fraction(0)) / den
         yield total
 
 
@@ -367,6 +366,28 @@ def tree_wtT_infinity(d):
                 value *= Fraction(math.comb(2 * ell, ell), 2 ** ell) - 1
         total += value
     return 2 ** d * total
+
+
+# The morphism oracles do their vector arithmetic on sparse vectors {index:
+# coefficient}, reading each morphism through its multilinear extension
+# ``apply``, and hand their own entries back as the one scalar of a vector
+# on the degree-zero index, checked to sit there.
+def _vec_acc(acc: dict, vec: dict, scale=1) -> None:
+    for idx, c in vec.items():
+        c = c * scale if scale != 1 else c
+        acc[idx] = acc[idx] + c if idx in acc else c
+
+
+def basis_value(morphism: LinfMorphism, key) -> dict:
+    """The sparse value of ``morphism`` on the basis inputs ``key``."""
+    return morphism.apply([{i: 1} for i in key])
+
+
+def _scalar(key: tuple[int, ...], vec: dict):
+    """The coefficient of ``vec`` on ``o_{sum(key) + len(key) - 1}``; no other index may be nonzero."""
+    j = sum(key) + len(key) - 1
+    assert all(i == j or c == 0 for i, c in vec.items()), (key, vec)
+    return vec.get(j, 0)
 
 
 # Evaluation plans for the inversion tree sum.  A plan mirrors an ordered
@@ -406,7 +427,7 @@ def tree_sum_invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorp
     arity = phi.max_arity if max_arity is None else max_arity
     inv1: dict[int, tuple[int, object]] = {}
     for i in range(1, phi.max_index + 1):
-        vec = phi.entry((i,))
+        vec = basis_value(phi, [i])
         if len(vec) != 1:
             raise LinfError(f"{phi.name}: arity-1 part is not a scaled basis bijection at index {i}")
         ((j, c),) = vec.items()
@@ -443,14 +464,14 @@ def tree_sum_invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorp
         shape_memo[memo_key] = out
         return out
 
-    def rule(key: tuple[int, ...]) -> dict:
+    def rule(key: tuple[int, ...]):
         if len(key) == 1:
             i, r = inv1[key[0]]
-            return {i: r}
+            return _scalar(key, {i: r})
         total: dict = {}
         for sign, plan in _tree_plans(len(key)):
             _vec_acc(total, eval_plan(plan, key), sign)
-        return total
+        return _scalar(key, total)
 
     return LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=arity,
                         rule=rule, name=f"inv({phi.name})")
@@ -466,12 +487,12 @@ def per_partition_compose(psi: LinfMorphism, phi: LinfMorphism) -> LinfMorphism:
     max_index = min(psi.max_index, phi.max_index)
     max_arity = min(psi.max_arity, phi.max_arity)
 
-    def rule(key: tuple[int, ...]) -> dict:
+    def rule(key: tuple[int, ...]):
         out: dict = {}
         for blocks in set_partitions(range(len(key))):
-            inner = [phi.entry(tuple(key[p] for p in block)) for block in blocks]
+            inner = [basis_value(phi, [key[p] for p in block]) for block in blocks]
             _vec_acc(out, psi.apply(inner))
-        return out
+        return _scalar(key, out)
 
     return LinfMorphism(phi.source, psi.target, max_index=max_index, max_arity=max_arity,
                         rule=rule, name=f"{psi.name} o {phi.name}")

@@ -138,7 +138,7 @@ def _assert_identity(morphism, max_index, max_arity):
         for key in combinations_with_replacement(range(1, max_index + 1), k):
             if sum(key) + k - 1 > max_index:
                 continue
-            want = {key[0]: Fraction(1)} if k == 1 else {}
+            want = 1 if k == 1 else 0
             assert morphism.entry(key) == want, (morphism.name, key)
 
 
@@ -162,26 +162,22 @@ def test_criterion_6_round_trip_and_symbolic_expansions():
 
     def rule(key):
         if len(key) == 1:
-            return {key[0]: c[key[0]]}
+            return c[key[0]]
         if len(key) == 2:
-            return {key[0] + key[1] + 1: g[key]}
+            return g[key]
         if len(key) == 3:
-            return {sum(key) + 2: h[key]}
-        return {}
+            return h[key]
+        return 0
 
     phi = LinfMorphism("V", "W", max_index=max_index,
                        max_arity=3, rule=rule, name="generic-symbolic")
     psi = invert(phi)
 
     def expect_psi2(i, j):
-        return {i + j + 1: -g[tuple(sorted((i, j)))] / (c[i] * c[j] * c[i + j + 1])}
+        return -g[tuple(sorted((i, j)))] / (c[i] * c[j] * c[i + j + 1])
 
     for i, j in [(1, 1), (1, 2), (2, 3), (1, 4)]:
-        got = psi.entry((i, j))
-        want = expect_psi2(i, j)
-        assert set(got) == set(want)
-        for idx in want:
-            assert sympy.simplify(got[idx] - want[idx]) == 0, (i, j)
+        assert sympy.simplify(psi.entry((i, j)) - expect_psi2(i, j)) == 0, (i, j)
 
     # the four-term expansion: minus the flat arity-3 term, plus the three
     # ways to nest an arity-2 inside another
@@ -193,8 +189,7 @@ def test_criterion_6_round_trip_and_symbolic_expansions():
             inner_idx = b_ + c_ + 1
             inner = g[tuple(sorted((b_, c_)))] / (c[b_] * c[c_] * c[inner_idx])
             total += g[tuple(sorted((a_, inner_idx)))] * inner / (c[a_] * c[out_idx])
-        assert set(got) == {out_idx}
-        assert sympy.simplify(got[out_idx] - total) == 0, (x, y, z)
+        assert sympy.simplify(got - total) == 0, (x, y, z)
     budget.check()
 
 

@@ -148,9 +148,18 @@ def test_trees_text_table(capsys):
         "T_3^1/2+delta = 0  (wtT = 0, mult = 3, method = recursion)",
         "warning: aspect ratio below 1: outside the intended range a > 1",
     ], "ellsuper: warning: aspect ratio 1/2+delta is below 1: outside the intended range a > 1\n"),
-], ids=["scan", "gamma", "compute"])
+    (("trees", "--d", "1"), [
+        "1 trees with 1 leaves:",
+        "  *  Aut=1      no internal vertices",
+    ], ""),
+], ids=["scan", "gamma", "compute", "trees"])
 def test_text_renderings_are_pinned(capsys, argv, out, err):
     assert run_cli(capsys, *argv, "--format", "text") == (EXIT_OK, "\n".join(out) + "\n", err)
+
+
+def test_single_leaf_tree_csv_has_no_vertices(capsys):
+    # the one tree with d = 1 is a bare leaf: its vertices cell is empty
+    assert run_cli(capsys, "trees", "--d", "1", "--format", "csv") == (EXIT_OK, "key,aut,vertices\n*,1,\n", "")
 
 
 def test_trees_json(capsys):

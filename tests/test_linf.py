@@ -21,10 +21,11 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from ellsuper.linf import _linf_pass
+from ellsuper.linf import _index, _linf_pass
 from ellsuper.morphisms import _splits
 from oracles import (
     ASSORTED_FRACTIONS,
+    basis_value,
     morphism_linf_pass,
     ordered_linf_superpotential,
     per_partition_compose,
@@ -51,12 +52,12 @@ def generic_morphism(max_index=9, max_arity=3, seed=7):
 
     def rule(key):
         if len(key) == 1:
-            return {key[0]: diag[key[0]]}
+            return diag[key[0]]
         if len(key) == 2:
-            return {key[0] + key[1] + 1: table2[key]}
+            return table2[key]
         if len(key) == 3:
-            return {sum(key) + 2: table3[key]}
-        return {}
+            return table3[key]
+        return 0
 
     phi = LinfMorphism(v, w, max_index=max_index, max_arity=max_arity, rule=rule, name="generic")
     return phi, diag, table2, table3
@@ -66,37 +67,33 @@ def test_ellipsoid_arity_one_table():
     eps = ellipsoid_morphism(A32, max_index=8, max_arity=3)
     for k in range(1, 9):
         gk = gamma_point(A32, k)
-        assert eps.entry((k,)) == {k: Fraction(1, pair_factorial(gk))}
+        assert eps.entry((k,)) == Fraction(1, pair_factorial(gk))
 
 
 def test_ellipsoid_higher_arity_denominators():
     eps = ellipsoid_morphism(INF, max_index=11, max_arity=3)
-    assert eps.entry((2, 2)) == {5: Fraction(1, 24)}  # (2,0)+(2,0) = (4,0), 4! = 24
-    assert eps.entry((2, 5)) == {8: Fraction(1, 5040)}
-    assert eps.entry((2, 2, 2)) == {8: Fraction(1, 720)}
+    assert eps.entry((2, 2)) == Fraction(1, 24)  # (2,0)+(2,0) = (4,0), 4! = 24
+    assert eps.entry((2, 5)) == Fraction(1, 5040)
+    assert eps.entry((2, 2, 2)) == Fraction(1, 720)
     eps32 = ellipsoid_morphism(A32, max_index=11, max_arity=2)
     total = point_add(gamma_point(A32, 2), gamma_point(A32, 5))  # (1,1)+(3,2) = (4,3)
-    assert eps32.entry((2, 5)) == {8: Fraction(1, pair_factorial(total))}
+    assert eps32.entry((2, 5)) == Fraction(1, pair_factorial(total))
 
 
 def test_degree_homogeneity_enforced():
     v = "V"
     w = "W"
-    with pytest.raises(LinfError, match=r"\(1,\) -> 2 .*expected index 1\b"):
-        LinfMorphism(v, w, max_index=5, max_arity=2, entries={(1,): {2: Fraction(1)}})
-    # the only degree-0 target index for inputs (i, j) is i+j+1
-    LinfMorphism(v, w, max_index=5, max_arity=2, entries={(1, 2): {4: Fraction(1)}})
-    with pytest.raises(LinfError, match=r"\(1, 2\) -> 5 .*expected index 4\b"):
-        LinfMorphism(v, w, max_index=5, max_arity=2, entries={(1, 2): {5: Fraction(1)}})
-    # a lazy rule is checked on first read, and an index below 1 is never of degree zero
-    lazy = LinfMorphism(v, w, max_index=5, max_arity=2, rule=lambda key: {0: Fraction(1)})
-    with pytest.raises(LinfError, match=r"expected index 3\b"):
-        lazy.entry((3,))
-    # both paths drop a zero coefficient before the check, whatever index it sits on
-    listed = LinfMorphism(v, w, max_index=5, max_arity=2, entries={(2, 1): {5: Fraction(0)}})
-    assert listed.entry((1, 2)) == {}
-    zeros = LinfMorphism(v, w, max_index=5, max_arity=2, rule=lambda key: {0: Fraction(0), 4: 2})
-    assert zeros.entry((1, 2)) == {4: 2}
+    # listed entries are keyed by their sorted inputs; an entry never listed is 0
+    listed = LinfMorphism(v, w, max_index=5, max_arity=2, entries={(2, 1): Fraction(3), (1, 1): Fraction(0)})
+    assert listed.entry((1, 2)) == 3 and listed.entry((1, 1)) == 0 and listed.entry((2, 2)) == 0
+    # an entry is one scalar on the only degree-0 target index for inputs (i, j),
+    # i+j+1, which is where apply puts it
+    assert listed.apply([{1: Fraction(1)}, {2: Fraction(2)}]) == {4: Fraction(6)}
+    assert listed.apply([{1: Fraction(1)}, {1: Fraction(1)}]) == {}
+    # a lazy rule is read once, on first access
+    calls = []
+    lazy = LinfMorphism(v, w, max_index=5, max_arity=2, rule=lambda key: calls.append(key) or 2)
+    assert lazy.entry((3,)) == 2 and lazy.entry([3]) == 2 and calls == [(3,)]
 
 
 def test_truncation_bounds_enforced():
@@ -123,9 +120,9 @@ def test_morphism_repr_names_its_truncation():
 def test_identity_morphism():
     v = "V"
     ident = identity_morphism(v, max_index=6, max_arity=4)
-    assert ident.entry((3,)) == {3: Fraction(1)}
-    assert ident.entry((1, 2)) == {}
-    assert ident.entry((2, 2, 3)) == {}
+    assert ident.entry((3,)) == 1
+    assert ident.entry((1, 2)) == 0
+    assert ident.entry((2, 2, 3)) == 0
     # identity composed with itself is itself
     double = compose(ident, ident)
     for key in [(1,), (4,), (1, 2), (2, 2), (1, 2, 3)]:
@@ -155,12 +152,22 @@ def test_compose_arity_two_expansion():
     for key in [(1, 1), (1, 2), (2, 3)]:
         i, j = key
         manual = {}
-        for idx, c in psi.apply([phi.entry((i,)), phi.entry((j,))]).items():
+        for idx, c in psi.apply([basis_value(phi, [i]), basis_value(phi, [j])]).items():
             manual[idx] = manual.get(idx, Fraction(0)) + c
-        for idx, c in psi.apply([phi.entry((i, j))]).items():
+        for idx, c in psi.apply([basis_value(phi, key)]).items():
             manual[idx] = manual.get(idx, Fraction(0)) + c
         manual = {idx: c for idx, c in manual.items() if c != 0}
-        assert comp.entry(key) == manual
+        assert basis_value(comp, key) == manual
+
+
+@given(seed=st.integers(0, 10**6),
+       key=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(lambda xs: tuple(sorted(xs))))
+@settings(max_examples=150, deadline=None)
+def test_apply_on_basis_inputs_is_the_scalar_entry(seed, key):
+    # the vector API and the scalar table agree: one coefficient, on the index degree zero allows
+    phi, _, _, _ = generic_morphism(seed=seed)
+    c = phi.entry(key)
+    assert phi.apply([{i: 1} for i in key]) == ({_index(key): c} if c != 0 else {})
 
 
 def test_compose_space_mismatch():
@@ -173,22 +180,16 @@ def test_invert_requires_bijective_arity_one():
     v = "V"
     w = "W"
     zero_first = LinfMorphism(v, w, max_index=3, max_arity=1,
-                              rule=lambda key: {} if key == (1,) else {key[0]: Fraction(1)})
+                              rule=lambda key: 0 if key == (1,) else Fraction(1))
     with pytest.raises(LinfError, match="scaled basis bijection at index 1"):
         invert(zero_first)
-    # an arity-one entry off its own index is refused by the degree-zero check
-    # before invert could read it as a permutation
-    swapped = LinfMorphism(v, w, max_index=3, max_arity=1,
-                           rule=lambda key: {1: Fraction(1)} if key == (2,) else {key[0]: Fraction(1)})
-    with pytest.raises(LinfError, match=r"expected index 2\b"):
-        invert(swapped)
 
 
 def test_invert_reads_integer_coefficients_exactly():
-    ints = LinfMorphism("V", "W", max_index=2, max_arity=1, entries={(1,): {1: 2}, (2,): {2: 3}})
+    ints = LinfMorphism("V", "W", max_index=2, max_arity=1, entries={(1,): 2, (2,): 3})
     inv = invert(ints)
-    assert inv.entry((1,)) == {1: Fraction(1, 2)} and inv.entry((2,)) == {2: Fraction(1, 3)}
-    assert all(type(c) is Fraction for key in ((1,), (2,)) for c in inv.entry(key).values())
+    assert inv.entry((1,)) == Fraction(1, 2) and inv.entry((2,)) == Fraction(1, 3)
+    assert all(type(inv.entry(key)) is Fraction for key in ((1,), (2,)))
 
 
 def test_invert_arity_one_of_ellipsoid():
@@ -196,7 +197,7 @@ def test_invert_arity_one_of_ellipsoid():
         eps = ellipsoid_morphism(a, max_index=8, max_arity=3)
         eta = invert(eps)
         for k in range(1, 9):
-            assert eta.entry((k,)) == {k: Fraction(pair_factorial(gamma_point(a, k)))}
+            assert eta.entry((k,)) == pair_factorial(gamma_point(a, k))
 
 
 def _psi1(diag, vec):
@@ -211,7 +212,7 @@ def test_invert_arity_two_formula():
         i, j = key
         inner = phi.apply([_psi1(diag, {i: Fraction(1)}), _psi1(diag, {j: Fraction(1)})])
         manual = {idx: -c for idx, c in _psi1(diag, inner).items()}
-        assert psi.entry(key) == manual
+        assert basis_value(psi, key) == manual
 
 
 def test_invert_arity_three_formula():
@@ -238,7 +239,7 @@ def test_invert_arity_three_formula():
             for idx, cf in nested(a, b, c_).items():
                 manual[idx] = manual.get(idx, Fraction(0)) + cf
         manual = {idx: c for idx, c in manual.items() if c != 0}
-        assert psi.entry(key) == manual
+        assert basis_value(psi, key) == manual
 
 
 def test_round_trip_small():
@@ -251,7 +252,7 @@ def test_round_trip_small():
             for key in combinations_with_replacement(range(1, 12), k):
                 if sum(key) + k - 1 > 11:
                     continue
-                want = {key[0]: Fraction(1)} if k == 1 else {}
+                want = 1 if k == 1 else 0
                 assert back.entry(key) == want
                 assert forth.entry(key) == want
 
@@ -367,10 +368,10 @@ def test_grouped_compose_matches_per_partition_oracle_round_trip():
 
 @pytest.mark.parametrize("a", [INF] + [AspectRatio.plus_delta(p, q) for p, q in ASSORTED_FRACTIONS], ids=str)
 def test_scalar_pass_matches_the_generic_inverse(a):
-    # one scalar per input multiset gives the sparse engine's value at every degree
+    # one scalar per input multiset gives the generic engine's value at every
+    # degree, as a canonical pair
     values = list(_linf_pass(8, a))
-    assert values == list(morphism_linf_pass(8, a))
-    assert all(type(v) is Fraction for v in values)
+    assert values == [(v.numerator, v.denominator) for v in morphism_linf_pass(8, a)]
 
 
 def test_scalar_pass_keeps_its_inverse_in_a_morphism(monkeypatch):
@@ -399,4 +400,4 @@ def test_dump_is_json_ready():
     dump = eps.dump()
     text = json.dumps(dump)
     assert "arities" in dump and json.loads(text) == dump
-    assert dump["arities"]["2"]["1,2"] == {"4": "1/6"}  # (1,0)+(2,0) = (3,0), 3! = 6
+    assert dump["arities"]["2"]["1,2"] == "1/6"  # (1,0)+(2,0) = (3,0), 3! = 6, on index 4
