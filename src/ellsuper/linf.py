@@ -9,9 +9,10 @@ every output: inputs ``e_{i_1}, .., e_{i_k}`` carry degree
 ``sum(-2 - 2i_m) = -2k - 2(i_1 + .. + i_k)``, which is ``-2 - 2j`` exactly
 for ``j = i_1 + .. + i_k + k - 1``, so an entry on the multiset ``key`` may
 land only on the index ``j(key) = sum(key) + len(key) - 1``, which
-:func:`_index` computes.  :class:`LinfMorphism` therefore stores a morphism
-as one scalar per multiset of input basis indices, the coefficient on
-``e_{j(key)}``, and an entry off that index cannot be written down.
+:func:`_index` computes.  :class:`LinfMorphism` therefore defines a
+morphism by one rule, ``key -> scalar``, giving for each multiset of input
+basis indices the coefficient on ``e_{j(key)}``, so an entry off that index
+cannot be written down.
 Coefficients are exact rationals (any exact scalar with ring operations
 works, e.g. sympy expressions in the symbolic tests).  Composition,
 inversion and the ellipsoid morphism are in :mod:`.morphisms`.
@@ -53,7 +54,7 @@ passes return, and only :func:`linf_superpotential` builds a ``Fraction``.
 
 from fractions import Fraction
 from itertools import groupby, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
 
@@ -68,17 +69,16 @@ def _index(key) -> int:
 
 
 class LinfMorphism:
-    """Degree-zero morphism stored as one scalar per multiset of inputs.
+    """Degree-zero morphism given by one scalar per multiset of inputs.
 
     Entries are keyed by the sorted tuple of input basis indices, and the
     entry on ``key`` is the coefficient of the output on ``e_{_index(key)}``,
     the only index degree zero allows, so no entry can land anywhere else.
-    A table may be backed by a ``rule`` callable, ``key -> scalar``,
-    evaluated lazily and memoized; an entry neither listed nor given by a
-    rule is 0.  ``max_index`` and ``max_arity`` declare the truncation
-    inside which the morphism is used: they bound the inputs of every entry
-    read.  :meth:`apply` is the multilinear extension to sparse vectors
-    ``{index: coefficient}``.
+    The ``rule`` callable, ``key -> scalar``, gives every entry; :meth:`entry`
+    checks the key against the truncation, calls the rule on first read and
+    memoizes the value.  ``max_index`` and ``max_arity`` declare that
+    truncation: they bound the inputs of every entry read.  :meth:`apply` is
+    the multilinear extension to sparse vectors ``{index: coefficient}``.
 
     A morphism is single-threaded: the lazy memo ``_entries`` is a plain dict
     filled on first access without a lock, so an instance must not be shared
@@ -86,7 +86,7 @@ class LinfMorphism:
     """
 
     def __init__(self, source: str, target: str, *, max_index: int,
-                 max_arity: int, rule=None, entries=None, name: str = ""):
+                 max_arity: int, rule, name: str = ""):
         if max_index < 1 or max_arity < 1:
             raise LinfError("truncation bounds must be at least 1")
         self.source = source
@@ -96,12 +96,13 @@ class LinfMorphism:
         self.name = name or f"{source}->{target}"
         self._rule = rule
         self._entries: dict = {}
-        for key, c in (entries or {}).items():
-            key = tuple(sorted(key))
-            self._validate_key(key)
-            self._entries[key] = c
 
-    def _validate_key(self, key: tuple[int, ...]) -> None:
+    def entry(self, indices):
+        """The coefficient on ``e_{_index(indices)}`` of the value on a multiset of source basis indices."""
+        key = tuple(sorted(indices))
+        cached = self._entries.get(key)
+        if cached is not None:
+            return cached
         if not key:
             raise LinfError("arity-zero entries do not exist")
         if len(key) > self.max_arity:
@@ -110,28 +111,17 @@ class LinfMorphism:
             raise LinfError(f"{self.name}: basis indices start at 1, got {key}")
         if key[-1] > self.max_index:
             raise LinfError(f"{self.name}: index {key[-1]} exceeds declared bound {self.max_index}")
-
-    def entry(self, indices):
-        """The coefficient on ``e_{_index(indices)}`` of the value on a multiset of source basis indices."""
-        key = tuple(sorted(indices))
-        cached = self._entries.get(key)
-        if cached is not None:
-            return cached
-        self._validate_key(key)
-        value = self._entries[key] = self._rule(key) if self._rule is not None else 0
+        value = self._entries[key] = self._rule(key)
         return value
 
     def apply(self, vectors) -> dict:
         """Multilinear extension to a list of sparse input vectors; zero coefficients are dropped."""
         out: dict = {}
         for combo in product(*(v.items() for v in vectors)):
-            coeff = None
-            key = []
-            for idx, c in combo:
-                key.append(idx)
-                coeff = c if coeff is None else coeff * c
-            if coeff is None or coeff == 0:
+            coeff = prod(c for _, c in combo)
+            if not combo or coeff == 0:
                 continue
+            key = [idx for idx, _ in combo]
             j = _index(key)
             c = self.entry(key) * coeff
             out[j] = out[j] + c if j in out else c

@@ -38,13 +38,6 @@ from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
 from .linf import LinfError, LinfMorphism, _first_blocks, _index
 
 
-def _recip(c):
-    # Exact reciprocal; plain ints must not fall into float division.
-    if isinstance(c, int):
-        return Fraction(1, c)
-    return 1 / c
-
-
 def _splits(key: tuple[int, ...], memo: dict) -> dict:
     """The set partitions of the inputs ``key``, grouped by the sorted blocks they carry.
 
@@ -138,12 +131,12 @@ def invert(phi: LinfMorphism) -> LinfMorphism:
     terms instead of 202 for six equal inputs).  A nonzero sum whose index
     lies past ``phi``'s truncation raises :class:`LinfError`.
     """
-    inv1 = {}  # index i -> the reciprocal of phi^1's coefficient on e_i
+    inv1 = {}  # index i -> the exact reciprocal of phi^1's coefficient on e_i (int, Fraction or sympy)
     for i in range(1, phi.max_index + 1):
         c = phi.entry((i,))
         if c == 0:
             raise LinfError(f"{phi.name}: arity-1 part is not a scaled basis bijection at index {i}")
-        inv1[i] = _recip(c)
+        inv1[i] = Fraction(1) / c
     memo: dict = {}
 
     def rule(key: tuple[int, ...]):

@@ -48,7 +48,8 @@ def render_text(command: str, payload: dict) -> str:
         lines.append(f"path for a = {payload['a']}:")
         lines.append("  " + " ".join(f"({i},{j})" for i, j in payload["points"]))
     elif command == "trees":
-        lines.append(f"{payload['count']} trees with {payload['d']} leaves:")
+        count, d = payload["count"], payload["d"]
+        lines.append(f"{count} {'tree' if count == 1 else 'trees'} with {d} {'leaf' if d == 1 else 'leaves'}:")
         width = max(len(r["key"]) for r in payload["trees"])
         for row in payload["trees"]:
             cells = "; ".join(

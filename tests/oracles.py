@@ -74,7 +74,6 @@ from ellsuper import (
     set_partitions,
     vertex_data,
 )
-from ellsuper.morphisms import _recip
 from ellsuper.engine import _factorials, _resume
 
 
@@ -433,7 +432,7 @@ def tree_sum_invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorp
         ((j, c),) = vec.items()
         if j in inv1:
             raise LinfError(f"{phi.name}: arity-1 part is not injective (index {j} hit twice)")
-        inv1[j] = (i, _recip(c))
+        inv1[j] = (i, Fraction(1) / c)
     if set(inv1) != set(range(1, phi.max_index + 1)):
         raise LinfError(f"{phi.name}: arity-1 part is not onto the truncated basis")
 

@@ -149,10 +149,14 @@ def test_trees_text_table(capsys):
         "warning: aspect ratio below 1: outside the intended range a > 1",
     ], "ellsuper: warning: aspect ratio 1/2+delta is below 1: outside the intended range a > 1\n"),
     (("trees", "--d", "1"), [
-        "1 trees with 1 leaves:",
+        "1 tree with 1 leaf:",
         "  *  Aut=1      no internal vertices",
     ], ""),
-], ids=["scan", "gamma", "compute", "trees"])
+    (("trees", "--d", "2"), [
+        "1 tree with 2 leaves:",
+        "  (**)  Aut=2      l=2 |v|=3 movable",
+    ], ""),
+], ids=["scan", "gamma", "compute", "trees", "trees-d2"])
 def test_text_renderings_are_pinned(capsys, argv, out, err):
     assert run_cli(capsys, *argv, "--format", "text") == (EXIT_OK, "\n".join(out) + "\n", err)
 

@@ -83,9 +83,10 @@ def test_ellipsoid_higher_arity_denominators():
 def test_degree_homogeneity_enforced():
     v = "V"
     w = "W"
-    # listed entries are keyed by their sorted inputs; an entry never listed is 0
-    listed = LinfMorphism(v, w, max_index=5, max_arity=2, entries={(2, 1): Fraction(3), (1, 1): Fraction(0)})
-    assert listed.entry((1, 2)) == 3 and listed.entry((1, 1)) == 0 and listed.entry((2, 2)) == 0
+    # the rule reads sorted inputs; here it gives 0 for a key its table does not list
+    table = {(1, 2): Fraction(3), (1, 1): Fraction(0)}
+    listed = LinfMorphism(v, w, max_index=5, max_arity=2, rule=lambda key: table.get(key, 0))
+    assert listed.entry((2, 1)) == 3 and listed.entry((1, 1)) == 0 and listed.entry((2, 2)) == 0
     # an entry is one scalar on the only degree-0 target index for inputs (i, j),
     # i+j+1, which is where apply puts it
     assert listed.apply([{1: Fraction(1)}, {2: Fraction(2)}]) == {4: Fraction(6)}
@@ -99,7 +100,7 @@ def test_degree_homogeneity_enforced():
 def test_truncation_bounds_enforced():
     for bounds in ({"max_index": 0, "max_arity": 1}, {"max_index": 1, "max_arity": 0}):
         with pytest.raises(LinfError, match="truncation bounds must be at least 1"):
-            LinfMorphism("V", "W", **bounds)
+            LinfMorphism("V", "W", rule=lambda key: 0, **bounds)
     eps = ellipsoid_morphism(INF, max_index=5, max_arity=2)
     with pytest.raises(LinfError, match=r"basis indices start at 1, got \(0,\)"):
         eps.entry((0,))
@@ -108,6 +109,15 @@ def test_truncation_bounds_enforced():
     with pytest.raises(LinfError):
         eps.entry((1, 1, 1))
     with pytest.raises(LinfError):
+        eps.entry(())
+
+
+def test_rule_is_required_and_empty_inputs_have_no_entry():
+    with pytest.raises(TypeError):
+        LinfMorphism("V", "W", max_index=1, max_arity=1)
+    eps = ellipsoid_morphism(INF, max_index=5, max_arity=2)
+    assert eps.apply([]) == {}
+    with pytest.raises(LinfError, match="arity-zero entries do not exist"):
         eps.entry(())
 
 
@@ -186,7 +196,7 @@ def test_invert_requires_bijective_arity_one():
 
 
 def test_invert_reads_integer_coefficients_exactly():
-    ints = LinfMorphism("V", "W", max_index=2, max_arity=1, entries={(1,): 2, (2,): 3})
+    ints = LinfMorphism("V", "W", max_index=2, max_arity=1, rule=lambda key: key[0] + 1)
     inv = invert(ints)
     assert inv.entry((1,)) == Fraction(1, 2) and inv.entry((2,)) == Fraction(1, 3)
     assert all(type(inv.entry(key)) is Fraction for key in ((1,), (2,)))
