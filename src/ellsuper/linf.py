@@ -47,14 +47,17 @@ The witness keeps ``Psi`` in a :class:`LinfMorphism` whose rule is this
 scalar sum: ``Psi.entry(key)`` is ``psi(key)``, memoized like any
 morphism's entry.  It inverts the same morphism as the generic
 :func:`.morphisms.invert`, which stays the reference the tests compare it
-against.  The entries are rationals, so this module loads ``fractions``;
-the pass still yields each value as the canonical integer pair the other
-passes return, and only :func:`linf_superpotential` builds a ``Fraction``.
+against.  Both of its exact divisions, an entry by ``binom(j, x)`` and a
+degree's pairing by the common denominator of its terms, go through
+:func:`_pair`, which reduces by one ``gcd``.  An entry whose quotient is an
+integer stays an ``int``, so ``fractions`` loads only for the first entry
+that is not one (none has been found; the pass stays exact either way) and
+in :func:`linf_superpotential`, which returns a ``Fraction``.  The pass
+yields each value as the canonical integer pair the other passes return.
 """
 
-from fractions import Fraction
 from itertools import groupby, product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
 
@@ -164,6 +167,14 @@ def _first_blocks(key: tuple[int, ...]):
             ways *= comb(c, t)
         yield tuple(block), tuple(left), ways
 
+
+def _pair(num, den: int) -> tuple[int, int]:
+    """The canonical pair of ``num / den`` for an ``int`` or ``Fraction`` ``num`` and ``den > 0``."""
+    n, m = num.numerator, num.denominator * den
+    g = gcd(n, m)
+    return n // g, m // g
+
+
 def _linf_pass(d_max: int, a: AspectRatio):
     """Yield wtT_1 .. wtT_{d_max} via one inverse of the ellipsoid morphism.
 
@@ -205,9 +216,11 @@ def _linf_pass(d_max: int, a: AspectRatio):
                 if phi is None:
                     phi = scaled[outs] = factorial(j) // pair_factorial(point_add(*(path[o] for o in outs)))
                 total += w * phi
-            value = Fraction(-total, comb(j, path[j][0]))
-            if value.denominator == 1:
-                value = value.numerator
+            value, den = _pair(-total, comb(j, path[j][0]))
+            if den != 1:
+                from fractions import Fraction
+
+                value = Fraction(value, den)
         splits[(j,)] = value  # the partition into one block
         grouped[key] = splits
         return value
@@ -218,17 +231,18 @@ def _linf_pass(d_max: int, a: AspectRatio):
     for d in range(1, d_max + 1):
         parts.append([(p, *rest) for p in range(d, 0, -1) for rest in parts[d - p]
                       if not rest or rest[0] <= p])
-        total = Fraction(0)
+        terms = []  # (entry, its denominator) per split of d
         for part in parts[d]:
             den = 1
             for ds, grp in groupby(part):
                 m = len(tuple(grp))
                 den *= factorial(m) * factorial(ds) ** (3 * m)
-            total += Fraction(inverse.entry(tuple(3 * ds - 1 for ds in reversed(part))), den)
-        yield total.numerator, total.denominator
+            terms.append((inverse.entry(tuple(3 * ds - 1 for ds in reversed(part))), den))
+        common = lcm(*(den for _, den in terms))
+        yield _pair(sum(e * (common // den) for e, den in terms), common)
 
 
-def linf_superpotential(d: int, a: AspectRatio) -> Fraction:
+def linf_superpotential(d: int, a: AspectRatio) -> "Fraction":
     """Normalized count wtT via morphism inversion; exact, intended as an oracle.
 
     The last value of :func:`_linf_pass` at ``d_max = d``: the inverse of the
@@ -237,5 +251,7 @@ def linf_superpotential(d: int, a: AspectRatio) -> Fraction:
     """
     if d < 1:
         raise ValueError(f"linf_superpotential requires d >= 1, got {d}")
+    from fractions import Fraction
+
     *_, wt = _linf_pass(d, a)
     return Fraction(*wt)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,8 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from ellsuper.linf import _index, _linf_pass
+from ellsuper.engine import _value
+from ellsuper.linf import _index, _linf_pass, _pair
 from ellsuper.morphisms import _splits
 from oracles import (
     ASSORTED_FRACTIONS,
@@ -392,6 +394,57 @@ def test_scalar_pass_keeps_its_inverse_in_a_morphism(monkeypatch):
     assert linf_superpotential(4, INF) == 286
     assert {name for name, _ in read} == {"inv(eps[inf])"}
     assert {(2,), (2, 2, 2, 2), (2, 8), (11,)} <= {key for _, key in read}
+
+
+@pytest.mark.parametrize("num, den, pair", [
+    (6, 3, (2, 1)), (-7, 3, (-7, 3)), (-12, 8, (-3, 2)), (0, 5, (0, 1)),
+    (Fraction(3, 4), 6, (1, 8)), (Fraction(-9, 2), 3, (-3, 2)), (Fraction(10, 3), 5, (2, 3)),
+    (Fraction(-8, 1), 4, (-2, 1)),
+])
+def test_pair_divides_exactly(num, den, pair):
+    # the witness's one exact division: an entry by binom(j, x), a degree's sum by its common denominator
+    got = _pair(num, den)
+    assert got == pair and all(type(x) is int for x in got)
+
+
+@given(num=st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**6)),
+       den=st.integers(1, 10**12))
+@settings(max_examples=200, deadline=None)
+def test_pair_is_the_reduced_quotient(num, den):
+    q = Fraction(num) / den
+    assert _pair(num, den) == (q.numerator, q.denominator)
+
+
+def test_pass_stays_exact_off_the_integers(monkeypatch):
+    # a lattice path of no aspect ratio makes entries and degree sums
+    # non-integer; the witness then builds Fractions and still equals the
+    # generic engine, which inverts the same ellipsoid morphism
+    rng = random.Random(4)
+    path = [(0, 0)]
+    for _ in range(20):
+        x, y = path[-1]
+        path.append((x + 1, y) if rng.random() < 0.5 else (x, y + 1))
+    monkeypatch.setattr("ellsuper.linf.gamma_path", lambda a, k_max: path[:k_max + 1])
+    monkeypatch.setattr("ellsuper.morphisms.gamma_path", lambda a, k_max: path[:k_max + 1])
+    read = []
+    entry = LinfMorphism.entry
+    monkeypatch.setattr(LinfMorphism, "entry", lambda self, key: read.append(entry(self, key)) or read[-1])
+    values = list(_linf_pass(6, INF))
+    assert {type(v) for v in read} == {int, Fraction}  # an integer entry stays an int
+    assert all(v.denominator != 1 for v in read if type(v) is Fraction)
+    assert any(den != 1 for _, den in values)
+    assert values == [(v.numerator, v.denominator) for v in morphism_linf_pass(6, INF)]
+
+
+@given(pq=st.tuples(st.integers(2, 120), st.integers(1, 40))
+       .filter(lambda pq: pq[0] > pq[1] and gcd(*pq) == 1))
+@settings(max_examples=40, deadline=None)
+def test_scalar_pass_yields_the_recursions_canonical_pairs(pq):
+    # no integrality assumed: the pairs are compared as the recursion gives them
+    a = AspectRatio.plus_delta(*pq)
+    values = list(_linf_pass(6, a))
+    assert all(gcd(num, den) == 1 and den > 0 for num, den in values)
+    assert values == [_value(d, a)[0] for d in range(1, 7)]
 
 
 def test_linf_matches_recursion_beyond_default_bound():

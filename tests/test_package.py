@@ -124,15 +124,31 @@ def test_sweeps_without_linf_load_no_fractions(argv):
     assert not _modules_after_cli(*argv) & (NOT_ON_COMPUTE_PATH - {"ellsuper.sweeps"})
 
 
-@pytest.mark.parametrize("argv, method", [(("--a", "inf", "--method", "linf"), "linf"),
-                                          (("--a", "7.5"), "recursion")], ids=["linf", "decimal"])
-def test_linf_and_decimal_ratios_answer_through_fractions(argv, method):
-    loaded, out = _run_cli("compute", "--d", "4", *argv, "--no-timing")
-    assert "fractions" in loaded
-    a = AspectRatio.parse(argv[1])
-    res = superpotential(4, a)  # the recursion, as the reference
-    assert json.loads(out) == {"d": 4, "a": str(a), "wtT": str(res.wtT), "mult": res.multiplier,
+def _assert_compute_answer(out: str, d: int, a: AspectRatio, method: str) -> None:
+    res = superpotential(d, a)  # the recursion, as the reference
+    assert json.loads(out) == {"d": d, "a": str(a), "wtT": str(res.wtT), "mult": res.multiplier,
                                "T": str(res.T), "method": method}
+
+
+@pytest.mark.parametrize("argv", [("compute", "--d", "4", "--a", "inf", "--method", "linf"),
+                                  ("validate", "--d-max", "6", "--linf-bound", "6", "--a", "52/7")],
+                         ids=lambda argv: argv[0])
+def test_linf_answers_without_fractions(argv):
+    # every entry of the witness's inverse at these ratios is an integer, kept
+    # as an int, and every degree's pairing is summed as one integer pair
+    loaded, out = _run_cli(*argv, "--no-timing")
+    assert "ellsuper.linf" in loaded
+    assert not loaded & {"fractions", "decimal", "numbers"}
+    if argv[0] == "compute":
+        _assert_compute_answer(out, 4, AspectRatio.infinite(), "linf")
+    else:
+        assert [row["methods"] for row in json.loads(out)["results"]] == [["linf", "recursion", "tree"]] * 6
+
+
+def test_decimal_ratio_answers_through_fractions():
+    loaded, out = _run_cli("compute", "--d", "4", "--a", "7.5", "--no-timing")
+    assert "fractions" in loaded
+    _assert_compute_answer(out, 4, AspectRatio.parse("7.5"), "recursion")
 
 
 @pytest.mark.parametrize("argv, code", [(("compute", "--help"), 0), (("compute", "--d", "0", "--a", "inf"), 1)],
