@@ -27,9 +27,12 @@ argparse.  :func:`main` tries the plain parser first and hands anything else
 to argparse, so help, abbreviations, ``--x=y`` forms and every usage error
 read as before, and a plain job never imports argparse.
 
-Exit codes: 0 success, 1 usage error, 2 cross-validation failure.  A ratio
-below 1 is still computed; ``compute`` and ``validate`` note it in one
-``ellsuper: warning:`` line on stderr.
+Exit codes: 0 success, 1 usage error, 2 cross-validation failure, and 141
+(128 + SIGPIPE) when the reader of standard output closes the pipe early, as
+``| head -n 1`` does, with nothing on stderr.  :func:`main` returns the first
+three; the process entry :func:`ellsuper.__main__.run` flushes standard
+output and returns 141.  A ratio below 1 is still computed; ``compute`` and
+``validate`` note it in one ``ellsuper: warning:`` line on stderr.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
 infinitesimal perturbation); ``inf`` is the infinite ratio.  Rationals are

@@ -33,15 +33,20 @@ Every entry of the inverse ``Psi`` lands on ``j(key)``, so it is one scalar
                    count(P) * prod(psi(B) for B in P) / (sum of G_{j(B)} for B in P)!
 
 with ``count(P)`` the set partitions whose blocks carry P.  The ellipsoid
-entry depends only on the multiset of the blocks' output indices ``j(B)``,
-so the partitions are grouped by that multiset as they are built: a
-partition is the block holding the first input (:func:`_first_blocks`) and
-a partition of the inputs left over, whose grouped weights that entry has
-already filed.  The ellipsoid is read once per output multiset.  Every
-``(sum of G)!`` divides ``j!``, so the terms are summed over ``j!`` and
-``(G_j)!/j!`` is ``1/binom(j, x)`` for ``G_j = (x, y)``: the sum is one
-integer while the entries are, and an entry whose value is an integer is
-kept as an ``int``.  This is exact whether or not the values are integers.
+entry reads a partition only through its lattice point, the sum of
+``G_{j(B)}`` over its blocks, so the partitions are grouped by that point
+as they are built: a partition is the block ``B`` holding the first input
+(:func:`_first_blocks`) and a partition of the inputs left over, whose
+grouped weights that entry has already filed, and its point is theirs
+shifted by ``G_{j(B)}``.  The partition into one block files under
+``G_j``.  A point ``G_i`` has coordinate sum ``i``, so a partition into
+``b`` blocks has a point of coordinate sum ``j + 1 - b``: the one-block
+partition never shares a point with another.  The ellipsoid is read once
+per point.  Every ``(sum of G)!`` divides ``j!``, so the terms are summed
+over ``j!`` and ``(G_j)!/j!`` is ``1/binom(j, x)`` for ``G_j = (x, y)``:
+the sum is one integer while the entries are, and an entry whose value is
+an integer is kept as an ``int``.  This is exact whether or not the values
+are integers.
 
 The witness keeps ``Psi`` in a :class:`LinfMorphism` whose rule is this
 scalar sum: ``Psi.entry(key)`` is ``psi(key)``, memoized like any
@@ -59,7 +64,7 @@ yields each value as the canonical integer pair the other passes return.
 from itertools import groupby, product
 from math import comb, factorial, gcd, lcm, prod
 
-from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
+from .lattice import AspectRatio, gamma_path, pair_factorial
 
 
 class LinfError(ValueError):
@@ -192,8 +197,8 @@ def _linf_pass(d_max: int, a: AspectRatio):
     den > 0, as ``engine._value`` defines it.
     """
     path = gamma_path(a, 3 * d_max - 1)
-    grouped: dict = {}  # input multiset -> {sorted output indices of a partition's blocks: weight}
-    scaled: dict = {}  # sorted output indices -> j! / (sum of their G)!
+    fact = [factorial(n) for n in range(3 * d_max)]
+    grouped: dict = {}  # input multiset -> {summed lattice point of a partition's blocks: weight}
 
     def rule(key: tuple[int, ...]):
         j = _index(key)
@@ -203,25 +208,20 @@ def _linf_pass(d_max: int, a: AspectRatio):
                 continue
             weight = ways * inverse.entry(block)
             inverse.entry(left)  # files the partitions of the inputs left over
-            i = _index(block)
-            for outs, w in grouped[left].items():
-                outs = tuple(sorted((i, *outs)))
-                splits[outs] = splits.get(outs, 0) + weight * w
+            gx, gy = path[_index(block)]
+            for (x, y), w in grouped[left].items():
+                point = (x + gx, y + gy)
+                splits[point] = splits.get(point, 0) + weight * w
         if len(key) == 1:
             value = pair_factorial(path[j])
         else:
-            total = 0
-            for outs, w in splits.items():
-                phi = scaled.get(outs)
-                if phi is None:
-                    phi = scaled[outs] = factorial(j) // pair_factorial(point_add(*(path[o] for o in outs)))
-                total += w * phi
+            total = sum(w * (fact[j] // (fact[x] * fact[y])) for (x, y), w in splits.items())
             value, den = _pair(-total, comb(j, path[j][0]))
             if den != 1:
                 from fractions import Fraction
 
                 value = Fraction(value, den)
-        splits[(j,)] = value  # the partition into one block
+        splits[path[j]] = value  # the partition into one block
         grouped[key] = splits
         return value
 

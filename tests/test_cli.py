@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ import ellsuper.cli as cli
 import ellsuper.pipelines as sp
 import ellsuper.treesum as treesum
 from ellsuper import AspectRatio
+from ellsuper.__main__ import EXIT_PIPE
 from ellsuper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -465,6 +467,25 @@ def test_only_the_process_entry_freezes_the_heap(capsys):
     frozen = gc.get_freeze_count()
     assert run_cli(capsys, "compute", "--d", "4", "--a", "inf", "--no-timing")[0] == EXIT_OK
     assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("compute", "--d", "3", "--a", "inf"),  # fits the buffer: the write fails at the flush
+    ("gamma", "--a", "52/7", "--k", "2000"),  # overflows it: the write fails inside print
+], ids=["short", "long"])
+def test_closed_pipe_exits_141_with_empty_stderr(argv, unbuffered):
+    # the reader is gone before the job writes, as when `| head -n 1` exits early
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ellsuper", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, "")
+    assert EXIT_PIPE not in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION)
 
 
 def test_console_script_is_the_process_entry():

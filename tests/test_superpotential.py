@@ -627,6 +627,29 @@ def test_scan_profile_through_degree_20():
     assert [d for d, report in reports.items() if not report["nondecreasing"]] == [14, 17, 19, 20]
 
 
+# tau^4 = (7 + 3 sqrt 5)/2, with tau the golden ratio, is where the Fibonacci
+# staircase of McDuff-Schlenk, "The embedding capacity of 4-dimensional
+# symplectic ellipsoids" (Ann. of Math. 175, 2012), accumulates.
+def test_vanishing_starts_form_an_initial_segment_through_degree_20():
+    # observed data, not proved (ROADMAP item R): T >= 0 at every interval start,
+    # the starts where T = 0 come first, and the last of them, a0 = p/q, lies
+    # below tau^4; exactly, p/q < (7 + 3 sqrt 5)/2 iff 2p - 7q < 0 or (2p - 7q)^2 < 45 q^2
+    last_zero = {}
+    for d in range(1, 21):
+        starts = [(Fraction(row["interval_start"]), Fraction(row["T"]))
+                  for row in scan_monotonicity(d)["profile"]]
+        assert all(t >= 0 for _, t in starts), d
+        zeros = [t == 0 for _, t in starts]
+        k = zeros.count(True)
+        assert zeros == [True] * k + [False] * (len(zeros) - k), d
+        if k:
+            a0 = last_zero[d] = starts[k - 1][0]
+            p, q = a0.numerator, a0.denominator
+            assert 2 * p - 7 * q < 0 or (2 * p - 7 * q) ** 2 < 45 * q * q, (d, a0)
+    assert {d: str(last_zero[d]) for d in (5, 13, 17, 19, 20)} == {
+        5: "9/2", 13: "32/5", 17: "32/5", 19: "45/7", 20: "45/7"}
+
+
 def test_integrality_scan_values():
     rows1 = integrality_scan(1)["rows"]
     assert [(r["p"], r["q"], r["T"]) for r in rows1] == [(2, 1, "1")]
