@@ -17,7 +17,12 @@ recursion's module, :mod:`.engine`, which loads the tree oracle's
 ``--method linf``; ``validate``, ``scan`` and ``integrality`` import
 :mod:`.sweeps` in their handlers, ``trees`` imports :mod:`.trees`, and
 ``--format csv|text`` imports :mod:`.render`.  No subcommand loads the
-library functions of :mod:`.pipelines`.
+library functions of :mod:`.pipelines`.  Every pipeline has one calling
+convention, ``engine._engine(method)``, a callable ``(d, a)`` yielding
+wtT_1 .. wtT_d.  ``compute`` resolves it before its clock starts, so an
+oracle's module loads outside the timed region; ``validate``'s ``ms``
+clocks include each pass's read points and factorial table, which are
+built in its first step.
 
 Each subcommand is described once, in the table :data:`_SUBCOMMANDS` (name,
 help, handler and options).  :func:`build_parser` makes the argparse parser

@@ -29,8 +29,10 @@ This is what ``compute`` (by default), ``integrality`` and ``scan`` run,
 and the only engine a default ``compute`` job loads.  The oracles that
 validate it live in their own modules: the tree sum in :mod:`.treesum`,
 linf inversion in :mod:`.linf`; :func:`_engine` loads either on first use.
-The library functions that return ``Fraction``s live in :mod:`.pipelines`,
-which no command-line job loads.
+It gives every pipeline one calling convention, a callable ``(d, a)`` that
+yields wtT_1 .. wtT_d, and every caller but ``scan`` reads the pipelines
+through it.  The library functions that return ``Fraction``s live in
+:mod:`.pipelines`, which no command-line job loads.
 
 All dependence on ``a`` enters through the points ``G_2, G_5, ..,
 G_{3d-1}`` that :func:`_read_points` lists: the degree-n row of the pass
@@ -141,25 +143,35 @@ def _warn_outside_range(a: AspectRatio) -> None:
 
 
 def _engine(method: str):
-    """What computes wtT by ``method``; the tree and linf oracles load on first use.
+    """What computes wtT by ``method``: a callable ``(d, a)`` yielding wtT_1 .. wtT_d.
 
-    For ``recursion`` and ``tree`` that is a pass, called as
-    ``(points, fact, rows)`` and returning a canonical pair; the tree pass
-    comes from :mod:`.treesum`, which reads only this module.  For ``linf``
-    it is ``linf._linf_pass``, called as ``(d, a)`` and yielding the
-    canonical pairs at degrees 1 .. d.
+    Every method has this one calling convention, and each value is a
+    canonical pair (see :func:`_value`).  For ``recursion`` and ``tree`` the
+    callable wraps a pass, ``(points, fact, rows)``: it builds the read
+    points, the factorial table and one list of rows on its first step,
+    then runs the pass on ``points[:n]`` for n = 1 .. d, each run extending
+    the rows by one degree.  For ``linf`` it is ``linf._linf_pass`` itself.
+    The tree and linf oracles load on first use, here and not on the first
+    step; the tree pass comes from :mod:`.treesum`, which reads only this
+    module.
     """
     if method == "recursion":
-        return _recursion_pass
-    if method == "tree":
-        from .treesum import _tree_pass
-
-        return _tree_pass
-    if method == "linf":
+        run = _recursion_pass
+    elif method == "tree":
+        from .treesum import _tree_pass as run
+    elif method == "linf":
         from .linf import _linf_pass
 
         return _linf_pass
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    else:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+
+    def values(d: int, a: AspectRatio):
+        points, fact, rows = _read_points(a, d), _factorials(d), []
+        for n in range(1, d + 1):
+            yield run(points[:n], fact, rows)
+
+    return values
 
 
 def _text(pair: tuple[int, int]) -> str:
@@ -179,17 +191,14 @@ def _value(d: int, a: AspectRatio, method: str = "recursion", linf_bound: int = 
     """``(wtT, mult, T)`` at (d, a) by ``method``, with wtT and T canonical pairs.
 
     A canonical pair is ``(num, den)`` with gcd 1 and den > 0; zero is
-    ``(0, 1)``.  The caller checks d >= 1 and warns below 1.  The linf
-    pass yields every degree up to d, and its last value is wtT.
+    ``(0, 1)``.  The caller checks d >= 1 and warns below 1.  wtT is the
+    last value that ``_engine(method)(d, a)`` yields.
     """
-    if method == "linf":
-        if d > linf_bound:
-            raise ValueError(
-                f"method 'linf' is an oracle intended for d <= {linf_bound}; "
-                f"use 'recursion' for d={d}, or pass a larger linf_bound (--linf-bound)"
-            )
-        *_, wt = _engine(method)(d, a)
-    else:
-        wt = _engine(method)(_read_points(a, d), _factorials(d), [])
+    if method == "linf" and d > linf_bound:
+        raise ValueError(
+            f"method 'linf' is an oracle intended for d <= {linf_bound}; "
+            f"use 'recursion' for d={d}, or pass a larger linf_bound (--linf-bound)"
+        )
+    *_, wt = _engine(method)(d, a)
     multiplier = mult(a, gamma_point(a, 3 * d - 1))
     return wt, multiplier, _over(wt, multiplier)

@@ -22,10 +22,11 @@ other test oracles, among them the tree sum over partitions of l and over
 every tree one at a time, live in ``tests/oracles.py``.
 
 This module holds only the library functions that return ``Fraction``s.
-No command-line job loads it, failure dumps included: ``compute`` reads
-the passes through ``engine._engine``, the sweeps import them from their
-own modules, and a :class:`MethodDisagreement` dump reads its path prefix
-from ``lattice.path_signature``.
+No command-line job loads it, failure dumps included: ``compute`` and
+``validate`` read every pipeline through ``engine._engine``, ``scan``
+imports the tree pass from its own module, and a
+:class:`MethodDisagreement` dump reads its path prefix from
+``lattice.path_signature``.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.  Finer: the degree-n state of either
@@ -36,10 +37,10 @@ prefix is built only for a :class:`MethodDisagreement` dump.  Each engine is
 therefore a private pass that extends a caller-owned list of per-degree
 rows, each row tagged with the point it read last, and keeps the rows up
 to the first point that differs from the ratio it was last run at.
-``recursion_wtT`` and ``tree_wtT`` run it once on an empty list, through
-``engine._value`` as ``compute`` does; the drivers that run the engines
-over many degrees or ratios (cross-validation and the scans) live in
-:mod:`.sweeps`.
+``recursion_wtT`` and ``tree_wtT`` run it through ``engine._value`` as
+``compute`` does, one degree at a time on one fresh list; the drivers that
+run the engines over many degrees or ratios (cross-validation and the
+scans) live in :mod:`.sweeps`.
 """
 
 from collections import namedtuple

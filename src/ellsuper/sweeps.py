@@ -4,9 +4,13 @@
 degree up to d, and demands exact agreement; ``scan_monotonicity`` profiles T(d, .) over the
 intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
 at the boundary fractions ``p + q = 3d``.  The command line loads this module
-only for ``validate``, ``scan`` and ``integrality``.  It reads the recursion
-from :mod:`.engine`; the two drivers that run the tree pass beside it import
-it from :mod:`.treesum` when called, so ``integrality`` never loads it.
+only for ``validate``, ``scan`` and ``integrality``.  ``cross_validate``
+and ``integrality_scan`` read every pipeline through ``engine._engine``, one
+callable ``(d, a)`` yielding wtT_1 .. wtT_d per method, which loads
+:mod:`.treesum` and :mod:`.linf` on first use, so ``integrality`` never
+loads them.  ``scan_monotonicity`` alone calls the passes directly, as
+``(points, fact, rows)``, since it resumes their rows across ratios; it
+imports the tree pass from :mod:`.treesum` when called.
 Both drivers that cross-check demand agreement through one rule,
 ``_agreed``, whose failure dump reads ``lattice.path_signature``; no
 command-line job loads :mod:`.pipelines`, failure dumps included.
@@ -29,10 +33,11 @@ import json
 import math
 import time
 
-from .lattice import AspectRatio, mult, path_signature
+from .lattice import AspectRatio, gamma_point, mult, path_signature
 from .engine import (
     DEFAULT_LINF_BOUND,
     MethodDisagreement,
+    _engine,
     _factorials,
     _over,
     _read_points,
@@ -80,42 +85,28 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
 def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]:
     """The ``cross_validate`` reports at d = 1 .. d_max, from one run of each pipeline.
 
-    The recursion and the tree sum extend their per-degree rows one degree
-    at a time, and linf pairs one inverse, truncated at
-    ``min(d_max, linf_bound)``, against every degree.  Each ``ms`` entry is
-    its pipeline's time from the start of the sweep to that degree, which
-    is what a run at that degree alone costs; the linf module is loaded
+    Each pipeline is one ``engine._engine(method)(top, a)`` iterator, stepped
+    one degree at a time: the recursion and the tree sum to d_max, linf to
+    ``min(d_max, linf_bound)``.  Each ``ms`` entry is its pipeline's time
+    from the start of the sweep to that degree, which is what a run at that
+    degree alone costs; a pass's read points and factorial table are built
+    in its first step, inside that clock, and the linf module is loaded
     before any clock starts.  Its callers say so below 1: ``cross_validate``
     warns, naming its caller's line, and ``validate`` prints a notice.
     """
-    from .treesum import _tree_pass
-
-    points = _read_points(a, d_max)
-    fact = _factorials(d_max)
-    recursion_rows: list = []
-    tree_rows: list = []
-    steps = {
-        "recursion": lambda d: _recursion_pass(points[:d], fact, recursion_rows),
-        "tree": lambda d: _tree_pass(points[:d], fact, tree_rows),
-    }
-    linf_top = min(d_max, linf_bound)
-    if linf_top >= 1:
-        from .linf import _linf_pass
-
-        linf_values = _linf_pass(linf_top, a)
-        steps["linf"] = lambda d: next(linf_values)
-    clocks = dict.fromkeys(steps, 0.0)
+    tops = {"recursion": d_max, "tree": d_max, "linf": min(d_max, linf_bound)}
+    runs = {method: _engine(method)(top, a) for method, top in tops.items() if top >= 1}
+    clocks = dict.fromkeys(runs, 0.0)
     reports = []
     for d in range(1, d_max + 1):
         values: dict[str, tuple[int, int]] = {}
-        for method, step in steps.items():
-            if method == "linf" and d > linf_top:
-                continue
-            start = time.perf_counter()
-            values[method] = step(d)
-            clocks[method] += time.perf_counter() - start
+        for method, run in runs.items():
+            if d <= tops[method]:
+                start = time.perf_counter()
+                values[method] = next(run)
+                clocks[method] += time.perf_counter() - start
         wt = _agreed(d, a, values)
-        multiplier = mult(a, points[d - 1])
+        multiplier = mult(a, gamma_point(a, 3 * d - 1))
         reports.append({
             "d": d,
             "a": str(a),

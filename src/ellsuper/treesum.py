@@ -34,14 +34,15 @@ gives ``f_l = c^l forest_l``.
 
 The two share one derivation, so their agreement catches coding slips, not
 an error in that derivation.  The witnesses independent in derivation are
-linf (up to ``linf_bound``; CI checks it at every degree to d = 22), the
+linf (up to ``linf_bound``; CI checks it at every degree to d = 30), the
 per-tree sum (CI checks it at d = 14) and the multiset recursion in
 ``tests/oracles.py``.
 
 ``scan`` and ``validate`` run this pass beside the recursion, and
-``compute --method tree`` runs it alone, loading this module through
-``engine._engine``; ``tree_wtT`` in :mod:`.pipelines` returns its value as a
-``Fraction``.
+``compute --method tree`` runs it alone.  ``validate`` and ``compute``
+load this module through ``engine._engine``, and ``scan`` imports the
+pass itself to resume its rows across ratios; ``tree_wtT`` in
+:mod:`.pipelines` returns its value as a ``Fraction``.
 """
 
 import math

@@ -158,7 +158,16 @@ def test_trees_text_table(capsys):
         "1 tree with 2 leaves:",
         "  (**)  Aut=2      l=2 |v|=3 movable",
     ], ""),
-], ids=["scan", "gamma", "compute", "trees", "trees-d2"])
+    (("validate", "--d-max", "2", "--no-timing"), [
+        "d=1 a=inf: wtT = 2, T = 1, agree = True",
+        "d=2 a=inf: wtT = 5, T = 1, agree = True",
+    ], ""),
+    (("integrality", "--d", "2"), [
+        "boundary fractions for d = 2 (p + q = 6):",
+        "  a = 5/1: T = 1  [integer nonnegative adjunction_bound]",
+        "all integral: True",
+    ], ""),
+], ids=["scan", "gamma", "compute", "trees", "trees-d2", "validate", "integrality"])
 def test_text_renderings_are_pinned(capsys, argv, out, err):
     assert run_cli(capsys, *argv, "--format", "text") == (EXIT_OK, "\n".join(out) + "\n", err)
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ellsuper.engine as engine
@@ -448,6 +448,34 @@ def test_validation_sweep_matches_lone_runs(a):
             alone = cross_validate(d, a, linf_bound=8)
             assert alone.pop("ms").keys() == row.pop("ms").keys()
             assert alone == row
+
+
+@pytest.mark.parametrize("method", engine.METHODS)
+@pytest.mark.parametrize("a", [INF, AspectRatio.plus_delta(3, 2), AspectRatio.plus_delta(52, 7),
+                               AspectRatio.plus_delta(29, 4)], ids=str)
+def test_every_engine_yields_each_degree_as_its_lone_value(method, a):
+    # one calling convention for every pipeline: (d, a) yields wtT_1 .. wtT_d,
+    # each the canonical pair that a run at that degree alone gives
+    assert list(engine._engine(method)(6, a)) == [engine._value(n, a, method)[0] for n in range(1, 7)]
+
+
+def _canonical(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+CANONICAL_PAIRS = st.builds(_canonical, st.integers(-10**12, 10**12), st.integers(1, 10**12))
+
+
+@given(x=CANONICAL_PAIRS, y=CANONICAL_PAIRS, m=st.integers(1, 10**6))
+@example(x=(0, 1), y=(-1, 2), m=3)
+def test_pair_helpers_match_fraction(x, y, m):
+    # every printed value is rendered, divided by its multiplicity and compared
+    # as a canonical pair; each helper gives what Fraction gives, zero and signs included
+    quotient = Fraction(*x) / m
+    assert engine._text(x) == str(Fraction(*x))
+    assert engine._over(x, m) == (quotient.numerator, quotient.denominator)
+    assert sweeps._below(x, y) == (Fraction(*x) < Fraction(*y))
 
 
 def test_scan_breakpoints_walk_the_farey_sequence():
