@@ -9,6 +9,11 @@ its exceptions.
 A reader that closes the pipe early (``ellsuper ... | head -n 1``) ends the
 job with :data:`EXIT_PIPE`, 141 (128 + SIGPIPE, as a shell reports a
 process the signal killed), and nothing on stderr.
+
+Once both standard streams are flushed, :func:`run` ends the process with
+``os._exit``, skipping the interpreter's teardown, unless a tracer or a
+profiler is attached (``python -m cProfile -m ellsuper ...`` still prints
+its stats).
 """
 
 import gc
@@ -24,17 +29,24 @@ def run() -> int:
     """Freeze the import-time heap, then run the command line on ``sys.argv``.
 
     Everything alive once the CLI is imported (the interpreter's ``site``
-    objects, ``json`` and this package's modules) lives until
-    exit; ``argparse`` is not among them, since it loads only for help and
-    usage errors.  ``gc.freeze()`` moves it to the permanent generation,
-    which no collection scans, so neither the full collections at interpreter
-    exit nor gen-2 collections during the run walk it again.  Objects the run
-    creates are collected as before.
+    objects and this package's modules) lives until exit; ``argparse`` and
+    ``json`` are not among them, since they load only for help, usage errors
+    and the rare value the CLI's own JSON writer leaves to ``json``.
+    ``gc.freeze()`` moves it to the permanent generation, which no
+    collection scans, so gen-2 collections during the run do not walk it
+    again (nor, under a tracer or profiler, the full collections at
+    interpreter exit).  Objects the run creates are collected as before.
 
     Standard output is flushed here, so a closed pipe raises inside the
     ``try`` whether or not output is buffered.  Standard output then points
     at ``os.devnull``, so the flush at interpreter exit has nowhere to fail,
-    and the job returns :data:`EXIT_PIPE`.
+    and the job's code is :data:`EXIT_PIPE`.
+
+    With both streams flushed, nothing the job made is still needed, so the
+    process ends here with ``os._exit(code)``: no module teardown, no final
+    collections, no ``atexit`` handlers.  A tracer or profiler
+    (``sys.gettrace()`` or ``sys.getprofile()`` set) reports at exit, so then
+    the code is returned for the caller's ``sys.exit``, as before.
     """
     gc.freeze()
     try:
@@ -42,7 +54,10 @@ def run() -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
+        code = EXIT_PIPE
+    sys.stderr.flush()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        os._exit(code)
     return code
 
 

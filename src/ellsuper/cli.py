@@ -17,7 +17,11 @@ recursion's module, :mod:`.engine`, which loads the tree oracle's
 ``--method linf``; ``validate``, ``scan`` and ``integrality`` import
 :mod:`.sweeps` in their handlers, ``trees`` imports :mod:`.trees`, and
 ``--format csv|text`` imports :mod:`.render`.  No subcommand loads the
-library functions of :mod:`.pipelines`.  Every pipeline has one calling
+library functions of :mod:`.pipelines`.  The default json output comes from
+:func:`_json`, which writes ``json.dumps(payload, indent=2)`` byte for byte
+and loads ``json`` only for a string that needs escaping or a value of a
+type no payload holds, so a default job loads neither ``json`` nor the
+``re`` and ``enum`` that ``json`` imports.  Every pipeline has one calling
 convention, ``engine._engine(method)``, a callable ``(d, a)`` yielding
 wtT_1 .. wtT_d.  ``compute`` resolves it before its clock starts, so an
 oracle's module loads outside the timed region; ``validate``'s ``ms``
@@ -35,9 +39,11 @@ read as before, and a plain job never imports argparse.
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure, and 141
 (128 + SIGPIPE) when the reader of standard output closes the pipe early, as
 ``| head -n 1`` does, with nothing on stderr.  :func:`main` returns the first
-three; the process entry :func:`ellsuper.__main__.run` flushes standard
-output and returns 141.  A ratio below 1 is still computed; ``compute`` and
-``validate`` note it in one ``ellsuper: warning:`` line on stderr.
+three; the process entry :func:`ellsuper.__main__.run` flushes both standard
+streams, reports a closed pipe as 141, and ends the process with the code
+without interpreter teardown unless a tracer or profiler is attached.  A
+ratio below 1 is still computed; ``compute`` and ``validate`` note it in one
+``ellsuper: warning:`` line on stderr.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
 infinitesimal perturbation); ``inf`` is the infinite ratio.  Rationals are
@@ -46,7 +52,7 @@ value re-parses exactly.  Timings (the ``ms`` fields) are the only
 run-dependent output; pass ``--no-timing`` for byte-identical reruns.
 """
 
-import json
+import math
 import sys
 import time
 from types import SimpleNamespace
@@ -208,6 +214,39 @@ _SUBCOMMANDS = {
 }
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without loading ``json`` for plain payloads.
+
+    Dicts with ``str`` keys, lists, tuples, ints, finite floats, bools,
+    ``None`` and strings of printable ASCII without ``"`` or ``\\`` are
+    written here; any other string or value, escaping included, is left to
+    ``json.dumps``.  ``pad`` is a newline and the indent of ``value``'s line.
+    """
+    kind = type(value)
+    if kind is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    elif kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + ",".join([inner + _json(item, inner) for item in value]) + pad + "]"
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{inner}{_json(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + ",".join(items) + pad + "}"
+    import json
+
+    # its own lines sit one level deeper; a JSON string holds no raw newline
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def build_parser():
     """The argparse parser of :data:`_SUBCOMMANDS`: help, abbreviations and every usage error.
 
@@ -288,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
         from .render import render_csv, render_text
 

@@ -12,8 +12,9 @@ loads them.  ``scan_monotonicity`` alone calls the passes directly, as
 ``(points, fact, rows)``, since it resumes their rows across ratios; it
 imports the tree pass from :mod:`.treesum` when called.
 Both drivers that cross-check demand agreement through one rule,
-``_agreed``, whose failure dump reads ``lattice.path_signature``; no
-command-line job loads :mod:`.pipelines`, failure dumps included.
+``_agreed``, whose failure dump reads ``lattice.path_signature`` and is the
+only use of ``json`` here, imported on failure; no command-line job loads
+:mod:`.pipelines`, failure dumps included, nor ``json`` unless one fails.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
 ``engine._value``) up to the report, which renders it as ``str(Fraction)``
@@ -29,7 +30,6 @@ keeps the rows up to the first point that differs from the ratio it was
 last run at, so it recomputes only the degrees past their common prefix.
 """
 
-import json
 import math
 import time
 
@@ -58,6 +58,8 @@ def _agreed(d: int, a: AspectRatio, values: dict) -> tuple[int, int]:
     agreed = set(values.values())
     if len(agreed) == 1:
         return agreed.pop()
+    import json
+
     dump = {
         "d": d,
         "a": str(a),

@@ -195,6 +195,40 @@ def test_compute_csv_uses_fraction_strings(capsys):
     assert row.split(",") == ["2", "3/2+delta", "0", "2", "0", "recursion"]
 
 
+# strings that the emitter writes itself or must leave to json.dumps
+_JSON_TEXT = st.text(st.sampled_from('a Z0~ "\\/\x00\x1f\n\t\x7f\x80é€😀') | st.characters(), max_size=8)
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([10**40, -(2**64), 10**400])
+                 | st.floats() | _JSON_TEXT)
+
+
+@given(value=st.recursive(_JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4) | st.dictionaries(st.integers(), inner, max_size=2)),
+    max_leaves=20))
+@settings(max_examples=300, deadline=None)
+def test_json_emitter_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--d", "10", "--a", "52/7"),
+    ("compute", "--d", "2", "--a", "1/2", "--no-timing"),
+    ("validate", "--d-max", "4", "--linf-bound", "4", "--a", "52/7"),
+    ("scan", "--d", "3"),
+    ("integrality", "--d", "6"),
+    ("gamma", "--a", "52/7", "--k", "29"),
+    ("trees", "--d", "1"),
+    ("trees", "--d", "5"),
+], ids=" ".join)
+def test_default_output_is_json_dumps_of_the_payload(capsys, monkeypatch, argv):
+    calls = []  # every value the emitter is called on; the first is the job's payload
+    emit = cli._json
+    monkeypatch.setattr(cli, "_json", lambda value, *pad: calls.append(value) or emit(value, *pad))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == json.dumps(calls[0], indent=2) + "\n"
+
+
 def test_validate_agreement(capsys):
     code, out, _ = run_cli(capsys, "validate", "--d-max", "4", "--a", "inf", "--no-timing")
     assert code == EXIT_OK
@@ -208,11 +242,21 @@ def test_validate_agreement(capsys):
     assert [line.split(",")[-1] for line in table.splitlines()] == ["agree", "True", "True", "True"]
 
 
+def _disagreement_dump(err: str) -> dict:
+    # the operands after "disagree: ", as one JSON object on the failure line
+    dump = json.loads(err.split("disagree: ", 1)[1])
+    assert set(dump) == {"d", "a", "path_prefix", "values"}
+    return dump
+
+
 def test_validate_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(treesum, "_tree_pass", lambda points, fact, rows: (999, 1))
     code, _, err = run_cli(capsys, "validate", "--d-max", "2", "--a", "inf")
     assert code == EXIT_VALIDATION
     assert "cross-validation failure" in err
+    dump = _disagreement_dump(err)
+    assert (dump["d"], dump["a"], dump["path_prefix"]) == (1, "inf", [[0, 0], [1, 0], [2, 0]])
+    assert dump["values"] == {"recursion": "2", "tree": "999", "linf": "2"}
 
 
 def test_scan_report(capsys):
@@ -231,6 +275,9 @@ def test_scan_disagreement_exit_code(capsys, monkeypatch):
     assert code == EXIT_VALIDATION
     assert out == ""
     assert "cross-validation failure" in err and "path_prefix" in err
+    dump = _disagreement_dump(err)
+    assert (dump["d"], dump["a"]) == (3, "1+delta")
+    assert len(dump["path_prefix"]) == 9 and dump["values"]["tree"] == "999"
 
 
 def test_integrality_report(capsys):
@@ -445,21 +492,20 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["T"] == "1"
 
 
-# Run in a fresh interpreter: calls the process entry with a patched argv and
-# prints the freeze count main() starts with, then main()'s exit code.
+# Run in a fresh interpreter: calls the process entry with a patched argv; the
+# patched main() prints the freeze count before run() and the one main() starts
+# with, since run() ends the process itself and the exit code is the process's.
 _FREEZE_PROBE = """
 import gc, sys
 import ellsuper.__main__ as entry
-seen = []
+before = gc.get_freeze_count()
 inner = entry.main
 def probe(*args):
-    seen.append(gc.get_freeze_count())
+    print(before, gc.get_freeze_count(), file=sys.stderr)
     return inner(*args)
 entry.main = probe
 sys.argv = ["ellsuper", "compute", "--d", "4", "--a", "inf", "--no-timing"]
-before = gc.get_freeze_count()
-code = entry.run()
-print(before, seen[0], code, file=sys.stderr)
+entry.run()
 """
 
 
@@ -467,8 +513,8 @@ def test_only_the_process_entry_freezes_the_heap(capsys):
     # python -m ellsuper runs the same run(); test_module_entry_point covers that path
     proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    before, at_main, code = map(int, proc.stderr.split())
-    assert (before, code) == (0, EXIT_OK)
+    before, at_main = map(int, proc.stderr.split())
+    assert (before, proc.returncode) == (0, EXIT_OK)
     assert at_main > 0
     assert json.loads(proc.stdout)["T"] == "26"
 
@@ -476,6 +522,50 @@ def test_only_the_process_entry_freezes_the_heap(capsys):
     frozen = gc.get_freeze_count()
     assert run_cli(capsys, "compute", "--d", "4", "--a", "inf", "--no-timing")[0] == EXIT_OK
     assert gc.get_freeze_count() == frozen
+
+
+def _entry(*argv: str, python: tuple = ("-m", "ellsuper")) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *python, *argv], capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("compute", "--d", "3", "--a", "inf", "--no-timing"), EXIT_OK),
+    (("compute", "--d", "0", "--a", "inf"), EXIT_USAGE),
+    (("trees", "--d", "13"), EXIT_USAGE),
+], ids=["ok", "argparse-usage", "handler-usage"])
+def test_process_exit_codes(argv, code):
+    proc = _entry(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stdout == "") == (code != EXIT_OK)
+    assert code == EXIT_OK or proc.stderr.endswith("\n")
+
+
+def test_process_exit_code_2_keeps_the_whole_dump():
+    # a planted tree-pass fault, run through the process entry: stderr is flushed before the exit
+    proc = _entry(python=("-c", "import sys, ellsuper.treesum as t\n"
+                                "t._tree_pass = lambda points, fact, rows: (999, 1)\n"
+                                "sys.argv = ['ellsuper', 'scan', '--d', '3']\n"
+                                "from ellsuper.__main__ import run\n"
+                                "sys.exit(run())"))
+    assert (proc.returncode, proc.stdout) == (EXIT_VALIDATION, "")
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr.split("disagree: ", 1)[1])["values"]["tree"] == "999"
+
+
+def test_long_output_arrives_whole_through_a_pipe():
+    # about 3.7 MB, many times a pipe's buffer: the exit must not cut it short
+    proc = _entry("gamma", "--a", "52/7", "--k", str(cli.GAMMA_MAX_INDEX))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(proc.stdout) == 3693856
+    points = json.loads(proc.stdout)["points"]
+    assert len(points) == cli.GAMMA_MAX_INDEX + 1 and points[-1] == [88136, 11864]
+
+
+def test_profiler_still_reports_at_exit():
+    # with a profiler attached, run() returns instead of ending the process at once
+    proc = _entry("compute", "--d", "3", "--a", "inf", "--no-timing", python=("-m", "cProfile", "-m", "ellsuper"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert '"T": "4"' in proc.stdout and "function calls" in proc.stdout
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -116,6 +116,20 @@ def test_failure_dumps_load_no_pipelines(argv):
     assert "ellsuper.pipelines" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--d", "10", "--a", "52/7"),
+    ("validate", "--d-max", "4", "--linf-bound", "4", "--a", "52/7"),
+    ("scan", "--d", "3"),
+    ("integrality", "--d", "4"),
+    ("gamma", "--a", "52/7", "--k", "29"),
+    ("trees", "--d", "4"),
+], ids=lambda argv: argv[0])
+def test_default_format_jobs_load_neither_json_nor_re(argv):
+    # cli writes its own JSON; `json` loads only for a value its writer leaves to it
+    # and for a sweep's disagreement dump, and no other module a job loads imports `re`
+    assert not _modules_after_cli(*argv) & {"json", "re"}
+
+
 @pytest.mark.parametrize("argv", [("scan", "--d", "4"), ("integrality", "--d", "4"),
                                   ("validate", "--d-max", "3", "--linf-bound", "0", "--no-timing")],
                          ids=lambda argv: argv[0])
