@@ -11,22 +11,21 @@ engine; ``compute --method tree|linf`` selects another pipeline instead.
 it at every d (``validate`` also linf, up to ``--linf-bound``) and demand
 exact agreement.
 
-A job compiles only the code its subcommand runs: this module imports the
-recursion's module, :mod:`.engine`, which loads the tree oracle's
-:mod:`.treesum` only for ``--method tree`` and :mod:`.linf` only for
-``--method linf``; ``validate``, ``scan`` and ``integrality`` import
-:mod:`.sweeps` in their handlers, ``trees`` imports :mod:`.trees`, and
-``--format csv|text`` imports :mod:`.render`.  No subcommand loads the
-library functions of :mod:`.pipelines`.  The default json output comes from
-:func:`_json`, which writes ``json.dumps(payload, indent=2)`` byte for byte
-and loads ``json`` only for a string that needs escaping or a value of a
-type no payload holds, so a default job loads neither ``json`` nor the
-``re`` and ``enum`` that ``json`` imports.  Every pipeline has one calling
-convention, ``engine._engine(method)``, a callable ``(d, a)`` yielding
-wtT_1 .. wtT_d.  ``compute`` resolves it before its clock starts, so an
-oracle's module loads outside the timed region; ``validate``'s ``ms``
-clocks include each pass's read points and factorial table, which are
-built in its first step.
+A job compiles only the code its subcommand runs; the README's "Start-up"
+table lists the modules each subcommand loads.  This module imports
+:mod:`.lattice` and the recursion's :mod:`.engine`, and the rest only in
+the code that needs it: :mod:`.sweeps` in the ``validate``, ``scan`` and
+``integrality`` handlers, :mod:`.trees` in the ``trees`` handler,
+:mod:`.render` for ``--format csv|text``, and ``argparse`` for help and
+usage errors.  The default json output comes from :func:`_json`, which
+writes ``json.dumps(payload, indent=2)`` byte for byte and loads ``json``
+only for a string that needs escaping or a value of a type no payload
+holds.  Every pipeline has one calling convention,
+``engine._engine(method)``, a callable ``(d, a)`` yielding wtT_1 ..
+wtT_d.  ``compute`` resolves it before its clock starts, so an oracle's
+module loads outside the timed region; ``validate``'s ``ms`` clocks
+include each pass's read points and factorial table, which are built in
+its first step.
 
 Each subcommand is described once, in the table :data:`_SUBCOMMANDS` (name,
 help, handler and options).  :func:`build_parser` makes the argparse parser
@@ -39,11 +38,12 @@ read as before, and a plain job never imports argparse.
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure, and 141
 (128 + SIGPIPE) when the reader of standard output closes the pipe early, as
 ``| head -n 1`` does, with nothing on stderr.  :func:`main` returns the first
-three; the process entry :func:`ellsuper.__main__.run` flushes both standard
-streams, reports a closed pipe as 141, and ends the process with the code
-without interpreter teardown unless a tracer or profiler is attached.  A
-ratio below 1 is still computed; ``compute`` and ``validate`` note it in one
-``ellsuper: warning:`` line on stderr.
+three.  This module is not a process entry: ``python -m ellsuper`` and the
+installed script run :func:`ellsuper.__main__.run`, which flushes both
+standard streams, reports a closed pipe as 141, and ends the process with
+the code without interpreter teardown unless a tracer or profiler is
+attached.  A ratio below 1 is still computed; ``compute`` and ``validate``
+note it in one ``ellsuper: warning:`` line on stderr.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
 infinitesimal perturbation); ``inf`` is the infinite ratio.  Rationals are
@@ -333,7 +333,3 @@ def main(argv: list[str] | None = None) -> int:
 
         print((render_csv if args.format == "csv" else render_text)(args.command, payload))
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

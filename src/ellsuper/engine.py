@@ -25,14 +25,15 @@ coefficient, the multiset sum over partitions of d and the sum over
 ordered splits with a 1/k! factor give the same values; all three are kept
 in ``tests/oracles.py`` as cross-checks.
 
-This is what ``compute`` (by default), ``integrality`` and ``scan`` run,
-and the only engine a default ``compute`` job loads.  The oracles that
-validate it live in their own modules: the tree sum in :mod:`.treesum`,
-linf inversion in :mod:`.linf`; :func:`_engine` loads either on first use.
-It gives every pipeline one calling convention, a callable ``(d, a)`` that
-yields wtT_1 .. wtT_d, and every caller but ``scan`` reads the pipelines
-through it.  The library functions that return ``Fraction``s live in
-:mod:`.pipelines`, which no command-line job loads.
+This is what ``compute`` (by default), ``integrality`` and ``scan`` run.
+The oracles that validate it live in their own modules, the tree sum in
+:mod:`.treesum` and linf inversion in :mod:`.linf`.  This module imports
+only :mod:`.lattice`, and :func:`_engine` loads an oracle's module on its
+first use; the README's "Start-up" table lists what each subcommand loads.
+:func:`_engine` gives every pipeline one calling convention, a callable
+``(d, a)`` that yields wtT_1 .. wtT_d, and every caller but ``scan`` reads
+the pipelines through it.  The library functions that return
+``Fraction``s live in :mod:`.pipelines`.
 
 All dependence on ``a`` enters through the points ``G_2, G_5, ..,
 G_{3d-1}`` that :func:`_read_points` lists: the degree-n row of the pass

@@ -22,11 +22,9 @@ other test oracles, among them the tree sum over partitions of l and over
 every tree one at a time, live in ``tests/oracles.py``.
 
 This module holds only the library functions that return ``Fraction``s.
-No command-line job loads it, failure dumps included: ``compute`` and
-``validate`` read every pipeline through ``engine._engine``, ``scan``
-imports the tree pass from its own module, and a
-:class:`MethodDisagreement` dump reads its path prefix from
-``lattice.path_signature``.
+It imports ``fractions``, :mod:`.engine` and :mod:`.lattice`, and loads an
+oracle's module only through ``engine._value``, on that oracle's first
+use; the README's "Start-up" table lists what each subcommand loads.
 
 All dependence on ``a`` enters through the path prefix ``G_0..G_{3d-1}``, so
 ratios sharing a prefix share values.  Finer: the degree-n state of either

@@ -3,18 +3,16 @@
 ``cross_validate`` runs every applicable pipeline at one ``a`` and every
 degree up to d, and demands exact agreement; ``scan_monotonicity`` profiles T(d, .) over the
 intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
-at the boundary fractions ``p + q = 3d``.  The command line loads this module
-only for ``validate``, ``scan`` and ``integrality``.  ``cross_validate``
-and ``integrality_scan`` read every pipeline through ``engine._engine``, one
+at the boundary fractions ``p + q = 3d``.  ``cross_validate`` and
+``integrality_scan`` read every pipeline through ``engine._engine``, one
 callable ``(d, a)`` yielding wtT_1 .. wtT_d per method, which loads
-:mod:`.treesum` and :mod:`.linf` on first use, so ``integrality`` never
-loads them.  ``scan_monotonicity`` alone calls the passes directly, as
-``(points, fact, rows)``, since it resumes their rows across ratios; it
-imports the tree pass from :mod:`.treesum` when called.
-Both drivers that cross-check demand agreement through one rule,
-``_agreed``, whose failure dump reads ``lattice.path_signature`` and is the
-only use of ``json`` here, imported on failure; no command-line job loads
-:mod:`.pipelines`, failure dumps included, nor ``json`` unless one fails.
+:mod:`.treesum` and :mod:`.linf` on first use.  ``scan_monotonicity`` alone
+calls the passes directly, as ``(points, fact, rows)``, since it resumes
+their rows across ratios; it imports the tree pass from :mod:`.treesum`
+when called.  Both drivers that cross-check demand agreement through one
+rule, ``_agreed``, whose failure dump reads ``lattice.path_signature`` and
+is the only use of ``json`` here, imported on failure.  The README's
+"Start-up" table lists what each subcommand loads.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
 ``engine._value``) up to the report, which renders it as ``str(Fraction)``

@@ -39,10 +39,10 @@ per-tree sum (CI checks it at d = 14) and the multiset recursion in
 ``tests/oracles.py``.
 
 ``scan`` and ``validate`` run this pass beside the recursion, and
-``compute --method tree`` runs it alone.  ``validate`` and ``compute``
-load this module through ``engine._engine``, and ``scan`` imports the
-pass itself to resume its rows across ratios; ``tree_wtT`` in
-:mod:`.pipelines` returns its value as a ``Fraction``.
+``compute --method tree`` runs it alone; ``tree_wtT`` in
+:mod:`.pipelines` returns its value as a ``Fraction``.  This module
+imports only :mod:`.engine`, for ``_resume``; the README's "Start-up"
+table lists what each subcommand loads.
 """
 
 import math

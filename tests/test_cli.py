@@ -1,5 +1,4 @@
 import contextlib
-import gc
 import io
 import json
 import os
@@ -492,38 +491,6 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["T"] == "1"
 
 
-# Run in a fresh interpreter: calls the process entry with a patched argv; the
-# patched main() prints the freeze count before run() and the one main() starts
-# with, since run() ends the process itself and the exit code is the process's.
-_FREEZE_PROBE = """
-import gc, sys
-import ellsuper.__main__ as entry
-before = gc.get_freeze_count()
-inner = entry.main
-def probe(*args):
-    print(before, gc.get_freeze_count(), file=sys.stderr)
-    return inner(*args)
-entry.main = probe
-sys.argv = ["ellsuper", "compute", "--d", "4", "--a", "inf", "--no-timing"]
-entry.run()
-"""
-
-
-def test_only_the_process_entry_freezes_the_heap(capsys):
-    # python -m ellsuper runs the same run(); test_module_entry_point covers that path
-    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    before, at_main = map(int, proc.stderr.split())
-    assert (before, proc.returncode) == (0, EXIT_OK)
-    assert at_main > 0
-    assert json.loads(proc.stdout)["T"] == "26"
-
-    # an in-process caller keeps its GC state
-    frozen = gc.get_freeze_count()
-    assert run_cli(capsys, "compute", "--d", "4", "--a", "inf", "--no-timing")[0] == EXIT_OK
-    assert gc.get_freeze_count() == frozen
-
-
 def _entry(*argv: str, python: tuple = ("-m", "ellsuper")) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *python, *argv], capture_output=True, text=True, timeout=60)
 
@@ -585,6 +552,12 @@ def test_closed_pipe_exits_141_with_empty_stderr(argv, unbuffered):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_PIPE, "")
     assert EXIT_PIPE not in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION)
+
+
+def test_cli_module_runs_no_job():
+    # `python -m ellsuper.cli` only imports the module: __main__.run is the one process entry
+    proc = _entry("compute", "--d", "1", "--a", "inf", python=("-m", "ellsuper.cli"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
 
 
 def test_console_script_is_the_process_entry():

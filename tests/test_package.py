@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import ellsuper
+import ellsuper.cli
 import ellsuper.pipelines
 from ellsuper import AspectRatio, superpotential
 
@@ -169,6 +171,43 @@ def test_decimal_ratio_answers_through_fractions():
                          ids=["help", "usage-error"])
 def test_help_and_usage_errors_load_argparse(argv, code):
     assert "argparse" in _modules_after_cli(*argv, code=code)
+
+
+def _load_map() -> list[tuple[str, set[str]]]:
+    """The README "Start-up" table: each command it names, with the modules it says load.
+
+    "these" stands for the first row's modules; a parenthesised remark, such
+    as "(not `morphisms`)", names no module the job loads.
+    """
+    section = (ROOT / "README.md").read_text().split("\n## Start-up\n", 1)[1].split("\n## ", 1)[0]
+    rows, base = [], set()
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        commands, modules = (re.sub(r"\([^)]*\)", "", cell) for cell in line.strip("|").split("|"))
+        loaded = {f"ellsuper.{name}" for name in re.findall(r"`(\w+)`", modules)}
+        loaded |= base if "these" in modules else set()
+        base = base or loaded
+        rows += [(command, loaded) for command in re.findall(r"`([^`]+)`", commands)]
+    return rows
+
+
+# the operands each subcommand needs; the table names the options that change what loads
+_OPERANDS = {"gamma": ["--a", "52/7", "--k", "29"], "compute": ["--d", "4", "--a", "52/7"],
+             "integrality": ["--d", "4"], "scan": ["--d", "3"], "validate": ["--d-max", "3"],
+             "trees": ["--d", "4"]}
+_LOAD_MAP = _load_map()
+
+
+@pytest.mark.parametrize("command, modules", _LOAD_MAP, ids=[command for command, _ in _LOAD_MAP])
+def test_start_up_table_is_what_each_job_loads(command, modules):
+    name, *options = command.split()
+    loaded = _modules_after_cli(name, *_OPERANDS[name], *options)
+    assert {m for m in loaded if m.startswith("ellsuper.")} == modules
+
+
+def test_start_up_table_names_every_subcommand():
+    assert {command.split()[0] for command, _ in _LOAD_MAP} == set(ellsuper.cli._SUBCOMMANDS)
 
 
 def test_subcommands_load_the_oracles_they_run():
