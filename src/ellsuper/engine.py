@@ -35,6 +35,13 @@ first use; the README's "Start-up" table lists what each subcommand loads.
 the pipelines through it.  The library functions that return
 ``Fraction``s live in :mod:`.pipelines`.
 
+The canonical pair and the factorial table are defined here, once, for all
+three pipelines: every pass returns its values reduced by :func:`_pair`, so
+that the sweeps can compare them as integer pairs, and reads its factorials
+from :func:`_factorials`.  :mod:`.treesum` and :mod:`.linf` import both from
+this module; each pass still writes out its own convolution, scalar step
+and row fold.
+
 All dependence on ``a`` enters through the points ``G_2, G_5, ..,
 G_{3d-1}`` that :func:`_read_points` lists: the degree-n row of the pass
 reads only the first n of them.  The pass therefore extends a caller-owned
@@ -62,16 +69,27 @@ def _read_points(a: AspectRatio, d: int) -> list[tuple[int, int]]:
 
 
 def _factorials(d: int) -> list[int]:
-    """The factorials 0! .. (3d-1)!, one table per call of an engine or a scan.
+    """The factorials 0! .. (3d-1)!, one table per run of a pipeline or a scan.
 
-    Every lattice point either engine meets at degree d has coordinates below
-    3d: G_k's are at most k, and a split of n <= d sums points G_{3k-1} to at
+    Every lattice point a pipeline meets at degree d has coordinates below 3d:
+    G_k's are at most k, and a split of n <= d sums points G_{3k-1} to at
     most 3n - 2 in total.
     """
     out = [1]
     for m in range(1, 3 * d):
         out.append(out[-1] * m)
     return out
+
+
+def _pair(num, den: int) -> tuple[int, int]:
+    """The canonical pair of ``num / den`` for an ``int`` or ``Fraction`` ``num`` and ``den > 0``.
+
+    A canonical pair is ``(num, den)`` with gcd 1 and den > 0; zero is
+    ``(0, 1)``.  Every pass returns its values through this one reduction.
+    """
+    n, m = num.numerator, num.denominator * den
+    g = math.gcd(n, m)
+    return n // g, m // g
 
 
 def _resume(rows: list, points) -> None:
@@ -95,7 +113,7 @@ def _recursion_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
     ``points[n - 1]`` is G_{3n-1} and ``fact`` comes from :func:`_factorials`.
     Row n - 1 is ``(G_{3n-1}, num, den, series, denom)``: wtT_n = num / den,
     reduced, and f_n = series / denom, series mapping lattice point -> integer.
-    Returns wtT_d as the canonical pair ``(num, den)`` of :func:`_value`.
+    Returns wtT_d as the canonical pair ``(num, den)`` of :func:`_pair`.
     """
     _resume(rows, points)
     for n in range(len(rows) + 1, len(points) + 1):
@@ -118,10 +136,7 @@ def _recursion_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
         inner_den = scale * top_i * top_j
         point = points[n - 1]
         cube = fact[n] ** 3
-        num = fact[point[0]] * fact[point[1]] * (inner_den - cube * inner_num)
-        den = cube * inner_den
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
+        num, den = _pair(fact[point[0]] * fact[point[1]] * (inner_den - cube * inner_num), cube * inner_den)
         # fold in the one-part term g_n over lcm(scale, den), then reduce once
         denom = math.lcm(scale, den)
         f_n = {key: c * (denom // scale) for key, c in acc.items()}
@@ -147,7 +162,7 @@ def _engine(method: str):
     """What computes wtT by ``method``: a callable ``(d, a)`` yielding wtT_1 .. wtT_d.
 
     Every method has this one calling convention, and each value is a
-    canonical pair (see :func:`_value`).  For ``recursion`` and ``tree`` the
+    canonical pair (see :func:`_pair`).  For ``recursion`` and ``tree`` the
     callable wraps a pass, ``(points, fact, rows)``: it builds the read
     points, the factorial table and one list of rows on its first step,
     then runs the pass on ``points[:n]`` for n = 1 .. d, each run extending
@@ -183,17 +198,14 @@ def _text(pair: tuple[int, int]) -> str:
 
 def _over(pair: tuple[int, int], m: int) -> tuple[int, int]:
     """The canonical pair of ``pair / m``, for an integer m > 0."""
-    num, den = pair
-    g = math.gcd(num, m)
-    return num // g, den * (m // g)
+    return _pair(pair[0], pair[1] * m)
 
 
 def _value(d: int, a: AspectRatio, method: str = "recursion", linf_bound: int = DEFAULT_LINF_BOUND):
-    """``(wtT, mult, T)`` at (d, a) by ``method``, with wtT and T canonical pairs.
+    """``(wtT, mult, T)`` at (d, a) by ``method``, with wtT and T canonical pairs (see :func:`_pair`).
 
-    A canonical pair is ``(num, den)`` with gcd 1 and den > 0; zero is
-    ``(0, 1)``.  The caller checks d >= 1 and warns below 1.  wtT is the
-    last value that ``_engine(method)(d, a)`` yields.
+    The caller checks d >= 1 and warns below 1.  wtT is the last value that
+    ``_engine(method)(d, a)`` yields.
     """
     if method == "linf" and d > linf_bound:
         raise ValueError(

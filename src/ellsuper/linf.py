@@ -54,17 +54,23 @@ morphism's entry.  It inverts the same morphism as the generic
 :func:`.morphisms.invert`, which stays the reference the tests compare it
 against.  Both of its exact divisions, an entry by ``binom(j, x)`` and a
 degree's pairing by the common denominator of its terms, go through
-:func:`_pair`, which reduces by one ``gcd``.  An entry whose quotient is an
-integer stays an ``int``, so ``fractions`` loads only for the first entry
+``engine._pair``, which reduces by one ``gcd``.  An entry whose quotient is
+an integer stays an ``int``, so ``fractions`` loads only for the first entry
 that is not one (none has been found; the pass stays exact either way) and
 in :func:`linf_superpotential`, which returns a ``Fraction``.  The pass
-yields each value as the canonical integer pair the other passes return.
+yields each value as the canonical integer pair the other passes return,
+and reads every factorial from ``engine._factorials``.
+
+This module imports :mod:`.engine`, for ``_pair`` and ``_factorials``, and
+:mod:`.lattice`, for the lattice path; the README's "Start-up" table lists
+what each subcommand loads.
 """
 
 from itertools import groupby, product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, lcm, prod
 
-from .lattice import AspectRatio, gamma_path, pair_factorial
+from .engine import _factorials, _pair
+from .lattice import AspectRatio, gamma_path
 
 
 class LinfError(ValueError):
@@ -173,13 +179,6 @@ def _first_blocks(key: tuple[int, ...]):
         yield tuple(block), tuple(left), ways
 
 
-def _pair(num, den: int) -> tuple[int, int]:
-    """The canonical pair of ``num / den`` for an ``int`` or ``Fraction`` ``num`` and ``den > 0``."""
-    n, m = num.numerator, num.denominator * den
-    g = gcd(n, m)
-    return n // g, m // g
-
-
 def _linf_pass(d_max: int, a: AspectRatio):
     """Yield wtT_1 .. wtT_{d_max} via one inverse of the ellipsoid morphism.
 
@@ -194,10 +193,10 @@ def _linf_pass(d_max: int, a: AspectRatio):
     entry lands on ``o_{3d-1}``.  An entry of the inverse does not depend on
     the truncation it is read in, so every degree's pairing reads the same
     inverse.  Each value is a canonical pair ``(num, den)``, gcd 1 and
-    den > 0, as ``engine._value`` defines it.
+    den > 0, as ``engine._pair`` defines it.
     """
     path = gamma_path(a, 3 * d_max - 1)
-    fact = [factorial(n) for n in range(3 * d_max)]
+    fact = _factorials(d_max)
     grouped: dict = {}  # input multiset -> {summed lattice point of a partition's blocks: weight}
 
     def rule(key: tuple[int, ...]):
@@ -213,7 +212,7 @@ def _linf_pass(d_max: int, a: AspectRatio):
                 point = (x + gx, y + gy)
                 splits[point] = splits.get(point, 0) + weight * w
         if len(key) == 1:
-            value = pair_factorial(path[j])
+            value = fact[path[j][0]] * fact[path[j][1]]
         else:
             total = sum(w * (fact[j] // (fact[x] * fact[y])) for (x, y), w in splits.items())
             value, den = _pair(-total, comb(j, path[j][0]))
@@ -236,7 +235,7 @@ def _linf_pass(d_max: int, a: AspectRatio):
             den = 1
             for ds, grp in groupby(part):
                 m = len(tuple(grp))
-                den *= factorial(m) * factorial(ds) ** (3 * m)
+                den *= fact[m] * fact[ds] ** (3 * m)
             terms.append((inverse.entry(tuple(3 * ds - 1 for ds in reversed(part))), den))
         common = lcm(*(den for _, den in terms))
         yield _pair(sum(e * (common // den) for e, den in terms), common)

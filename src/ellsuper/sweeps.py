@@ -15,7 +15,7 @@ is the only use of ``json`` here, imported on failure.  The README's
 "Start-up" table lists what each subcommand loads.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
-``engine._value``) up to the report, which renders it as ``str(Fraction)``
+``engine._pair``) up to the report, which renders it as ``str(Fraction)``
 would; pairs compare by cross-multiplication, and this module never loads
 ``fractions`` unless linf runs or a public function returns a ``Fraction``.
 

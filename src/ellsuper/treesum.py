@@ -41,13 +41,13 @@ per-tree sum (CI checks it at d = 14) and the multiset recursion in
 ``scan`` and ``validate`` run this pass beside the recursion, and
 ``compute --method tree`` runs it alone; ``tree_wtT`` in
 :mod:`.pipelines` returns its value as a ``Fraction``.  This module
-imports only :mod:`.engine`, for ``_resume``; the README's "Start-up"
-table lists what each subcommand loads.
+imports only :mod:`.engine`, for ``_resume`` and ``_pair``; the README's
+"Start-up" table lists what each subcommand loads.
 """
 
 import math
 
-from .engine import _resume
+from .engine import _pair, _resume
 
 
 def _tree_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
@@ -85,16 +85,11 @@ def _tree_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
         # 1 / (l!^3 (G_2!)^l), and G_{3l-1}! then multiplies the whole sum
         swap_den = fact[ell] ** 3 * g2f ** ell
         ti, tj = points[ell - 1]
-        num = fact[ti] * fact[tj] * (unmov_num * swap_den + unmov_den)
-        den = unmov_den * swap_den
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
+        num, den = _pair(fact[ti] * fact[tj] * (unmov_num * swap_den + unmov_den), unmov_den * swap_den)
         # forest_ell: the multisets of >= 2 trees, and a single tree at G_{3l-1}
         denom = math.lcm(kids_den, den)
         forest = {key: c * (denom // kids_den) for key, c in kids.items()}
         forest[points[ell - 1]] = forest.get(points[ell - 1], 0) + num * (denom // den)
         g = math.gcd(denom, *forest.values())
         rows.append((points[ell - 1], num, den, {key: c // g for key, c in forest.items()}, denom // g))
-    num, den = g2f ** len(points) * rows[-1][1], rows[-1][2]
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return _pair(g2f ** len(points) * rows[-1][1], rows[-1][2])

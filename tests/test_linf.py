@@ -22,8 +22,8 @@ from ellsuper import (
     point_add,
     recursion_wtT,
 )
-from ellsuper.engine import _value
-from ellsuper.linf import _index, _linf_pass, _pair
+from ellsuper.engine import _pair, _value
+from ellsuper.linf import _index, _linf_pass
 from ellsuper.morphisms import _splits
 from oracles import (
     ASSORTED_FRACTIONS,

@@ -70,33 +70,15 @@ def test_linf_spaces_are_plain_names(name):
 
 
 def test_cli_import_and_compute_load_no_oracle():
+    # the README table pins each job's package modules; the bare imports have no row there
     assert not {name for name in _modules_after("import ellsuper") if name.startswith("ellsuper.")}
-    assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH
+    loaded = _modules_after("import ellsuper.cli")
+    assert {name for name in loaded if name.startswith("ellsuper.")} == {
+        "ellsuper.cli", "ellsuper.lattice", "ellsuper.engine"}
+    assert not loaded & NOT_ON_COMPUTE_PATH
     for method in ("recursion", "tree"):
         loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--method", method, "--no-timing")
         assert not loaded & NOT_ON_COMPUTE_PATH, method
-
-
-@pytest.mark.parametrize("argv, loads_treesum", [
-    (None, False),
-    (("gamma", "--a", "52/7", "--k", "29"), False),
-    (("compute", "--d", "10", "--a", "52/7", "--no-timing"), False),
-    (("compute", "--d", "10", "--a", "52/7", "--method", "tree", "--no-timing"), True),
-    (("scan", "--d", "3"), True),
-    (("integrality", "--d", "3"), False),
-    (("validate", "--d-max", "3", "--no-timing"), True),
-], ids=["import", "gamma", "recursion", "tree", "scan", "integrality", "validate"])
-def test_only_the_oracles_and_sweeps_load_the_pipelines(argv, loads_treesum):
-    # no subcommand loads `pipelines`, the Fraction-returning library functions;
-    # only the test oracles do (a sweep's disagreement dump reads its path prefix
-    # from `lattice`).  The tree oracle has its own module, `treesum`, which
-    # `compute --method tree`, `scan` and `validate` load; `integrality` runs
-    # only the recursion and does not
-    loaded = _modules_after("import ellsuper.cli") if argv is None else _modules_after_cli(*argv)
-    assert "ellsuper.pipelines" not in loaded
-    assert ("ellsuper.treesum" in loaded) == loads_treesum
-    if "tree" in (argv or ()):
-        assert not loaded & {"ellsuper.linf", "ellsuper.sweeps", "fractions"}
 
 
 @pytest.mark.parametrize("argv", [("scan", "--d", "3"), ("validate", "--d-max", "3", "--no-timing")],
@@ -210,20 +192,6 @@ def test_start_up_table_names_every_subcommand():
     assert {command.split()[0] for command, _ in _LOAD_MAP} == set(ellsuper.cli._SUBCOMMANDS)
 
 
-def test_subcommands_load_the_oracles_they_run():
-    loaded = _modules_after_cli("validate", "--d-max", "3")
-    assert "ellsuper.linf" in loaded and "ellsuper.trees" not in loaded
-    assert "ellsuper.trees" in _modules_after_cli("trees", "--d", "4")
-
-
-@pytest.mark.parametrize("argv", [("validate", "--d-max", "3"),
-                                  ("compute", "--d", "3", "--a", "inf", "--method", "linf")],
-                         ids=lambda argv: argv[0])
-def test_linf_runs_without_trees(argv):
-    loaded = _modules_after_cli(*argv)
-    assert "ellsuper.linf" in loaded and "ellsuper.trees" not in loaded
-
-
 @pytest.mark.parametrize("argv", [("validate", "--d-max", "3"),
                                   ("compute", "--d", "3", "--a", "inf", "--method", "linf")],
                          ids=lambda argv: argv[0])
@@ -234,13 +202,6 @@ def test_linf_runs_without_the_morphism_operations(argv):
                     "print('ops:', *sorted(name for name, m in sys.modules.items()\n"
                     "                      if name.startswith('ellsuper') and {'compose', 'invert'} & vars(m).keys()))")
     assert out.splitlines()[-1] == "ops:"
-
-
-@pytest.mark.parametrize("argv", [("validate", "--d-max", "2"), ("scan", "--d", "2"),
-                                  ("integrality", "--d", "2")], ids=lambda argv: argv[0])
-def test_sweep_subcommands_load_the_sweeps(argv):
-    loaded = _modules_after_cli(*argv)
-    assert "ellsuper.sweeps" in loaded and "ellsuper.render" not in loaded
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])

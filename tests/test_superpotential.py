@@ -459,6 +459,20 @@ def test_every_engine_yields_each_degree_as_its_lone_value(method, a):
     assert list(engine._engine(method)(6, a)) == [engine._value(n, a, method)[0] for n in range(1, 7)]
 
 
+@given(a=aspect_ratios, d=st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_every_pass_yields_canonical_pairs_from_one_factorial_table(a, d):
+    # the sweeps decide agreement by equal pairs and order pairs by
+    # cross-multiplication, sound only if every pass reduces through
+    # engine._pair: gcd 1 and den > 0, so zero is (0, 1); and every pass
+    # reads its factorials from engine._factorials
+    assert engine._factorials(d) == [math.factorial(n) for n in range(3 * d)]
+    for method in engine.METHODS:
+        for num, den in engine._engine(method)(min(d, 8), a):
+            assert type(num) is int and type(den) is int, (method, str(a))
+            assert den > 0 and math.gcd(num, den) == 1, (method, str(a), num, den)
+
+
 def _canonical(num: int, den: int) -> tuple[int, int]:
     g = math.gcd(num, den)
     return num // g, den // g
