@@ -70,15 +70,20 @@ def test_linf_spaces_are_plain_names(name):
 
 
 def test_cli_import_and_compute_load_no_oracle():
-    # the README table pins each job's package modules; the bare imports have no row there
     assert not {name for name in _modules_after("import ellsuper") if name.startswith("ellsuper.")}
-    loaded = _modules_after("import ellsuper.cli")
-    assert {name for name in loaded if name.startswith("ellsuper.")} == {
-        "ellsuper.cli", "ellsuper.lattice", "ellsuper.engine"}
-    assert not loaded & NOT_ON_COMPUTE_PATH
+    assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH
     for method in ("recursion", "tree"):
         loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--method", method, "--no-timing")
         assert not loaded & NOT_ON_COMPUTE_PATH, method
+
+
+@pytest.mark.parametrize("code", ["import ellsuper.cli"], ids=["import"])
+def test_only_the_oracles_and_sweeps_load_the_pipelines(code):
+    # the README table pins each job's package modules; the bare import has no
+    # row there: it loads neither `pipelines` nor the tree oracle `treesum`
+    loaded = _modules_after(code)
+    assert {name for name in loaded if name.startswith("ellsuper.")} == {
+        "ellsuper.cli", "ellsuper.lattice", "ellsuper.engine"}
 
 
 @pytest.mark.parametrize("argv", [("scan", "--d", "3"), ("validate", "--d-max", "3", "--no-timing")],
