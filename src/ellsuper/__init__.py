@@ -14,13 +14,14 @@ inversion) produce the same values and cross-validate each other.
 # the modules it runs.  `factorial` (math.factorial itself) and `compositions`
 # stay public only because the benchmark's trace resolves them by name.
 _PUBLIC = {
-    "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult", "pair_factorial", "path_signature",
-                "point_add"),
+    "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult", "path_signature"),
     "engine": ("DEFAULT_LINF_BOUND", "MethodDisagreement"),
-    "pipelines": ("SuperpotentialResult", "recursion_wtT", "superpotential", "tree_wtT"),
-    "sweeps": ("cross_validate", "integrality_scan", "scan_breakpoints", "scan_monotonicity"),
-    "linf": ("LinfError", "LinfMorphism", "linf_superpotential"),
-    "morphisms": ("compose", "ellipsoid_morphism", "identity_morphism", "invert"),
+    "pipelines": ("SuperpotentialResult", "cross_validate", "linf_superpotential", "recursion_wtT",
+                  "scan_breakpoints", "superpotential", "tree_wtT"),
+    "sweeps": ("integrality_scan", "scan_monotonicity"),
+    "linf": ("LinfError", "LinfMorphism"),
+    "morphisms": ("compose", "ellipsoid_morphism", "identity_morphism", "invert", "pair_factorial",
+                  "point_add"),
     "trees": ("LEAF", "Tree", "VertexInfo", "compositions", "enumerate_ordered_trees",
               "enumerate_trees", "factorial", "ordered_count", "ordered_internal_count",
               "ordered_leaves", "partitions", "set_partitions", "vertex_data"),

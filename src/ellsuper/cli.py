@@ -38,12 +38,15 @@ read as before, and a plain job never imports argparse.
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure, and 141
 (128 + SIGPIPE) when the reader of standard output closes the pipe early, as
 ``| head -n 1`` does, with nothing on stderr.  :func:`main` returns the first
-three.  This module is not a process entry: ``python -m ellsuper`` and the
-installed script run :func:`ellsuper.__main__.run`, which flushes both
-standard streams, reports a closed pipe as 141, and ends the process with
-the code without interpreter teardown unless a tracer or profiler is
-attached.  A ratio below 1 is still computed; ``compute`` and ``validate``
-note it in one ``ellsuper: warning:`` line on stderr.
+three, and writes each payload with its newline in one write, so such a
+reader of a payload that fits in the pipe does not break it, even when
+output is unbuffered.  This module is not a process entry: ``python -m
+ellsuper`` and the installed script run :func:`ellsuper.__main__.run`,
+which flushes both standard streams, reports a closed pipe as 141, and
+ends the process with the code without interpreter teardown unless a
+tracer or profiler is attached.  A ratio below 1 is still computed;
+``compute`` and ``validate`` note it in one ``ellsuper: warning:`` line on
+stderr.
 
 Conventions: a fraction given to ``--a`` always means "plus delta" (the
 infinitesimal perturbation); ``inf`` is the infinite ratio.  Rationals are
@@ -327,9 +330,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     if args.format == "json":
-        print(_json(payload))
+        text = _json(payload)
     else:
         from .render import render_csv, render_text
 
-        print((render_csv if args.format == "csv" else render_text)(args.command, payload))
+        text = (render_csv if args.format == "csv" else render_text)(args.command, payload)
+    # one write with its newline: `print` writes the newline apart, and with
+    # unbuffered output a reader gone after the first line breaks the second
+    sys.stdout.write(text + "\n")
     return EXIT_OK

@@ -19,11 +19,10 @@ polynomial time.  The pass runs on integers: each ``f_n`` is a dict of
 integer numerators over one denominator per degree, each wtT_s a reduced
 integer pair, and every sum of a degree is brought to a single common
 denominator first, so nothing is normalized per term.  The pass returns
-wtT_d as that reduced pair, and a ``Fraction`` is built only by the
-public functions that return one.  The same pass with a ``Fraction`` per
-coefficient, the multiset sum over partitions of d and the sum over
-ordered splits with a 1/k! factor give the same values; all three are kept
-in ``tests/oracles.py`` as cross-checks.
+wtT_d as that reduced pair; this module builds no ``Fraction``.  The same
+pass with a ``Fraction`` per coefficient, the multiset sum over partitions
+of d and the sum over ordered splits with a 1/k! factor give the same
+values; all three are kept in ``tests/oracles.py`` as cross-checks.
 
 This is what ``compute`` (by default), ``integrality`` and ``scan`` run.
 The oracles that validate it live in their own modules, the tree sum in
@@ -32,8 +31,10 @@ only :mod:`.lattice`, and :func:`_engine` loads an oracle's module on its
 first use; the README's "Start-up" table lists what each subcommand loads.
 :func:`_engine` gives every pipeline one calling convention, a callable
 ``(d, a)`` that yields wtT_1 .. wtT_d, and every caller but ``scan`` reads
-the pipelines through it.  The library functions that return
-``Fraction``s live in :mod:`.pipelines`.
+the pipelines through it.  :func:`_below_one` is the one test of a ratio
+below 1; :mod:`.cli` prints its notice from it and :mod:`.pipelines` its
+warning.  The library functions that return ``Fraction``s, and that
+warning, live in :mod:`.pipelines`.
 
 The canonical pair and the factorial table are defined here, once, for all
 three pipelines: every pass returns its values reduced by :func:`_pair`, so
@@ -51,7 +52,6 @@ last run at (:func:`_resume`).
 """
 
 import math
-import warnings
 
 from .lattice import AspectRatio, gamma_point, mult
 
@@ -150,12 +150,6 @@ def _below_one(a: AspectRatio) -> bool:
     # All headline evaluations assume a > 1; a = p/q + delta stays above 1
     # exactly when p >= q.
     return not a.is_infinite and a.p < a.q
-
-
-def _warn_outside_range(a: AspectRatio) -> None:
-    """Warn if ``a`` is below 1, naming the line that called the public function calling this."""
-    if _below_one(a):
-        warnings.warn(f"aspect ratio {a} is below 1: outside the intended range a > 1", stacklevel=3)
 
 
 def _engine(method: str):

@@ -14,6 +14,13 @@ settles an exact tie toward the smaller ``j``, so ties go to ``i``.  Hence
 or 0 if that is negative.
 
 The infinite ratio sends all mass to the first coordinate: ``Gamma_k = (k, 0)``.
+
+Every command-line job loads this module, so it holds only the aspect
+ratio, its path points and their multiplicity.  The sum of points and the
+pair factorial that only the generic morphism tables read are in
+:mod:`.morphisms`; the pipelines read factorials from
+``engine._factorials``.  ``AspectRatio.parse`` loads ``fractions`` only to
+read an ``--a`` text other than plain ASCII ``p`` or ``p/q``.
 """
 
 import math
@@ -111,21 +118,6 @@ class AspectRatio:
         if self.p is None:
             return "inf"
         return f"{self.p}+delta" if self.q == 1 else f"{self.p}/{self.q}+delta"
-
-
-def point_add(*points: tuple[int, int]) -> tuple[int, int]:
-    """Componentwise sum of lattice points in the plane; a non-pair raises ValueError."""
-    i = j = 0
-    for x, y in points:
-        i += x
-        j += y
-    return (i, j)
-
-
-def pair_factorial(point: tuple[int, int]) -> int:
-    """(i, j)! = i!·j!; a non-pair raises ValueError."""
-    i, j = point
-    return math.factorial(i) * math.factorial(j)
 
 
 def gamma_point(a: AspectRatio, k: int) -> tuple[int, int]:

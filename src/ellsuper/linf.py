@@ -56,10 +56,12 @@ against.  Both of its exact divisions, an entry by ``binom(j, x)`` and a
 degree's pairing by the common denominator of its terms, go through
 ``engine._pair``, which reduces by one ``gcd``.  An entry whose quotient is
 an integer stays an ``int``, so ``fractions`` loads only for the first entry
-that is not one (none has been found; the pass stays exact either way) and
-in :func:`linf_superpotential`, which returns a ``Fraction``.  The pass
-yields each value as the canonical integer pair the other passes return,
-and reads every factorial from ``engine._factorials``.
+that is not one (none has been found; the pass stays exact either way), and
+that entry is the only ``Fraction`` this module builds.  The pass yields
+each value as the canonical integer pair the other passes return, and
+reads every factorial from ``engine._factorials``; it runs through
+``engine._engine("linf")``, and ``pipelines.linf_superpotential`` returns
+its last value as a ``Fraction``.
 
 This module imports :mod:`.engine`, for ``_pair`` and ``_factorials``, and
 :mod:`.lattice`, for the lattice path; the README's "Start-up" table lists
@@ -239,18 +241,3 @@ def _linf_pass(d_max: int, a: AspectRatio):
             terms.append((inverse.entry(tuple(3 * ds - 1 for ds in reversed(part))), den))
         common = lcm(*(den for _, den in terms))
         yield _pair(sum(e * (common // den) for e, den in terms), common)
-
-
-def linf_superpotential(d: int, a: AspectRatio) -> "Fraction":
-    """Normalized count wtT via morphism inversion; exact, intended as an oracle.
-
-    The last value of :func:`_linf_pass` at ``d_max = d``: the inverse of the
-    ellipsoid morphism on the input multisets of the degree splits of d,
-    paired against the degree-split constants.
-    """
-    if d < 1:
-        raise ValueError(f"linf_superpotential requires d >= 1, got {d}")
-    from fractions import Fraction
-
-    *_, wt = _linf_pass(d, a)
-    return Fraction(*wt)

@@ -25,16 +25,19 @@ times the product of the inner entries on the blocks (:func:`_term`).
 The bundled instance attaches to an ellipsoid aspect ratio ``a`` the morphism
 with entries ``(o_{i_1},..,o_{i_k}) -> q_{i_1+..+i_k+k-1} / (G_{i_1}+..+G_{i_k})!``
 where ``G_i`` are the lattice path points of ``a`` and ``(.)!`` the pair
-factorial; the target index is the unique one allowed in degree zero.
-:mod:`.linf` inverts the same morphism on one scalar per input multiset
-to witness the superpotential; ``invert(ellipsoid_morphism(..))`` is the
-reference its tests compare it against.  No command-line job loads this
-module.
+factorial; the target index is the unique one allowed in degree zero.  Its
+entries read the points through :func:`point_add` and :func:`pair_factorial`,
+which live here, beside their one reader.  :mod:`.linf` inverts the same
+morphism on one scalar per input multiset to witness the superpotential,
+summing points and reading factorials on integers itself;
+``invert(ellipsoid_morphism(..))`` is the reference its tests compare it
+against.  No command-line job loads this module.
 """
 
+import math
 from fractions import Fraction
 
-from .lattice import AspectRatio, gamma_path, pair_factorial, point_add
+from .lattice import AspectRatio, gamma_path
 from .linf import LinfError, LinfMorphism, _first_blocks, _index
 
 
@@ -157,6 +160,21 @@ def invert(phi: LinfMorphism) -> LinfMorphism:
     psi = LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=phi.max_arity,
                        rule=rule, name=f"inv({phi.name})")
     return psi
+
+
+def point_add(*points: tuple[int, int]) -> tuple[int, int]:
+    """Componentwise sum of lattice points in the plane; a non-pair raises ValueError."""
+    i = j = 0
+    for x, y in points:
+        i += x
+        j += y
+    return (i, j)
+
+
+def pair_factorial(point: tuple[int, int]) -> int:
+    """(i, j)! = i!·j!; a non-pair raises ValueError."""
+    i, j = point
+    return math.factorial(i) * math.factorial(j)
 
 
 def ellipsoid_morphism(a: AspectRatio, *, max_index: int, max_arity: int) -> LinfMorphism:

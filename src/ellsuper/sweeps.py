@@ -1,23 +1,26 @@
 """Sweeps that drive the recursion and the tree sum over degrees and ratios.
 
-``cross_validate`` runs every applicable pipeline at one ``a`` and every
-degree up to d, and demands exact agreement; ``scan_monotonicity`` profiles T(d, .) over the
-intervals between the ``scan_breakpoints``; ``integrality_scan`` evaluates T
-at the boundary fractions ``p + q = 3d``.  ``cross_validate`` and
-``integrality_scan`` read every pipeline through ``engine._engine``, one
-callable ``(d, a)`` yielding wtT_1 .. wtT_d per method, which loads
-:mod:`.treesum` and :mod:`.linf` on first use.  ``scan_monotonicity`` alone
-calls the passes directly, as ``(points, fact, rows)``, since it resumes
-their rows across ratios; it imports the tree pass from :mod:`.treesum`
-when called.  Both drivers that cross-check demand agreement through one
-rule, ``_agreed``, whose failure dump reads ``lattice.path_signature`` and
-is the only use of ``json`` here, imported on failure.  The README's
-"Start-up" table lists what each subcommand loads.
+:func:`_validation_sweep` runs every applicable pipeline at one ``a`` and
+every degree up to d, and demands exact agreement; ``scan_monotonicity``
+profiles T(d, .) over the intervals between the breakpoints of
+:func:`_breakpoint_pairs`; ``integrality_scan`` evaluates T at the boundary
+fractions ``p + q = 3d``.  ``_validation_sweep`` and ``integrality_scan``
+read every pipeline through ``engine._engine``, one callable ``(d, a)``
+yielding wtT_1 .. wtT_d per method, which loads :mod:`.treesum` and
+:mod:`.linf` on first use.  ``scan_monotonicity`` alone calls the passes
+directly, as ``(points, fact, rows)``, since it resumes their rows across
+ratios; it imports the tree pass from :mod:`.treesum` when called.  Both
+drivers that cross-check demand agreement through one rule, ``_agreed``,
+whose failure dump reads ``lattice.path_signature`` and is the only use of
+``json`` here, imported on failure.  The README's "Start-up" table lists
+what each subcommand loads.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
 ``engine._pair``) up to the report, which renders it as ``str(Fraction)``
-would; pairs compare by cross-multiplication, and this module never loads
-``fractions`` unless linf runs or a public function returns a ``Fraction``.
+would, and pairs compare by cross-multiplication.  The library functions
+that return this module's reports or values as ``Fraction``s, with the
+warning below 1, are in :mod:`.pipelines`: ``cross_validate`` is row d of
+``_validation_sweep`` and ``scan_breakpoints`` lists ``_breakpoint_pairs``.
 
 The scan sweeps all its ratios in ascending order through one list of
 per-degree rows per engine.  The degree-n row of either engine reads only
@@ -33,7 +36,6 @@ import time
 
 from .lattice import AspectRatio, gamma_point, mult, path_signature
 from .engine import (
-    DEFAULT_LINF_BOUND,
     MethodDisagreement,
     _engine,
     _factorials,
@@ -42,7 +44,6 @@ from .engine import (
     _recursion_pass,
     _text,
     _value,
-    _warn_outside_range,
 )
 
 
@@ -67,32 +68,21 @@ def _agreed(d: int, a: AspectRatio, values: dict) -> tuple[int, int]:
     raise MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
 
 
-def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND) -> dict:
-    """Run every applicable pipeline, demand exact agreement, report values and timings.
-
-    The recursion and the tree sum always run, linf for d <= ``linf_bound``
-    (``linf_bound=0`` skips it), and ``methods`` lists the pipelines that
-    ran.  Raises :class:`MethodDisagreement` with a full operand dump if any
-    two pipelines differ, at d or at any lower degree, so a returned report
-    has ``agree`` ``True``.  The report is row d of :func:`_validation_sweep`.
-    """
-    if d < 1:
-        raise ValueError(f"cross_validate requires d >= 1, got {d}")
-    _warn_outside_range(a)
-    return _validation_sweep(d, a, linf_bound)[-1]
-
-
 def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]:
-    """The ``cross_validate`` reports at d = 1 .. d_max, from one run of each pipeline.
+    """The agreement reports at d = 1 .. d_max, from one run of each pipeline.
 
     Each pipeline is one ``engine._engine(method)(top, a)`` iterator, stepped
     one degree at a time: the recursion and the tree sum to d_max, linf to
-    ``min(d_max, linf_bound)``.  Each ``ms`` entry is its pipeline's time
-    from the start of the sweep to that degree, which is what a run at that
-    degree alone costs; a pass's read points and factorial table are built
-    in its first step, inside that clock, and the linf module is loaded
-    before any clock starts.  Its callers say so below 1: ``cross_validate``
-    warns, naming its caller's line, and ``validate`` prints a notice.
+    ``min(d_max, linf_bound)`` (``linf_bound=0`` skips it), and each report's
+    ``methods`` lists the pipelines that ran at its degree.  Raises
+    :class:`MethodDisagreement` with a full operand dump if any two differ at
+    any degree, so every returned report has ``agree`` ``True``.  Each ``ms``
+    entry is its pipeline's time from the start of the sweep to that degree,
+    which is what a run at that degree alone costs; a pass's read points and
+    factorial table are built in its first step, inside that clock, and the
+    linf module is loaded before any clock starts.  Its callers say so below
+    1: ``pipelines.cross_validate`` warns, naming its caller's line, and
+    ``validate`` prints a notice.
     """
     tops = {"recursion": d_max, "tree": d_max, "linf": min(d_max, linf_bound)}
     runs = {method: _engine(method)(top, a) for method, top in tops.items() if top >= 1}
@@ -121,7 +111,14 @@ def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]
 
 
 def _breakpoint_pairs(d: int):
-    """Yield the breakpoints of :func:`scan_breakpoints` as pairs (p, q), ascending.
+    """Yield the reduced p/q > 1 with p + q <= 3d as pairs (p, q), ascending.
+
+    These are the only ratios at which the path prefix G_0..G_{3d-1} can
+    change: the argmin at level k flips where adjacent candidates tie, i.e.
+    at a = (k-j)/(j+1) or a = (k-j-1)/j with k <= 3d-1, and both kinds have
+    numerator plus denominator at most 3d.  (The bound 3d is sharp: the
+    prefix point at index 3d-1 flips from (3d-2, 1) to (3d-1, 0) at
+    a = 3d-1, a fraction with p + q = 3d.)
 
     p/q rises with p/(p + q), and gcd(p, p + q) = gcd(p, q), so the reduced
     p/q > 1 with p + q <= n = 3d are the Farey fractions h/k of order n
@@ -140,23 +137,6 @@ def _breakpoint_pairs(d: int):
         a, b, h, k = h, k, m * h - a, m * k - b
 
 
-def scan_breakpoints(d: int) -> "list[Fraction]":
-    """Reduced fractions p/q > 1 with p + q <= 3d, sorted ascending.
-
-    These are the only ratios at which the path prefix G_0..G_{3d-1} can
-    change: the argmin at level k flips where adjacent candidates tie, i.e.
-    at a = (k-j)/(j+1) or a = (k-j-1)/j with k <= 3d-1, and both kinds have
-    numerator plus denominator at most 3d.  (The bound 3d is sharp: the
-    prefix point at index 3d-1 flips from (3d-2, 1) to (3d-1, 0) at
-    a = 3d-1, a fraction with p + q = 3d.)
-    """
-    if d < 1:
-        raise ValueError(f"scan_breakpoints requires d >= 1, got {d}")
-    from fractions import Fraction
-
-    return [Fraction(p, q) for p, q in _breakpoint_pairs(d)]
-
-
 def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
     """x < y for canonical pairs, by cross-multiplication."""
     return x[0] * y[1] < y[0] * x[1]
@@ -168,7 +148,7 @@ def scan_monotonicity(d: int) -> dict:
     Each interval is represented by its left endpoint plus delta (for the
     first interval, 1 + delta).  Every representative value is
     cross-validated between the recursion and the tree sum, raising
-    :class:`MethodDisagreement` as ``cross_validate`` does.  A second point
+    :class:`MethodDisagreement` as :func:`_validation_sweep` does.  A second point
     inside the same interval (the mediant with the next breakpoint), with its
     own path points and its own multiplicity, guards the breakpoint
     analysis.  Both verdicts are read off the values, in sweep order:

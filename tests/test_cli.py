@@ -538,7 +538,7 @@ def test_profiler_still_reports_at_exit():
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ("compute", "--d", "3", "--a", "inf"),  # fits the buffer: the write fails at the flush
-    ("gamma", "--a", "52/7", "--k", "2000"),  # overflows it: the write fails inside print
+    ("gamma", "--a", "52/7", "--k", "2000"),  # overflows it: the write itself fails
 ], ids=["short", "long"])
 def test_closed_pipe_exits_141_with_empty_stderr(argv, unbuffered):
     # the reader is gone before the job writes, as when `| head -n 1` exits early
@@ -552,6 +552,30 @@ def test_closed_pipe_exits_141_with_empty_stderr(argv, unbuffered):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_PIPE, "")
     assert EXIT_PIPE not in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION)
+
+
+class _Writes:
+    """A standard output that records each write it is given."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_each_payload_is_one_write(monkeypatch, fmt):
+    # `print` writes the newline apart; with unbuffered output a reader gone
+    # after the first line (`| head -n 1`) then breaks the pipe on the second
+    out = _Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["integrality", "--d", "4", "--format", fmt]) == EXIT_OK
+    assert len(out.writes) == 1 and out.writes[0].endswith("\n"), out.writes
 
 
 def test_cli_module_runs_no_job():

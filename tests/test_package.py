@@ -22,10 +22,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # renderers, or these costly standard modules (dataclasses imports inspect;
 # argparse imports gettext, which loads locale; fractions imports decimal and
 # numbers); no module of the package
-# imports __future__, since every annotation it writes evaluates on Python 3.10
+# imports __future__, since every annotation it writes evaluates on Python 3.10;
+# and `warnings` serves only the library's below-1 warning in `pipelines`: a
+# job prints its own notice line, so no job loads it
 NOT_ON_COMPUTE_PATH = {
     "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
-    "fractions", "decimal", "numbers",
+    "fractions", "decimal", "numbers", "warnings",
     "ellsuper.linf", "ellsuper.morphisms", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render",
     "ellsuper.pipelines",
 }
@@ -224,6 +226,16 @@ def test_lazy_public_names_cover_all():
         "missing = [name for name in ellsuper.__all__ if name not in globals()]\n"
         "assert not missing, missing"
     )
+
+
+def test_public_names_live_where_public_says():
+    # each function and class is defined in the module `_PUBLIC` reads it from;
+    # `factorial` is math.factorial itself
+    for module, names in ellsuper._PUBLIC.items():
+        for name in names:
+            value = getattr(ellsuper, name)
+            if callable(value) and name != "factorial":
+                assert value.__module__ == f"ellsuper.{module}", name
 
 
 def test_pipelines_module_is_a_module():

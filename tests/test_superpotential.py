@@ -422,10 +422,11 @@ def test_cross_validate_resolves_each_engine_before_its_clock():
     probe = (
         "import sys\n"
         "from types import SimpleNamespace\n"
+        "import ellsuper\n"
         "import ellsuper.sweeps as sweeps\n"
         "seen = []\n"
         "sweeps.time = SimpleNamespace(perf_counter=lambda: seen.append('ellsuper.linf' in sys.modules) or 0.0)\n"
-        "assert sweeps.cross_validate(2, sweeps.AspectRatio.infinite())['methods'] == ['linf', 'recursion', 'tree']\n"
+        "assert ellsuper.cross_validate(2, ellsuper.AspectRatio.infinite())['methods'] == ['linf', 'recursion', 'tree']\n"
         "assert len(seen) == 12 and all(seen), seen\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
