@@ -20,11 +20,10 @@ _PUBLIC = {
                   "scan_breakpoints", "superpotential", "tree_wtT"),
     "sweeps": ("integrality_scan", "scan_monotonicity"),
     "linf": ("LinfError", "LinfMorphism"),
-    "morphisms": ("compose", "ellipsoid_morphism", "identity_morphism", "invert", "pair_factorial",
-                  "point_add"),
+    "morphisms": ("compose", "ellipsoid_morphism", "invert", "pair_factorial", "point_add"),
     "trees": ("LEAF", "Tree", "VertexInfo", "compositions", "enumerate_ordered_trees",
-              "enumerate_trees", "factorial", "ordered_count", "ordered_internal_count",
-              "ordered_leaves", "partitions", "set_partitions", "vertex_data"),
+              "enumerate_trees", "factorial", "ordered_count", "partitions", "set_partitions",
+              "vertex_data"),
 }
 
 __version__ = "0.1.0"

@@ -9,7 +9,9 @@ check at the boundary fractions).  Output formats: json (default), csv, text.
 engine; ``compute --method tree|linf`` selects another pipeline instead.
 ``validate`` and the per-interval check in ``scan`` run the tree sum beside
 it at every d (``validate`` also linf, up to ``--linf-bound``) and demand
-exact agreement.
+exact agreement.  ``integrality`` runs the recursion alone: its boundary
+fractions are interval starts of ``scan`` at the same degree, so ``scan
+--d N`` cross-checks every value ``integrality --d N`` reads.
 
 A job compiles only the code its subcommand runs; the README's "Start-up"
 table lists the modules each subcommand loads.  This module imports
@@ -213,7 +215,8 @@ _SUBCOMMANDS = {
         ("--no-timing", {"action": "store_true", "help": "omit the ms fields"}),
     )),
     "scan": ("monotonicity profile over aspect intervals", _cmd_scan, (_DEGREE,)),
-    "integrality": ("integrality at the p+q=3d fractions", _cmd_integrality, (_DEGREE,)),
+    "integrality": ("integrality at the p+q=3d fractions, by the recursion alone; "
+                    "scan --d N cross-checks every value it reads", _cmd_integrality, (_DEGREE,)),
 }
 
 

@@ -82,18 +82,6 @@ def _term(outer: LinfMorphism, inner: LinfMorphism, blocks):
     return outer.entry([_index(block) for block in blocks]) * prod
 
 
-def identity_morphism(space: str, *, max_index: int, max_arity: int) -> LinfMorphism:
-    """Arity-one identity; all higher arities vanish."""
-
-    def rule(key: tuple[int, ...]):
-        if len(key) == 1:
-            return Fraction(1)
-        return 0
-
-    return LinfMorphism(space, space, max_index=max_index, max_arity=max_arity,
-                        rule=rule, name=f"id[{space}]")
-
-
 def compose(psi: LinfMorphism, phi: LinfMorphism) -> LinfMorphism:
     """Composite morphism; inputs split into unordered blocks, phi inside psi."""
     if phi.target != psi.source:

@@ -227,20 +227,6 @@ def enumerate_ordered_trees(k: int) -> tuple[OrderedTree, ...]:
     return over(tuple(range(1, k + 1)))
 
 
-def ordered_leaves(t: OrderedTree) -> tuple[int, ...]:
-    """Sorted leaf labels of an ordered tree."""
-    if isinstance(t, int):
-        return (t,)
-    return tuple(sorted(chain.from_iterable(ordered_leaves(c) for c in t)))
-
-
-def ordered_internal_count(t: OrderedTree) -> int:
-    """Number of internal vertices of an ordered tree."""
-    if isinstance(t, int):
-        return 0
-    return 1 + sum(ordered_internal_count(c) for c in t)
-
-
 def ordered_count(d: int) -> int:
     """Number of ordered-leaf classes, as the sum of d!/|Aut(T)| over unordered ones.
 

@@ -44,6 +44,11 @@ every ordered tree, memoizing subtrees by their decorated canonical form,
 where the library groups the same sum at the root and recurses on set
 partitions of the inputs.
 
+``identity_morphism``, ``ordered_leaves`` and ``ordered_internal_count``
+are helpers only the tests read: the identity morphism for the composition
+laws, and the leaf labels and internal-vertex count of an ordered tree (the
+latter signs each tree of ``tree_sum_invert``).
+
 ``brute_scan_breakpoints`` collects the reduced p/q > 1 with p + q <= 3d by
 testing every pair, where the library walks the Farey sequence.
 ``fraction_parse`` reads an aspect ratio through ``Fraction`` alone, where
@@ -54,7 +59,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import chain, groupby, product
 
 from ellsuper import (
     AspectRatio,
@@ -66,7 +71,6 @@ from ellsuper import (
     enumerate_trees,
     factorial,
     invert,
-    ordered_internal_count,
     pair_factorial,
     partitions,
     path_signature,
@@ -75,6 +79,7 @@ from ellsuper import (
     vertex_data,
 )
 from ellsuper.engine import _factorials, _resume
+from ellsuper.trees import OrderedTree
 
 
 def brute_gamma_point(p: int, q: int, k: int) -> tuple[int, int]:
@@ -389,6 +394,20 @@ def _scalar(key: tuple[int, ...], vec: dict):
     return vec.get(j, 0)
 
 
+def ordered_leaves(t: OrderedTree) -> tuple[int, ...]:
+    """Sorted leaf labels of an ordered tree."""
+    if isinstance(t, int):
+        return (t,)
+    return tuple(sorted(chain.from_iterable(ordered_leaves(c) for c in t)))
+
+
+def ordered_internal_count(t: OrderedTree) -> int:
+    """Number of internal vertices of an ordered tree."""
+    if isinstance(t, int):
+        return 0
+    return 1 + sum(ordered_internal_count(c) for c in t)
+
+
 # Evaluation plans for the inversion tree sum.  A plan mirrors an ordered
 # tree with leaf labels replaced by input positions; during evaluation each
 # subtree is identified by its decorated canonical form (the unordered shape
@@ -474,6 +493,18 @@ def tree_sum_invert(phi: LinfMorphism, max_arity: int | None = None) -> LinfMorp
 
     return LinfMorphism(phi.target, phi.source, max_index=phi.max_index, max_arity=arity,
                         rule=rule, name=f"inv({phi.name})")
+
+
+def identity_morphism(space: str, *, max_index: int, max_arity: int) -> LinfMorphism:
+    """Arity-one identity; all higher arities vanish."""
+
+    def rule(key: tuple[int, ...]):
+        if len(key) == 1:
+            return Fraction(1)
+        return 0
+
+    return LinfMorphism(space, space, max_index=max_index, max_arity=max_arity,
+                        rule=rule, name=f"id[{space}]")
 
 
 def per_partition_compose(psi: LinfMorphism, phi: LinfMorphism) -> LinfMorphism:

@@ -15,7 +15,6 @@ from ellsuper import (
     ellipsoid_morphism,
     factorial,
     gamma_point,
-    identity_morphism,
     invert,
     linf_superpotential,
     pair_factorial,
@@ -28,6 +27,7 @@ from ellsuper.morphisms import _splits
 from oracles import (
     ASSORTED_FRACTIONS,
     basis_value,
+    identity_morphism,
     morphism_linf_pass,
     ordered_linf_superpotential,
     per_partition_compose,

@@ -726,6 +726,18 @@ def test_integrality_scan_at_degree_40():
     assert time.perf_counter() - start < 60.0
 
 
+def test_integrality_rows_match_the_scan_at_their_interval_starts():
+    # integrality runs the recursion alone; each boundary fraction p + q = 3d is an
+    # interval start of the scan at the same degree, where both passes agree
+    rows = 0
+    for d in range(1, 17):
+        starts = {Fraction(r["interval_start"]): r["T"] for r in scan_monotonicity(d)["profile"]}
+        for row in integrality_scan(d)["rows"]:
+            assert row["T"] == starts[Fraction(row["p"], row["q"])], (d, row["p"], row["q"])
+            rows += 1
+    assert rows == 91
+
+
 def test_degree_14_monotonicity_drop():
     # observed data: the first drop of the scan profile, T = 392/5 on (36/5, 29/4)
     # and T = 68 above 29/4; both sides have mult 5, so wtT drops as well

@@ -12,13 +12,11 @@ from ellsuper import (
     enumerate_trees,
     factorial,
     ordered_count,
-    ordered_internal_count,
-    ordered_leaves,
     partitions,
     set_partitions,
     vertex_data,
 )
-from oracles import brute_tree_forms
+from oracles import brute_tree_forms, ordered_internal_count, ordered_leaves
 
 UNORDERED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 12, 6: 33, 7: 90}
 ORDERED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 26, 5: 236, 6: 2752, 7: 39208}
