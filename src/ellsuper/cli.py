@@ -16,26 +16,27 @@ fractions are interval starts of ``scan`` at the same degree, so ``scan
 A job compiles only the code its subcommand runs; the README's "Start-up"
 table lists the modules each subcommand loads.  This module imports
 :mod:`.lattice` and the recursion's :mod:`.engine`, and the rest only in
-the code that needs it: :mod:`.sweeps` in the ``validate``, ``scan`` and
-``integrality`` handlers, :mod:`.trees` in the ``trees`` handler,
-:mod:`.render` for ``--format csv|text``, and ``argparse`` for help and
-usage errors.  The default json output comes from :func:`_json`, which
-writes ``json.dumps(payload, indent=2)`` byte for byte and loads ``json``
-only for a string that needs escaping or a value of a type no payload
-holds.  Every pipeline has one calling convention,
-``engine._engine(method)``, a callable ``(d, a)`` yielding wtT_1 ..
-wtT_d.  ``compute`` resolves it before its clock starts, so an oracle's
-module loads outside the timed region; ``validate``'s ``ms`` clocks
-include each pass's read points and factorial table, which are built in
-its first step.
+the code that needs it: :mod:`.validation` in the ``validate`` handler,
+:mod:`.sweeps` in the ``scan`` and ``integrality`` handlers, :mod:`.trees`
+in the ``trees`` handler, :mod:`.render` for ``--format csv|text``, and
+:mod:`.usage`, with ``argparse``, for help and usage errors.  The default
+json output comes from :func:`_json`, which writes ``json.dumps(payload,
+indent=2)`` byte for byte and loads ``json`` only for a string that needs
+escaping or a value of a type no payload holds.  Every pipeline has one
+calling convention, ``engine._engine(method)``, a callable ``(d, a)``
+yielding wtT_1 .. wtT_d.  ``compute`` resolves it before its clock starts,
+so an oracle's module loads outside the timed region; ``validate``'s ``ms``
+clocks include each pass's read points and factorial table, which are built
+in its first step.
 
 Each subcommand is described once, in the table :data:`_SUBCOMMANDS` (name,
-help, handler and options).  :func:`build_parser` makes the argparse parser
-from it, and :func:`_parse_plain` reads the same table to parse a plain
+help, handler and options).  :func:`_parse_plain` reads it to parse a plain
 command line (exact option names, each given once, valid values) without
-argparse.  :func:`main` tries the plain parser first and hands anything else
-to argparse, so help, abbreviations, ``--x=y`` forms and every usage error
-read as before, and a plain job never imports argparse.
+argparse, and ``usage.build_parser`` makes the argparse parser from the same
+table.  :func:`main` tries the plain parser first and hands anything else to
+argparse, loading :mod:`.usage` only then, so help, abbreviations, ``--x=y``
+forms and every usage error read as before, and a plain job neither imports
+argparse nor compiles the parser's builder.
 
 Exit codes: 0 success, 1 usage error, 2 cross-validation failure, and 141
 (128 + SIGPIPE) when the reader of standard output closes the pipe early, as
@@ -163,7 +164,7 @@ def _cmd_compute(args) -> dict:
 
 
 def _cmd_validate(args) -> dict:
-    from .sweeps import _validation_sweep
+    from .validation import _validation_sweep
 
     _notice_below_one(args.a)
     results = _validation_sweep(args.d_max, args.a, args.linf_bound)
@@ -253,25 +254,8 @@ def _json(value, pad: str = "\n") -> str:
     return json.dumps(value, indent=2).replace("\n", pad)
 
 
-def build_parser():
-    """The argparse parser of :data:`_SUBCOMMANDS`: help, abbreviations and every usage error.
-
-    A usage error exits with argparse's own code 2; :func:`main` reports it as 1.
-    """
-    from argparse import ArgumentParser
-
-    parser = ArgumentParser(prog="ellsuper", description="Exact superpotential counts for the projective plane.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, run, options) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag, kwargs in (_FORMAT, *options):
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(run=run)
-    return parser
-
-
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
-    """What ``build_parser().parse_args(argv)`` returns, for a plain command line; else None.
+    """What ``usage.build_parser().parse_args(argv)`` returns, for a plain command line; else None.
 
     Plain: a subcommand, then only its exact option names, none repeated,
     each value option followed by a value that does not start with ``-`` and
@@ -316,6 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _parse_plain(argv)
     if args is None:
+        from .usage import build_parser
+
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:

@@ -38,10 +38,11 @@ warning, live in :mod:`.pipelines`.
 
 The canonical pair and the factorial table are defined here, once, for all
 three pipelines: every pass returns its values reduced by :func:`_pair`, so
-that the sweeps can compare them as integer pairs, and reads its factorials
-from :func:`_factorials`.  :mod:`.treesum` and :mod:`.linf` import both from
-this module; each pass still writes out its own convolution, scalar step
-and row fold.
+that ``treesum._agreed``, the agreement rule of ``validate`` and ``scan``,
+can compare them as integer pairs, and reads its factorials from
+:func:`_factorials`.  :mod:`.treesum` and :mod:`.linf` read them from this
+module; each pass still writes out its own convolution, scalar step and row
+fold.
 
 All dependence on ``a`` enters through the points ``G_2, G_5, ..,
 G_{3d-1}`` that :func:`_read_points` lists: the degree-n row of the pass

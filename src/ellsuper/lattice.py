@@ -145,7 +145,7 @@ def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
     """The path prefix G_0..G_{3d-1} that wtT(d, .) depends on.
 
     Ratios with equal signatures at d have equal wtT at every degree up to
-    d.  A cross-check failure dumps it (see ``sweeps``).
+    d.  A cross-check failure dumps it (see ``treesum._agreed``).
     """
     return tuple(gamma_path(a, 3 * d - 1))
 

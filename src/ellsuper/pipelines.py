@@ -29,8 +29,9 @@ modules the command line runs, which work only in canonical integer pairs
 prints, and ``scan_breakpoints`` lists the ratios ``scan`` starts its
 intervals at.  No command-line job loads this module.  It imports
 ``fractions``, ``warnings``, :mod:`.engine` and :mod:`.lattice`, and loads
-:mod:`.sweeps` and an oracle's module only on their first use; the README's
-"Start-up" table lists what each subcommand loads.
+:mod:`.validation` (for ``cross_validate``), :mod:`.sweeps` (for
+``scan_breakpoints``) and an oracle's module only on their first use; the
+README's "Start-up" table lists what each subcommand loads.
 """
 
 import warnings
@@ -104,12 +105,12 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
     (``linf_bound=0`` skips it), and ``methods`` lists the pipelines that
     ran.  Raises :class:`MethodDisagreement` with a full operand dump if any
     two pipelines differ, at d or at any lower degree, so a returned report
-    has ``agree`` ``True``.  The report is row d of ``sweeps._validation_sweep``.
+    has ``agree`` ``True``.  The report is row d of ``validation._validation_sweep``.
     """
     if d < 1:
         raise ValueError(f"cross_validate requires d >= 1, got {d}")
     _warn_outside_range(a)
-    from .sweeps import _validation_sweep
+    from .validation import _validation_sweep
 
     return _validation_sweep(d, a, linf_bound)[-1]
 

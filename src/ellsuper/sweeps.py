@@ -1,26 +1,21 @@
-"""Sweeps that drive the recursion and the tree sum over degrees and ratios.
+"""The scan drivers: T over the ratios between breakpoints, and at the boundary fractions.
 
-:func:`_validation_sweep` runs every applicable pipeline at one ``a`` and
-every degree up to d, and demands exact agreement; ``scan_monotonicity``
-profiles T(d, .) over the intervals between the breakpoints of
-:func:`_breakpoint_pairs`; ``integrality_scan`` evaluates T at the boundary
-fractions ``p + q = 3d``.  ``_validation_sweep`` and ``integrality_scan``
-read every pipeline through ``engine._engine``, one callable ``(d, a)``
-yielding wtT_1 .. wtT_d per method, which loads :mod:`.treesum` and
-:mod:`.linf` on first use.  ``scan_monotonicity`` alone calls the passes
+``scan_monotonicity`` profiles T(d, .) over the intervals between the
+breakpoints of :func:`_breakpoint_pairs`; ``integrality_scan`` evaluates T
+at the boundary fractions ``p + q = 3d``.  ``integrality_scan`` reads the
+recursion through ``engine._value``.  ``scan_monotonicity`` calls the passes
 directly, as ``(points, fact, rows)``, since it resumes their rows across
-ratios; it imports the tree pass from :mod:`.treesum` when called.  Both
-drivers that cross-check demand agreement through one rule, ``_agreed``,
-whose failure dump reads ``lattice.path_signature`` and is the only use of
-``json`` here, imported on failure.  The README's "Start-up" table lists
-what each subcommand loads.
+ratios, and demands their agreement through ``treesum._agreed``; it imports
+the tree pass and that rule from :mod:`.treesum` when called, so
+``integrality`` never loads the tree oracle.  The validation sweep that
+``validate`` runs is in :mod:`.validation`, so neither job compiles the
+other's driver; the README's "Start-up" table lists what each subcommand
+loads.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
 ``engine._pair``) up to the report, which renders it as ``str(Fraction)``
-would, and pairs compare by cross-multiplication.  The library functions
-that return this module's reports or values as ``Fraction``s, with the
-warning below 1, are in :mod:`.pipelines`: ``cross_validate`` is row d of
-``_validation_sweep`` and ``scan_breakpoints`` lists ``_breakpoint_pairs``.
+would, and pairs compare by cross-multiplication.  ``scan_breakpoints`` in
+:mod:`.pipelines` lists ``_breakpoint_pairs`` as ``Fraction``s.
 
 The scan sweeps all its ratios in ascending order through one list of
 per-degree rows per engine.  The degree-n row of either engine reads only
@@ -32,82 +27,9 @@ last run at, so it recomputes only the degrees past their common prefix.
 """
 
 import math
-import time
 
-from .lattice import AspectRatio, gamma_point, mult, path_signature
-from .engine import (
-    MethodDisagreement,
-    _engine,
-    _factorials,
-    _over,
-    _read_points,
-    _recursion_pass,
-    _text,
-    _value,
-)
-
-
-def _agreed(d: int, a: AspectRatio, values: dict) -> tuple[int, int]:
-    """The one canonical pair that every pipeline in ``values`` gave at (d, a).
-
-    ``values`` maps each pipeline to its canonical pair.  If any two differ,
-    raises :class:`MethodDisagreement`, dumping the values and the whole
-    prefix G_0..G_{3d-1}.
-    """
-    agreed = set(values.values())
-    if len(agreed) == 1:
-        return agreed.pop()
-    import json
-
-    dump = {
-        "d": d,
-        "a": str(a),
-        "path_prefix": [list(pt) for pt in path_signature(a, d)],
-        "values": {name: _text(v) for name, v in values.items()},
-    }
-    raise MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")
-
-
-def _validation_sweep(d_max: int, a: AspectRatio, linf_bound: int) -> list[dict]:
-    """The agreement reports at d = 1 .. d_max, from one run of each pipeline.
-
-    Each pipeline is one ``engine._engine(method)(top, a)`` iterator, stepped
-    one degree at a time: the recursion and the tree sum to d_max, linf to
-    ``min(d_max, linf_bound)`` (``linf_bound=0`` skips it), and each report's
-    ``methods`` lists the pipelines that ran at its degree.  Raises
-    :class:`MethodDisagreement` with a full operand dump if any two differ at
-    any degree, so every returned report has ``agree`` ``True``.  Each ``ms``
-    entry is its pipeline's time from the start of the sweep to that degree,
-    which is what a run at that degree alone costs; a pass's read points and
-    factorial table are built in its first step, inside that clock, and the
-    linf module is loaded before any clock starts.  Its callers say so below
-    1: ``pipelines.cross_validate`` warns, naming its caller's line, and
-    ``validate`` prints a notice.
-    """
-    tops = {"recursion": d_max, "tree": d_max, "linf": min(d_max, linf_bound)}
-    runs = {method: _engine(method)(top, a) for method, top in tops.items() if top >= 1}
-    clocks = dict.fromkeys(runs, 0.0)
-    reports = []
-    for d in range(1, d_max + 1):
-        values: dict[str, tuple[int, int]] = {}
-        for method, run in runs.items():
-            if d <= tops[method]:
-                start = time.perf_counter()
-                values[method] = next(run)
-                clocks[method] += time.perf_counter() - start
-        wt = _agreed(d, a, values)
-        multiplier = mult(a, gamma_point(a, 3 * d - 1))
-        reports.append({
-            "d": d,
-            "a": str(a),
-            "wtT": _text(wt),
-            "mult": multiplier,
-            "T": _text(_over(wt, multiplier)),
-            "methods": sorted(values),
-            "agree": True,
-            "ms": {method: round(clocks[method] * 1e3, 3) for method in values},
-        })
-    return reports
+from .lattice import AspectRatio, mult
+from .engine import _factorials, _over, _read_points, _recursion_pass, _text, _value
 
 
 def _breakpoint_pairs(d: int):
@@ -148,7 +70,7 @@ def scan_monotonicity(d: int) -> dict:
     Each interval is represented by its left endpoint plus delta (for the
     first interval, 1 + delta).  Every representative value is
     cross-validated between the recursion and the tree sum, raising
-    :class:`MethodDisagreement` as :func:`_validation_sweep` does.  A second point
+    :class:`MethodDisagreement` as ``validate`` does.  A second point
     inside the same interval (the mediant with the next breakpoint), with its
     own path points and its own multiplicity, guards the breakpoint
     analysis.  Both verdicts are read off the values, in sweep order:
@@ -172,7 +94,7 @@ def scan_monotonicity(d: int) -> dict:
     """
     if d < 1:
         raise ValueError(f"scan_monotonicity requires d >= 1, got {d}")
-    from .treesum import _tree_pass
+    from .treesum import _agreed, _tree_pass
 
     reps = [(1, 1), *_breakpoint_pairs(d)]
     fact = _factorials(d)

@@ -40,8 +40,14 @@ per-tree sum (CI checks it at d = 14) and the multiset recursion in
 
 ``scan`` and ``validate`` run this pass beside the recursion, and
 ``compute --method tree`` runs it alone; ``tree_wtT`` in
-:mod:`.pipelines` returns its value as a ``Fraction``.  This module
-imports only :mod:`.engine`, for ``_resume`` and ``_pair``; the README's
+:mod:`.pipelines` returns its value as a ``Fraction``.  Both drivers that
+cross-check, ``sweeps.scan_monotonicity`` and ``validation._validation_sweep``,
+demand agreement through :func:`_agreed`, which lives here because every job
+that cross-checks loads this module and ``integrality``, which checks
+nothing, does not.  This module
+imports :mod:`.engine`, for ``_resume`` and ``_pair``; ``_agreed``'s failure
+dump imports ``json``, ``engine.MethodDisagreement`` and
+``lattice.path_signature`` only when it is raised.  The README's
 "Start-up" table lists what each subcommand loads.
 """
 
@@ -93,3 +99,27 @@ def _tree_pass(points, fact: list[int], rows: list) -> tuple[int, int]:
         g = math.gcd(denom, *forest.values())
         rows.append((points[ell - 1], num, den, {key: c // g for key, c in forest.items()}, denom // g))
     return _pair(g2f ** len(points) * rows[-1][1], rows[-1][2])
+
+
+def _agreed(d: int, a, values: dict) -> tuple[int, int]:
+    """The one canonical pair that every pipeline in ``values`` gave at (d, a).
+
+    ``values`` maps each pipeline to its canonical pair.  If any two differ,
+    raises :class:`MethodDisagreement`, dumping the values and the whole
+    prefix G_0..G_{3d-1}.
+    """
+    agreed = set(values.values())
+    if len(agreed) == 1:
+        return agreed.pop()
+    import json
+
+    from .engine import MethodDisagreement, _text
+    from .lattice import path_signature
+
+    dump = {
+        "d": d,
+        "a": str(a),
+        "path_prefix": [list(pt) for pt in path_signature(a, d)],
+        "values": {name: _text(v) for name, v in values.items()},
+    }
+    raise MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import ellsuper.cli as cli
 import ellsuper.pipelines as sp
 import ellsuper.treesum as treesum
+import ellsuper.usage as usage
 from ellsuper import AspectRatio
 from ellsuper.__main__ import EXIT_PIPE
 from ellsuper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
@@ -336,8 +337,18 @@ def test_help_exits_0_with_empty_stderr(capsys):
     assert (code, err) == (EXIT_OK, "")
     assert out.startswith("usage: ellsuper compute ")
     with pytest.raises(SystemExit) as exc:  # the parser alone exits as argparse does
-        cli.build_parser().parse_args(["compute", "--d", "0", "--a", "inf"])
+        usage.build_parser().parse_args(["compute", "--d", "0", "--a", "inf"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_each_subcommand_help_describes_it(capsys, monkeypatch, name):
+    # wide enough that argparse does not wrap the description
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, err = run_cli(capsys, name, "--help")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(f"usage: ellsuper {name} ")
+    assert cli._SUBCOMMANDS[name][0] in out
 
 
 # tokens that plain parsing leaves to argparse, among them abbreviations and options of no subcommand
@@ -382,7 +393,7 @@ def test_plain_parser_matches_argparse(argv):
     if plain is None:
         return
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        parsed = cli.build_parser().parse_args(argv)
+        parsed = usage.build_parser().parse_args(argv)
     assert vars(plain) == vars(parsed)
 
 

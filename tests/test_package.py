@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # neither `import ellsuper.cli` nor a plain `compute` needs the oracles, the
 # sweep drivers, the Fraction-returning library functions, the csv/text
-# renderers, or these costly standard modules (dataclasses imports inspect;
+# renderers, the argparse parser's builder, or these costly standard modules (dataclasses imports inspect;
 # argparse imports gettext, which loads locale; fractions imports decimal and
 # numbers); no module of the package
 # imports __future__, since every annotation it writes evaluates on Python 3.10;
@@ -28,8 +28,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 NOT_ON_COMPUTE_PATH = {
     "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
     "fractions", "decimal", "numbers", "warnings",
-    "ellsuper.linf", "ellsuper.morphisms", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.render",
-    "ellsuper.pipelines",
+    "ellsuper.linf", "ellsuper.morphisms", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.validation",
+    "ellsuper.render", "ellsuper.pipelines", "ellsuper.usage",
 }
 
 
@@ -126,7 +126,36 @@ def test_default_format_jobs_load_neither_json_nor_re(argv):
                          ids=lambda argv: argv[0])
 def test_sweeps_without_linf_load_no_fractions(argv):
     # exact values stay integer pairs up to the output; only linf builds Fractions
-    assert not _modules_after_cli(*argv) & (NOT_ON_COMPUTE_PATH - {"ellsuper.sweeps"})
+    assert not _modules_after_cli(*argv) & (NOT_ON_COMPUTE_PATH - {"ellsuper.sweeps", "ellsuper.validation"})
+
+
+# each subcommand's own drivers; a job compiles none of another's, and only
+# the argparse path compiles the parser's builder
+_DRIVERS = {"_validation_sweep", "scan_monotonicity", "integrality_scan", "_breakpoint_pairs", "build_parser"}
+_SWEEPS = {"scan_monotonicity", "integrality_scan", "_breakpoint_pairs"}
+
+
+@pytest.mark.parametrize("argv, drivers", [
+    (("validate", "--d-max", "3", "--linf-bound", "3", "--no-timing"), {"_validation_sweep"}),
+    (("validate", "--d-max", "3", "--linf-bound", "0", "--format", "csv"), {"_validation_sweep"}),
+    (("scan", "--d", "3"), _SWEEPS),
+    (("integrality", "--d", "4", "--format", "text"), _SWEEPS),
+    (("compute", "--d", "4", "--a", "52/7", "--method", "tree"), set()),
+    (("compute", "--d", "3", "--a", "inf", "--method", "linf"), set()),
+    (("gamma", "--a", "52/7", "--k", "29"), set()),
+    (("trees", "--d", "4"), set()),
+    (("scan", "--help"), {"build_parser"}),
+], ids=["validate", "validate-no-linf", "scan", "integrality", "compute-tree", "compute-linf", "gamma", "trees",
+        "help"])
+def test_no_job_loads_another_subcommands_driver(argv, drivers):
+    _, out = _probe(f"from ellsuper.cli import main\nassert main({list(argv)!r}) in (0, 1)\n"
+                    "import sys, types\n"
+                    "print('functions:', *sorted({name for module, m in list(sys.modules.items())\n"
+                    "                             if module.startswith('ellsuper.')\n"
+                    "                             for name, value in vars(m).items()\n"
+                    "                             if isinstance(value, types.FunctionType)}))")
+    loaded = set(out.splitlines()[-1].split()[1:])
+    assert loaded & _DRIVERS == drivers
 
 
 def _assert_compute_answer(out: str, d: int, a: AspectRatio, method: str) -> None:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import ellsuper.engine as engine
 import ellsuper.sweeps as sweeps
 import ellsuper.treesum as treesum
+import ellsuper.validation as validation
 from ellsuper import (
     AspectRatio,
     MethodDisagreement,
@@ -423,14 +424,14 @@ def test_cross_validate_resolves_each_engine_before_its_clock():
         "import sys\n"
         "from types import SimpleNamespace\n"
         "import ellsuper\n"
-        "import ellsuper.sweeps as sweeps\n"
+        "import ellsuper.validation as validation\n"
         "seen = []\n"
-        "sweeps.time = SimpleNamespace(perf_counter=lambda: seen.append('ellsuper.linf' in sys.modules) or 0.0)\n"
+        "validation.time = SimpleNamespace(perf_counter=lambda: seen.append('ellsuper.linf' in sys.modules) or 0.0)\n"
         "assert ellsuper.cross_validate(2, ellsuper.AspectRatio.infinite())['methods'] == ['linf', 'recursion', 'tree']\n"
         "assert len(seen) == 12 and all(seen), seen\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(Path(sweeps.__file__).parents[1])}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": str(Path(validation.__file__).parents[1])}, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -439,7 +440,7 @@ def test_validation_sweep_matches_lone_runs(a):
     # one sweep per ratio gives, at every d, what each pipeline gives run alone
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = sweeps._validation_sweep(8, a, linf_bound=8)
+        rows = validation._validation_sweep(8, a, linf_bound=8)
         for d, row in enumerate(rows, start=1):
             wt = recursion_wtT(d, a)
             assert tree_wtT(d, a) == linf_superpotential(d, a) == wt
