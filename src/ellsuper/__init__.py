@@ -14,10 +14,10 @@ inversion) produce the same values and cross-validate each other.
 # the modules it runs.  `factorial` (math.factorial itself) and `compositions`
 # stay public only because the benchmark's trace resolves them by name.
 _PUBLIC = {
-    "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult", "path_signature"),
+    "lattice": ("AspectRatio", "gamma_path", "gamma_point", "mult"),
     "engine": ("DEFAULT_LINF_BOUND", "MethodDisagreement"),
     "pipelines": ("SuperpotentialResult", "cross_validate", "linf_superpotential", "recursion_wtT",
-                  "scan_breakpoints", "superpotential", "tree_wtT"),
+                  "superpotential", "tree_wtT"),
     "sweeps": ("integrality_scan", "scan_monotonicity"),
     "linf": ("LinfError", "LinfMorphism"),
     "morphisms": ("compose", "ellipsoid_morphism", "invert", "pair_factorial", "point_add"),

@@ -141,15 +141,6 @@ def gamma_path(a: AspectRatio, k_max: int) -> list[tuple[int, int]]:
     return [gamma_point(a, k) for k in range(k_max + 1)]
 
 
-def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
-    """The path prefix G_0..G_{3d-1} that wtT(d, .) depends on.
-
-    Ratios with equal signatures at d have equal wtT at every degree up to
-    d.  A cross-check failure dumps it (see ``treesum._agreed``).
-    """
-    return tuple(gamma_path(a, 3 * d - 1))
-
-
 def mult(a: AspectRatio, point: tuple[int, int]) -> int:
     """Multiplicity of a path point: i if i > a*j, else j."""
     if len(point) != 2:

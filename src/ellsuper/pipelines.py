@@ -25,13 +25,12 @@ line for a ratio below 1 (from ``superpotential`` and ``cross_validate``),
 and a ``ValueError`` for d < 1.  Every function here is one call into the
 modules the command line runs, which work only in canonical integer pairs
 (see ``engine._pair``): the three values go through ``engine._value``, as
-``compute`` does, ``cross_validate`` reads row d of the sweep ``validate``
-prints, and ``scan_breakpoints`` lists the ratios ``scan`` starts its
-intervals at.  No command-line job loads this module.  It imports
+``compute`` does, and ``cross_validate`` reads row d of the sweep
+``validate`` prints.  No command-line job loads this module.  It imports
 ``fractions``, ``warnings``, :mod:`.engine` and :mod:`.lattice`, and loads
-:mod:`.validation` (for ``cross_validate``), :mod:`.sweeps` (for
-``scan_breakpoints``) and an oracle's module only on their first use; the
-README's "Start-up" table lists what each subcommand loads.
+:mod:`.validation` (for ``cross_validate``) and an oracle's module only on
+their first use; the README's "Start-up" table lists what each subcommand
+loads.
 """
 
 import warnings
@@ -113,16 +112,3 @@ def cross_validate(d: int, a: AspectRatio, linf_bound: int = DEFAULT_LINF_BOUND)
     from .validation import _validation_sweep
 
     return _validation_sweep(d, a, linf_bound)[-1]
-
-
-def scan_breakpoints(d: int) -> list[Fraction]:
-    """Reduced fractions p/q > 1 with p + q <= 3d, sorted ascending.
-
-    These are the only ratios at which the path prefix G_0..G_{3d-1} can
-    change (see ``sweeps._breakpoint_pairs``, which lists them as pairs).
-    """
-    if d < 1:
-        raise ValueError(f"scan_breakpoints requires d >= 1, got {d}")
-    from .sweeps import _breakpoint_pairs
-
-    return [Fraction(p, q) for p, q in _breakpoint_pairs(d)]

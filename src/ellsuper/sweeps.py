@@ -14,8 +14,7 @@ loads.
 
 Every value stays a canonical integer pair ``(num, den)`` (see
 ``engine._pair``) up to the report, which renders it as ``str(Fraction)``
-would, and pairs compare by cross-multiplication.  ``scan_breakpoints`` in
-:mod:`.pipelines` lists ``_breakpoint_pairs`` as ``Fraction``s.
+would, and pairs compare by cross-multiplication.
 
 The scan sweeps all its ratios in ascending order through one list of
 per-degree rows per engine.  The degree-n row of either engine reads only

@@ -47,7 +47,7 @@ that cross-checks loads this module and ``integrality``, which checks
 nothing, does not.  This module
 imports :mod:`.engine`, for ``_resume`` and ``_pair``; ``_agreed``'s failure
 dump imports ``json``, ``engine.MethodDisagreement`` and
-``lattice.path_signature`` only when it is raised.  The README's
+``lattice.gamma_path`` only when it is raised.  The README's
 "Start-up" table lists what each subcommand loads.
 """
 
@@ -114,12 +114,12 @@ def _agreed(d: int, a, values: dict) -> tuple[int, int]:
     import json
 
     from .engine import MethodDisagreement, _text
-    from .lattice import path_signature
+    from .lattice import gamma_path
 
     dump = {
         "d": d,
         "a": str(a),
-        "path_prefix": [list(pt) for pt in path_signature(a, d)],
+        "path_prefix": [list(pt) for pt in gamma_path(a, 3 * d - 1)],
         "values": {name: _text(v) for name, v in values.items()},
     }
     raise MethodDisagreement(f"superpotential pipelines disagree: {json.dumps(dump)}")

@@ -49,8 +49,12 @@ are helpers only the tests read: the identity morphism for the composition
 laws, and the leaf labels and internal-vertex count of an ordered tree (the
 latter signs each tree of ``tree_sum_invert``).
 
-``brute_scan_breakpoints`` collects the reduced p/q > 1 with p + q <= 3d by
-testing every pair, where the library walks the Farey sequence.
+``path_signature`` is the path prefix G_0..G_{3d-1} that wtT(d, .) reads,
+and ``scan_breakpoints`` lists the ratios ``scan`` starts its intervals at
+as ``Fraction``s; the tests key ratios by the first and walk the second.
+``brute_scan_breakpoints`` collects the same reduced p/q > 1 with
+p + q <= 3d by testing every pair, where ``sweeps._breakpoint_pairs`` walks
+the Farey sequence.
 ``fraction_parse`` reads an aspect ratio through ``Fraction`` alone, where
 the library reads plain ASCII ``p`` and ``p/q`` with ``int()``.
 """
@@ -70,15 +74,16 @@ from ellsuper import (
     enumerate_ordered_trees,
     enumerate_trees,
     factorial,
+    gamma_path,
     invert,
     pair_factorial,
     partitions,
-    path_signature,
     point_add,
     set_partitions,
     vertex_data,
 )
 from ellsuper.engine import _factorials, _resume
+from ellsuper.sweeps import _breakpoint_pairs
 from ellsuper.trees import OrderedTree
 
 
@@ -117,6 +122,15 @@ def exact_path(num: int, den: int, k_max: int) -> tuple[tuple[int, int], ...]:
         assert len(winners) == 1, f"non-unique argmin for {num}/{den} at k={k}: {winners}"
         path.append(winners[0])
     return tuple(path)
+
+
+def path_signature(a: AspectRatio, d: int) -> tuple[tuple[int, int], ...]:
+    """The path prefix G_0..G_{3d-1} that wtT(d, .) depends on.
+
+    Ratios with equal signatures at d have equal wtT at every degree up to
+    d.  A cross-check failure dumps it (see ``treesum._agreed``).
+    """
+    return tuple(gamma_path(a, 3 * d - 1))
 
 
 def exact_mult(num: int, den: int, point: tuple[int, int]) -> int:
@@ -534,6 +548,17 @@ def set_partition_splits(key: tuple[int, ...]) -> Counter:
         tuple(sorted(tuple(key[p] for p in block) for block in blocks))
         for blocks in set_partitions(range(len(key)))
     )
+
+
+def scan_breakpoints(d: int) -> list[Fraction]:
+    """Reduced fractions p/q > 1 with p + q <= 3d, sorted ascending.
+
+    These are the only ratios at which the path prefix G_0..G_{3d-1} can
+    change (see ``sweeps._breakpoint_pairs``, which lists them as pairs).
+    """
+    if d < 1:
+        raise ValueError(f"scan_breakpoints requires d >= 1, got {d}")
+    return [Fraction(p, q) for p, q in _breakpoint_pairs(d)]
 
 
 def brute_scan_breakpoints(d: int) -> list[Fraction]:

@@ -27,13 +27,12 @@ from ellsuper import (
     invert,
     linf_superpotential,
     ordered_count,
-    path_signature,
     recursion_wtT,
     superpotential,
     tree_wtT,
 )
 from ellsuper.cli import main
-from oracles import ASSORTED_FRACTIONS, brute_gamma_point, brute_tree_forms, tree_wtT_infinity
+from oracles import ASSORTED_FRACTIONS, brute_gamma_point, brute_tree_forms, path_signature, tree_wtT_infinity
 
 INF = AspectRatio.infinite()
 

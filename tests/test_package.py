@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -17,178 +18,55 @@ from ellsuper import AspectRatio, superpotential
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# neither `import ellsuper.cli` nor a plain `compute` needs the oracles, the
-# sweep drivers, the Fraction-returning library functions, the csv/text
-# renderers, the argparse parser's builder, or these costly standard modules (dataclasses imports inspect;
-# argparse imports gettext, which loads locale; fractions imports decimal and
-# numbers); no module of the package
-# imports __future__, since every annotation it writes evaluates on Python 3.10;
-# and `warnings` serves only the library's below-1 warning in `pipelines`: a
-# job prints its own notice line, so no job loads it
-NOT_ON_COMPUTE_PATH = {
-    "dataclasses", "inspect", "typing", "csv", "__future__", "argparse", "gettext", "locale",
-    "fractions", "decimal", "numbers", "warnings",
-    "ellsuper.linf", "ellsuper.morphisms", "ellsuper.trees", "ellsuper.sweeps", "ellsuper.validation",
-    "ellsuper.render", "ellsuper.pipelines", "ellsuper.usage",
-}
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+# standard modules that neither `import ellsuper.cli` nor a plain default-format
+# job loads: argparse (which imports gettext, and locale on its first message)
+# loads only for help and errors; fractions (which imports decimal and numbers)
+# only for a non-plain `--a` text or a non-integer linf entry; csv only for
+# `--format csv|text`; json, which imports re, only for a value that cli's own
+# JSON writer leaves to it and for a disagreement dump; warnings only for the
+# library's below-1 warning in `pipelines`; and nothing a job loads imports
+# dataclasses, inspect, typing or __future__
+NOT_LOADED = frozenset({
+    "__future__", "argparse", "csv", "dataclasses", "decimal", "fractions", "gettext", "inspect", "json",
+    "locale", "numbers", "re", "typing", "warnings"})
+
+Run = namedtuple("Run", "modules functions out")
+
+# ends every probe: the modules loaded, taken before this report imports
+# anything, and the functions that the package's modules hold, as two lines
+# on the real stderr after whatever the job wrote there
+_REPORT = """
+import sys
+modules = sorted(sys.modules)
+import types
+functions = sorted({name for module, m in list(sys.modules.items()) if module.startswith("ellsuper")
+                    for name, value in vars(m).items() if isinstance(value, types.FunctionType)})
+print(*modules, file=sys.__stderr__)
+print(*functions, file=sys.__stderr__)
+"""
+_RUNS: dict = {}
 
 
-def _probe(code: str) -> tuple[set[str], str]:
-    """The modules loaded after ``code`` runs in a fresh ``python -S``, and what it printed.
+def _probe(command: str = "", code: int = 0, setup: str = "") -> Run:
+    """One job in a fresh ``python -S``, run once and shared by every test that reads it.
 
-    ``-S`` keeps ``site`` and whatever it preloads out, so the set depends on
-    the package alone.
+    ``setup`` runs first; then, given a ``command``, ``cli.main`` runs its
+    words and must return ``code``.  Returns the modules loaded at the end,
+    the names of the functions the ``ellsuper`` modules hold, and what the
+    job printed.  ``-S`` keeps ``site`` and whatever it preloads out, so the
+    modules depend on the package alone.
     """
-    probe = f"{code}\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)"
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split()), proc.stdout
-
-
-def _modules_after(code: str) -> set[str]:
-    return _probe(code)[0]
-
-
-def _run_cli(*argv: str, code: int = 0) -> tuple[set[str], str]:
-    return _probe(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == {code}")
-
-
-def _modules_after_cli(*argv: str, code: int = 0) -> set[str]:
-    return _run_cli(*argv, code=code)[0]
-
-
-def test_public_names_resolve():
-    missing = [name for name in ellsuper.__all__ if not hasattr(ellsuper, name)]
-    assert missing == []
-
-
-@pytest.mark.parametrize("name", ["BasedSpace", "ellipsoid_space", "descendant_space"])
-def test_linf_spaces_are_plain_names(name):
-    # an L-infinity space is a string in the one even grading; no space type is public
-    assert name not in ellsuper.__all__
-    with pytest.raises(AttributeError):
-        getattr(ellsuper, name)
-
-
-def test_cli_import_and_compute_load_no_oracle():
-    assert not {name for name in _modules_after("import ellsuper") if name.startswith("ellsuper.")}
-    assert not _modules_after("import ellsuper.cli") & NOT_ON_COMPUTE_PATH
-    for method in ("recursion", "tree"):
-        loaded = _modules_after_cli("compute", "--d", "10", "--a", "52/7", "--method", method, "--no-timing")
-        assert not loaded & NOT_ON_COMPUTE_PATH, method
-
-
-@pytest.mark.parametrize("code", ["import ellsuper.cli"], ids=["import"])
-def test_only_the_oracles_and_sweeps_load_the_pipelines(code):
-    # the README table pins each job's package modules; the bare import has no
-    # row there: it loads neither `pipelines` nor the tree oracle `treesum`
-    loaded = _modules_after(code)
-    assert {name for name in loaded if name.startswith("ellsuper.")} == {
-        "ellsuper.cli", "ellsuper.lattice", "ellsuper.engine"}
-
-
-@pytest.mark.parametrize("argv", [("scan", "--d", "3"), ("validate", "--d-max", "3", "--no-timing")],
-                         ids=lambda argv: argv[0])
-def test_failure_dumps_load_no_pipelines(argv):
-    # a planted tree-pass fault: the sweep exits 2 with its dump, whose path
-    # prefix comes from `lattice`, without loading the Fraction-returning API
-    loaded, out = _probe(
-        "import contextlib, io\n"
-        "import ellsuper.treesum as treesum\n"
-        "treesum._tree_pass = lambda points, fact, rows: (999, 1)\n"
-        "from ellsuper.cli import main\n"
-        "err = io.StringIO()\n"
-        "with contextlib.redirect_stderr(err):\n"
-        f"    assert main({list(argv)!r}) == 2\n"
-        "print(err.getvalue(), end='')")
-    assert out.startswith("ellsuper: cross-validation failure: superpotential pipelines disagree: ")
-    assert '"path_prefix": [[0, 0], [1, 0]' in out and '"tree": "999"' in out
-    assert "ellsuper.pipelines" not in loaded
-
-
-@pytest.mark.parametrize("argv", [
-    ("compute", "--d", "10", "--a", "52/7"),
-    ("validate", "--d-max", "4", "--linf-bound", "4", "--a", "52/7"),
-    ("scan", "--d", "3"),
-    ("integrality", "--d", "4"),
-    ("gamma", "--a", "52/7", "--k", "29"),
-    ("trees", "--d", "4"),
-], ids=lambda argv: argv[0])
-def test_default_format_jobs_load_neither_json_nor_re(argv):
-    # cli writes its own JSON; `json` loads only for a value its writer leaves to it
-    # and for a sweep's disagreement dump, and no other module a job loads imports `re`
-    assert not _modules_after_cli(*argv) & {"json", "re"}
-
-
-@pytest.mark.parametrize("argv", [("scan", "--d", "4"), ("integrality", "--d", "4"),
-                                  ("validate", "--d-max", "3", "--linf-bound", "0", "--no-timing")],
-                         ids=lambda argv: argv[0])
-def test_sweeps_without_linf_load_no_fractions(argv):
-    # exact values stay integer pairs up to the output; only linf builds Fractions
-    assert not _modules_after_cli(*argv) & (NOT_ON_COMPUTE_PATH - {"ellsuper.sweeps", "ellsuper.validation"})
-
-
-# each subcommand's own drivers; a job compiles none of another's, and only
-# the argparse path compiles the parser's builder
-_DRIVERS = {"_validation_sweep", "scan_monotonicity", "integrality_scan", "_breakpoint_pairs", "build_parser"}
-_SWEEPS = {"scan_monotonicity", "integrality_scan", "_breakpoint_pairs"}
-
-
-@pytest.mark.parametrize("argv, drivers", [
-    (("validate", "--d-max", "3", "--linf-bound", "3", "--no-timing"), {"_validation_sweep"}),
-    (("validate", "--d-max", "3", "--linf-bound", "0", "--format", "csv"), {"_validation_sweep"}),
-    (("scan", "--d", "3"), _SWEEPS),
-    (("integrality", "--d", "4", "--format", "text"), _SWEEPS),
-    (("compute", "--d", "4", "--a", "52/7", "--method", "tree"), set()),
-    (("compute", "--d", "3", "--a", "inf", "--method", "linf"), set()),
-    (("gamma", "--a", "52/7", "--k", "29"), set()),
-    (("trees", "--d", "4"), set()),
-    (("scan", "--help"), {"build_parser"}),
-], ids=["validate", "validate-no-linf", "scan", "integrality", "compute-tree", "compute-linf", "gamma", "trees",
-        "help"])
-def test_no_job_loads_another_subcommands_driver(argv, drivers):
-    _, out = _probe(f"from ellsuper.cli import main\nassert main({list(argv)!r}) in (0, 1)\n"
-                    "import sys, types\n"
-                    "print('functions:', *sorted({name for module, m in list(sys.modules.items())\n"
-                    "                             if module.startswith('ellsuper.')\n"
-                    "                             for name, value in vars(m).items()\n"
-                    "                             if isinstance(value, types.FunctionType)}))")
-    loaded = set(out.splitlines()[-1].split()[1:])
-    assert loaded & _DRIVERS == drivers
-
-
-def _assert_compute_answer(out: str, d: int, a: AspectRatio, method: str) -> None:
-    res = superpotential(d, a)  # the recursion, as the reference
-    assert json.loads(out) == {"d": d, "a": str(a), "wtT": str(res.wtT), "mult": res.multiplier,
-                               "T": str(res.T), "method": method}
-
-
-@pytest.mark.parametrize("argv", [("compute", "--d", "4", "--a", "inf", "--method", "linf"),
-                                  ("validate", "--d-max", "6", "--linf-bound", "6", "--a", "52/7")],
-                         ids=lambda argv: argv[0])
-def test_linf_answers_without_fractions(argv):
-    # every entry of the witness's inverse at these ratios is an integer, kept
-    # as an int, and every degree's pairing is summed as one integer pair
-    loaded, out = _run_cli(*argv, "--no-timing")
-    assert "ellsuper.linf" in loaded
-    assert not loaded & {"fractions", "decimal", "numbers"}
-    if argv[0] == "compute":
-        _assert_compute_answer(out, 4, AspectRatio.infinite(), "linf")
-    else:
-        assert [row["methods"] for row in json.loads(out)["results"]] == [["linf", "recursion", "tree"]] * 6
-
-
-def test_decimal_ratio_answers_through_fractions():
-    loaded, out = _run_cli("compute", "--d", "4", "--a", "7.5", "--no-timing")
-    assert "fractions" in loaded
-    _assert_compute_answer(out, 4, AspectRatio.parse("7.5"), "recursion")
-
-
-@pytest.mark.parametrize("argv, code", [(("compute", "--help"), 0), (("compute", "--d", "0", "--a", "inf"), 1)],
-                         ids=["help", "usage-error"])
-def test_help_and_usage_errors_load_argparse(argv, code):
-    assert "argparse" in _modules_after_cli(*argv, code=code)
+    key = (command, code, setup)
+    if key not in _RUNS:
+        job = f"from ellsuper.cli import main\nassert main({command.split()!r}) == {code}\n" if command else ""
+        proc = subprocess.run([sys.executable, "-S", "-c", f"{setup}\n{job}{_REPORT}"],
+                              capture_output=True, text=True, env=ENV, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        modules, functions = proc.stderr.splitlines()[-2:]
+        _RUNS[key] = Run(frozenset(modules.split()), frozenset(functions.split()), proc.stdout)
+    return _RUNS[key]
 
 
 def _load_map() -> list[tuple[str, set[str]]]:
@@ -210,51 +88,186 @@ def _load_map() -> list[tuple[str, set[str]]]:
     return rows
 
 
-# the operands each subcommand needs; the table names the options that change what loads
-_OPERANDS = {"gamma": ["--a", "52/7", "--k", "29"], "compute": ["--d", "4", "--a", "52/7"],
-             "integrality": ["--d", "4"], "scan": ["--d", "3"], "validate": ["--d-max", "3"],
-             "trees": ["--d", "4"]}
 _LOAD_MAP = _load_map()
+# the one command line each row runs: the benchmark's own for compute, scan
+# and validate, and small operands for the rest
+_ROWS = {
+    "gamma": "gamma --a 52/7 --k 29",
+    "compute": "compute --d 10 --a 52/7 --no-timing",
+    "compute --method tree": "compute --d 10 --a 52/7 --method tree --no-timing",
+    "compute --method linf": "compute --d 4 --a inf --method linf --no-timing",
+    "integrality": "integrality --d 4",
+    "scan": "scan --d 7",
+    "validate": "validate --d-max 6 --linf-bound 6 --a 52/7 --no-timing",
+    "validate --linf-bound 0": "validate --d-max 3 --linf-bound 0 --no-timing",
+    "trees": "trees --d 4",
+}
+_HELP = "compute --help"
+
+# each subcommand's own drivers; a job compiles none of another's, and only
+# the argparse path compiles the parser's builder
+_SWEEPS = {"scan_monotonicity", "integrality_scan", "_breakpoint_pairs"}
+_OWN_DRIVERS = {"validate": {"_validation_sweep"}, "scan": _SWEEPS, "integrality": _SWEEPS}
+_DRIVERS = {"_validation_sweep", "build_parser", *_SWEEPS}
+
+
+def _package(run: Run) -> set[str]:
+    return {name for name in run.modules if name.startswith("ellsuper.")}
+
+
+def test_public_names_resolve():
+    missing = [name for name in ellsuper.__all__ if not hasattr(ellsuper, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", ["BasedSpace", "ellipsoid_space", "descendant_space"])
+def test_linf_spaces_are_plain_names(name):
+    # an L-infinity space is a string in the one even grading; no space type is public
+    assert name not in ellsuper.__all__
+    with pytest.raises(AttributeError):
+        getattr(ellsuper, name)
 
 
 @pytest.mark.parametrize("command, modules", _LOAD_MAP, ids=[command for command, _ in _LOAD_MAP])
 def test_start_up_table_is_what_each_job_loads(command, modules):
-    name, *options = command.split()
-    loaded = _modules_after_cli(name, *_OPERANDS[name], *options)
-    assert {m for m in loaded if m.startswith("ellsuper.")} == modules
+    # the row's one run: its exact package modules, none of NOT_LOADED, only
+    # its own subcommand's drivers, and no module that composes or inverts morphisms
+    assert set(command.split()) <= set(_ROWS[command].split())
+    run = _probe(_ROWS[command])
+    assert _package(run) == modules
+    assert not run.modules & NOT_LOADED
+    assert run.functions & _DRIVERS == _OWN_DRIVERS.get(command.split()[0], set())
+    assert not run.functions & {"compose", "invert"}
 
 
 def test_start_up_table_names_every_subcommand():
     assert {command.split()[0] for command, _ in _LOAD_MAP} == set(ellsuper.cli._SUBCOMMANDS)
 
 
-@pytest.mark.parametrize("argv", [("validate", "--d-max", "3"),
-                                  ("compute", "--d", "3", "--a", "inf", "--method", "linf")],
-                         ids=lambda argv: argv[0])
-def test_linf_runs_without_the_morphism_operations(argv):
+@pytest.mark.parametrize("command", ["compute", "scan", "validate"])
+def test_process_entry_loads_what_the_table_says(command):
+    # the benchmark's job shapes through `python -m ellsuper`, the process entry
+    # the console script shares; `-X importtime` writes each import to stderr as
+    # it happens, so `os._exit` does not cut the list
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "ellsuper", *_ROWS[command].split()],
+                          capture_output=True, text=True, env=ENV, timeout=60)
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {name for name in imported if name.startswith("ellsuper")} == {"ellsuper", *dict(_LOAD_MAP)[command]}
+    assert proc.returncode == 0
+    assert proc.stdout == _probe(_ROWS[command]).out
+
+
+def test_cli_import_and_compute_load_no_oracle():
+    assert not _package(_probe(setup="import ellsuper"))
+    for run in (_probe(setup="import ellsuper.cli"), _probe(_ROWS["compute"]), _probe(_ROWS["compute --method tree"])):
+        assert not run.modules & NOT_LOADED
+        assert _package(run) <= {"ellsuper.cli", "ellsuper.lattice", "ellsuper.engine", "ellsuper.treesum"}
+
+
+@pytest.mark.parametrize("code", ["import ellsuper.cli"], ids=["import"])
+def test_only_the_oracles_and_sweeps_load_the_pipelines(code):
+    # the README table pins each job's package modules; the bare import has no
+    # row there: it loads neither `pipelines` nor the tree oracle `treesum`
+    assert _package(_probe(setup=code)) == {"ellsuper.cli", "ellsuper.lattice", "ellsuper.engine"}
+
+
+# a planted tree-pass fault, with the job's stderr sent to stdout, which the probe returns
+_PLANTED_FAULT = ("import sys\n"
+                  "import ellsuper.treesum as treesum\n"
+                  "treesum._tree_pass = lambda points, fact, rows: (999, 1)\n"
+                  "sys.stderr = sys.stdout\n")
+
+
+@pytest.mark.parametrize("command", ["scan --d 3", "validate --d-max 3 --no-timing"],
+                         ids=lambda command: command.split()[0])
+def test_failure_dumps_load_no_pipelines(command):
+    # the sweep exits 2 with its dump, whose path prefix comes from `lattice`,
+    # without loading the Fraction-returning API
+    run = _probe(command, code=2, setup=_PLANTED_FAULT)
+    assert run.out.startswith("ellsuper: cross-validation failure: superpotential pipelines disagree: ")
+    assert '"path_prefix": [[0, 0], [1, 0]' in run.out and '"tree": "999"' in run.out
+    assert "ellsuper.pipelines" not in run.modules
+
+
+@pytest.mark.parametrize("command", ["compute", "validate", "scan", "integrality", "gamma", "trees"])
+def test_default_format_jobs_load_neither_json_nor_re(command):
+    # cli writes its own JSON; see NOT_LOADED
+    assert not _probe(_ROWS[command]).modules & NOT_LOADED
+
+
+@pytest.mark.parametrize("command", ["scan", "integrality", "validate --linf-bound 0"],
+                         ids=lambda command: command.split()[0])
+def test_sweeps_without_linf_load_no_fractions(command):
+    # exact values stay integer pairs up to the output; only linf builds Fractions
+    assert not _probe(_ROWS[command]).modules & NOT_LOADED
+
+
+@pytest.mark.parametrize("command, drivers", [
+    (_ROWS["validate"], {"_validation_sweep"}),
+    (_ROWS["validate --linf-bound 0"], {"_validation_sweep"}),
+    (_ROWS["scan"], _SWEEPS),
+    (_ROWS["integrality"], _SWEEPS),
+    (_ROWS["compute --method tree"], set()),
+    (_ROWS["compute --method linf"], set()),
+    (_ROWS["gamma"], set()),
+    (_ROWS["trees"], set()),
+    (_HELP, {"build_parser"}),
+], ids=["validate", "validate-no-linf", "scan", "integrality", "compute-tree", "compute-linf", "gamma", "trees",
+        "help"])
+def test_no_job_loads_another_subcommands_driver(command, drivers):
+    assert _probe(command).functions & _DRIVERS == drivers
+
+
+def _assert_compute_answer(out: str, d: int, a: AspectRatio, method: str) -> None:
+    res = superpotential(d, a)  # the recursion, as the reference
+    assert json.loads(out) == {"d": d, "a": str(a), "wtT": str(res.wtT), "mult": res.multiplier,
+                               "T": str(res.T), "method": method}
+
+
+@pytest.mark.parametrize("command", ["compute --method linf", "validate"], ids=lambda command: command.split()[0])
+def test_linf_answers_without_fractions(command):
+    # every entry of the witness's inverse at these ratios is an integer, kept
+    # as an int, and every degree's pairing is summed as one integer pair
+    run = _probe(_ROWS[command])
+    assert "ellsuper.linf" in run.modules
+    assert not run.modules & NOT_LOADED
+    if command == "validate":
+        assert [row["methods"] for row in json.loads(run.out)["results"]] == [["linf", "recursion", "tree"]] * 6
+    else:
+        _assert_compute_answer(run.out, 4, AspectRatio.infinite(), "linf")
+
+
+def test_decimal_ratio_answers_through_fractions():
+    run = _probe("compute --d 4 --a 7.5 --no-timing")
+    assert "fractions" in run.modules
+    _assert_compute_answer(run.out, 4, AspectRatio.parse("7.5"), "recursion")
+
+
+@pytest.mark.parametrize("command, code", [(_HELP, 0), ("compute --d 0 --a inf", 1)], ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_argparse(command, code):
+    assert "argparse" in _probe(command, code).modules
+
+
+@pytest.mark.parametrize("command", ["validate", "compute --method linf"], ids=lambda command: command.split()[0])
+def test_linf_runs_without_the_morphism_operations(command):
     # the witness inverts on scalars; no module the job loads composes or inverts morphisms
-    _, out = _probe(f"from ellsuper.cli import main\nassert main({list(argv)!r}) == 0\n"
-                    "import sys\n"
-                    "print('ops:', *sorted(name for name, m in sys.modules.items()\n"
-                    "                      if name.startswith('ellsuper') and {'compose', 'invert'} & vars(m).keys()))")
-    assert out.splitlines()[-1] == "ops:"
+    assert not _probe(_ROWS[command]).functions & {"compose", "invert"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "text"])
 def test_csv_and_text_load_the_renderers(fmt):
-    loaded = _modules_after_cli("compute", "--d", "3", "--a", "7", "--format", fmt)
+    loaded = _probe(f"compute --d 3 --a 7 --format {fmt}").modules
     assert "ellsuper.render" in loaded and "ellsuper.sweeps" not in loaded
 
 
 def test_lazy_public_names_cover_all():
-    _modules_after(
-        "import ellsuper\n"
-        "assert set(ellsuper.__all__) <= set(dir(ellsuper))\n"
-        "assert ellsuper.trees.set_partitions is ellsuper.set_partitions\n"
-        "from ellsuper import *\n"
-        "missing = [name for name in ellsuper.__all__ if name not in globals()]\n"
-        "assert not missing, missing"
-    )
+    _probe(setup="import ellsuper\n"
+                 "assert set(ellsuper.__all__) <= set(dir(ellsuper))\n"
+                 "assert ellsuper.trees.set_partitions is ellsuper.set_partitions\n"
+                 "from ellsuper import *\n"
+                 "missing = [name for name in ellsuper.__all__ if name not in globals()]\n"
+                 "assert not missing, missing")
 
 
 def test_public_names_live_where_public_says():

@@ -24,9 +24,7 @@ from ellsuper import (
     integrality_scan,
     linf_superpotential,
     ordered_count,
-    path_signature,
     recursion_wtT,
-    scan_breakpoints,
     scan_monotonicity,
     superpotential,
     tree_wtT,
@@ -41,7 +39,9 @@ from oracles import (
     multiset_recursion_wtT,
     ordered_recursion_wtT,
     partition_tree_wtT,
+    path_signature,
     per_tree_wtT,
+    scan_breakpoints,
     tree_wtT_infinity,
 )
 
